@@ -44,7 +44,7 @@ from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
                       start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
-                     free_grundy_by_components, grundy, mex, nim_sum)
+                     grundy, mex, nim_sum)
 from .solvers import (caterpillar_connected_winner, clique_free_winner,
                       cograph_free_winner, connected_cycle_arc_values,
                       connected_cycle_grundy, connected_path_f,
@@ -74,7 +74,6 @@ __all__ = [
     # engine
     "Player", "Verdict", "TranspositionTable", "ResourceLimitError",
     "DEFAULT_BUDGET", "mex", "nim_sum", "grundy", "decide", "best_move",
-    "free_grundy_by_components",
     # solvers
     "connected_path_f", "connected_path_grundy",
     "connected_cycle_grundy", "connected_cycle_arc_values",

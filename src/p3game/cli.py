@@ -31,13 +31,15 @@ import random
 
 
 class CacheCorruptionError(RuntimeError):
-    """A cache entry disagrees with a newly computed or stored verdict."""
+    """A cache line is unreadable, or a cache entry disagrees with a newly
+    computed or stored verdict."""
 
 
 class ResultCache:
     """Append-only store of verdicts, one JSON object per line, keyed by
     (graph content hash, variant).  An existing entry is never replaced;
-    attempting to record a different verdict for the same key raises."""
+    attempting to record a different verdict for the same key raises, and
+    so does a line that is not a complete record."""
 
     FILENAME = "results.jsonl"
 
@@ -46,18 +48,28 @@ class ResultCache:
         self.path = os.path.join(directory, self.FILENAME)
         self._entries: dict[tuple[str, str], dict] = {}
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
+            # undecodable bytes become U+FFFD and fail as non-JSON below
+            with open(self.path, "r", encoding="utf-8",
+                      errors="replace") as fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    obj = json.loads(line)
-                    key = (obj["graph"], obj["variant"])
-                    prior = self._entries.get(key)
-                    if prior is not None and prior != obj["verdict"]:
+                    try:
+                        obj = json.loads(line)
+                        key = (obj["graph"], obj["variant"])
+                        verdict = obj["verdict"]
+                        prior = self._entries.get(key)  # key must hash
+                        # solve prints these; check them here, not there
+                        verdict["winner"], verdict["grundy"], verdict["witness"]
+                    except (ValueError, LookupError, TypeError) as exc:
+                        raise CacheCorruptionError(
+                            "%s line %d is not a cache record: %s: %s"
+                            % (self.path, number, type(exc).__name__, exc))
+                    if prior is not None and prior != verdict:
                         raise CacheCorruptionError(
                             "conflicting cache lines for %r" % (key,))
-                    self._entries[key] = obj["verdict"]
+                    self._entries[key] = verdict
 
     def get(self, digest: str, variant: Variant):
         return self._entries.get((digest, variant.value))

@@ -6,9 +6,28 @@ against.  A position's Grundy value is the mex of its children's values
 wins exactly when the value is nonzero.  Independent subgames combine by
 nim-sum (binary addition without carry), e.g. 3 xor 6 = 5.
 
-Positions are keyed by (labeled bitmask, variant) per graph; there is no
+Subgames.  Once L is nonempty, every component C of G - L is an
+independent subgame, in both variants.  Every neighbour of C outside C
+is labeled, and L is P3-closed, so each vertex of C has at most one
+labeled neighbour.  Hence the hull inside C and distance-two legality
+inside C depend on C alone: labeling all of G - C instead of L changes
+neither.  The search memoizes val(C), the value of the game confined to
+C with everything else labeled:
+
+    val(C) = mex over the legal x in C of the nim-sum of val(D)
+             over the components D of C - hull((G - C) + x)
+
+A position with L nonempty is worth the nim-sum of val(C) over the
+components of G - L, and so is the free start (the components of G).
+The connected start is the one position that is not a sum: the opening
+picks a component and play never leaves it.  On a connected graph it is
+val(G); on a disconnected one it is a mex over every opening and is not
+memoized.
+
+Entries are keyed by (component bitmask, variant) per graph; there is no
 isomorphism-based canonicalization.  Correctness first: symmetry
-reduction is an optimization with high bug risk.
+reduction is an optimization with high bug risk.  The search keeps its
+own stack, so Python's recursion limit does not bound the graph size.
 
 Thread use: a TranspositionTable may be shared by workers evaluating
 independent subtrees.  Writes are idempotent (same key implies same
@@ -24,11 +43,10 @@ from functools import reduce
 from operator import xor
 from typing import Iterable, Optional
 
-from .graphs import Graph, bits, components, induced_subgraph
-from .closure import (Position, Variant, hull, legal_moves_raw,
-                      start_position)
+from .graphs import Graph, bits, components
+from .closure import Position, Variant, hull, legal_moves_raw
 
-#: Default cap on stored positions; exceeding it aborts the search
+#: Default cap on stored components; exceeding it aborts the search
 #: instead of ever returning an approximate answer.
 DEFAULT_BUDGET = 50_000_000
 
@@ -86,9 +104,10 @@ class Verdict:
 class TranspositionTable:
     """Memo of final Grundy values for one graph.
 
-    Keys are (labeled bitmask, variant); every stored labeled set is
-    P3-closed because the engine only ever visits hulls.  An entry, once
-    written, never changes; a conflicting write raises.
+    ``entries[variant]`` maps a component mask C to val(C) (see the
+    module docstring).  Every stored C is connected and G - C is
+    P3-closed.  An entry, once written, never changes; a conflicting
+    write raises.  The budget counts entries of both variants.
     """
 
     __slots__ = ("graph", "budget", "entries")
@@ -98,27 +117,27 @@ class TranspositionTable:
             raise ValueError("budget must be positive")
         self.graph = graph
         self.budget = budget
-        self.entries: dict[tuple[int, Variant], int] = {}
+        self.entries: dict[Variant, dict[int, int]] = {v: {} for v in Variant}
 
-    def lookup(self, labeled: int, variant: Variant) -> Optional[int]:
-        return self.entries.get((labeled, variant))
+    def lookup(self, component: int, variant: Variant) -> Optional[int]:
+        return self.entries[variant].get(component)
 
-    def store(self, labeled: int, variant: Variant, value: int) -> None:
-        key = (labeled, variant)
-        prior = self.entries.get(key)
+    def store(self, component: int, variant: Variant, value: int) -> None:
+        entries = self.entries[variant]
+        prior = entries.get(component)
         if prior is not None:
             if prior != value:
                 raise AssertionError(
                     "transposition table corruption: %r stored %d, got %d"
-                    % (key, prior, value))
+                    % ((component, variant), prior, value))
             return
-        if len(self.entries) >= self.budget:
+        if len(self) >= self.budget:
             raise ResourceLimitError(
                 "node budget of %d table entries exceeded" % self.budget)
-        self.entries[key] = value
+        entries[component] = value
 
     def __len__(self):
-        return len(self.entries)
+        return sum(len(entries) for entries in self.entries.values())
 
 
 def grundy(p: Position, table: Optional[TranspositionTable] = None,
@@ -128,29 +147,54 @@ def grundy(p: Position, table: Optional[TranspositionTable] = None,
         table = TranspositionTable(p.graph, budget or DEFAULT_BUDGET)
     elif table.graph is not p.graph and table.graph != p.graph:
         raise ValueError("transposition table belongs to a different graph")
-    return _grundy_mask(p.graph, p.labeled, p.variant, table)
+    return _position_value(p.graph, p.labeled, p.variant, table)
 
 
-def _grundy_mask(g: Graph, labeled: int, variant: Variant,
-                 table: TranspositionTable) -> int:
-    cached = table.lookup(labeled, variant)
-    if cached is not None:
-        return cached
-    child_values = set()
-    for child in _child_masks(g, labeled, variant):
-        child_values.add(_grundy_mask(g, child, variant, table))
-    value = mex(child_values)
-    table.store(labeled, variant, value)
+def _position_value(g: Graph, labeled: int, variant: Variant,
+                    table: TranspositionTable) -> int:
+    parts = components(g, g.full_mask & ~labeled)
+    if labeled == 0 and variant is Variant.CONNECTED and len(parts) > 1:
+        # not a sum: the opening picks the component that play stays in
+        return mex(_position_value(g, hull(g, 1 << x), variant, table)
+                   for x in bits(legal_moves_raw(g, 0, variant)))
+    return nim_sum(_component_value(g, c, variant, table) for c in parts)
+
+
+def _component_value(g: Graph, comp: int, variant: Variant,
+                     table: TranspositionTable) -> int:
+    """val(comp), evaluating what is not yet memoized below it from an
+    explicit stack of components."""
+    lookup, store = table.lookup, table.store
+    value = lookup(comp, variant)
+    if value is not None:
+        return value
+    full = g.full_mask
+    stack = [comp]
+    expanded = {}  # component on the stack -> its children, split in parts
+    while stack:
+        c = stack[-1]
+        children = expanded.pop(c, None)
+        if children is None:
+            if lookup(c, variant) is not None:
+                stack.pop()  # pushed twice, solved since
+                continue
+            outside = full & ~c
+            rests = {c & ~hull(g, outside | 1 << x)
+                     for x in bits(legal_moves_raw(g, outside, variant))}
+            # only components are stored, so a stored rest is one
+            children = [[rest] if lookup(rest, variant) is not None
+                        else components(g, rest) for rest in rests]
+            unsolved = [d for parts in children for d in parts
+                        if lookup(d, variant) is None]
+            if unsolved:
+                expanded[c] = children
+                stack += unsolved
+                continue
+        stack.pop()
+        value = mex(nim_sum(lookup(d, variant) for d in parts)
+                    for parts in children)
+        store(c, variant, value)
     return value
-
-
-def _child_masks(g: Graph, labeled: int, variant: Variant) -> set[int]:
-    """Distinct hulls reachable in one move (moves that close to the same
-    set are the same child)."""
-    out = set()
-    for x in bits(legal_moves_raw(g, labeled, variant)):
-        out.add(hull(g, labeled | (1 << x)))
-    return out
 
 
 def decide(g: Graph, variant: Variant,
@@ -160,12 +204,11 @@ def decide(g: Graph, variant: Variant,
     if g.n < 1:
         raise ValueError("cannot decide the game on an empty graph")
     table = TranspositionTable(g, budget or DEFAULT_BUDGET)
-    value = _grundy_mask(g, 0, variant, table)
+    value = _position_value(g, 0, variant, table)
     witness = None
     if value != 0:
         for x in bits(legal_moves_raw(g, 0, variant)):
-            child = hull(g, 1 << x)
-            if _grundy_mask(g, child, variant, table) == 0:
+            if _position_value(g, hull(g, 1 << x), variant, table) == 0:
                 witness = x
                 break
         assert witness is not None, "nonzero position must have a 0-child"
@@ -186,24 +229,6 @@ def best_move(p: Position, table: Optional[TranspositionTable] = None) -> Option
         if fallback is None:
             fallback = x
         child = hull(p.graph, p.labeled | (1 << x))
-        if _grundy_mask(p.graph, child, p.variant, table) == 0:
+        if _position_value(p.graph, child, p.variant, table) == 0:
             return x
     return fallback
-
-
-def free_grundy_by_components(g: Graph, budget: Optional[int] = None) -> int:
-    """Free-variant start value computed as the nim-sum of the start
-    values of the connected components.
-
-    Only the Free game decomposes this way: its moves never depend on
-    anything outside the component they touch, and the closure cannot
-    leak across components.  The Connected variant confines play to the
-    first component chosen, which is not a sum of independent games, so
-    no such helper exists for it.
-    """
-    parts = []
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        parts.append(grundy(start_position(sub, Variant.FREE),
-                            budget=budget or DEFAULT_BUDGET))
-    return nim_sum(parts)

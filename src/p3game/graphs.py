@@ -152,18 +152,26 @@ def check_graph_invariants(g: Graph) -> None:
             assert (g.adj[w] >> v) & 1, "asymmetric edge (%d, %d)" % (v, w)
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components as bitmasks, ordered by smallest member."""
-    remaining = g.full_mask
+def components(g: Graph, within: Optional[int] = None) -> list[int]:
+    """Connected components of the subgraph induced by ``within`` (default:
+    all of g) as bitmasks, ordered by smallest member.
+
+    The search engine splits every child position with this, so the
+    frontier expansion is inlined rather than built on ``bits``.
+    """
+    adj = g.adj
+    remaining = g.full_mask if within is None else within
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
-            grow = g.neighborhood_of_set(frontier) & remaining & ~comp
-            comp |= grow
-            frontier = grow
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & remaining & ~comp
+            comp |= frontier
         comps.append(comp)
         remaining &= ~comp
     return comps

@@ -1,5 +1,5 @@
 """Shared test utilities: conversion to/from networkx and enumeration of
-small connected graphs (one representative per isomorphism class)."""
+small graphs (one representative per isomorphism class)."""
 
 from functools import lru_cache
 
@@ -19,6 +19,15 @@ def graph_to_nx(g: Graph):
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges())
     return out
+
+
+@lru_cache(maxsize=None)
+def atlas_graphs(max_n: int) -> tuple:
+    """All graphs with 1..max_n vertices (max_n <= 7), connected or not,
+    one per isomorphism class."""
+    assert max_n <= 7, "the atlas stops at seven vertices"
+    return tuple(nx_to_graph(g) for g in nx.graph_atlas_g()
+                 if 1 <= g.number_of_nodes() <= max_n)
 
 
 @lru_cache(maxsize=None)

@@ -188,6 +188,46 @@ def test_conflicting_cache_lines_are_rejected(tmp_path):
     assert "conflicting cache lines" in err
 
 
+def _solve_with_cache_lines(tmp_path, lines):
+    path = write_graph(tmp_path, make_path(3))
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    good = json.dumps({"graph": "0" * 64, "variant": "free",
+                       "verdict": {"winner": "first", "grundy": 1,
+                                   "witness": 0}})
+    (cache_dir / "results.jsonl").write_text(
+        "".join(line + "\n" for line in [good] + lines))
+    return run_cli(["solve", "--graph", path, "--variant", "free",
+                    "--cache", str(cache_dir)])
+
+
+def test_truncated_cache_line_is_a_parse_error(tmp_path):
+    code, out, err = _solve_with_cache_lines(
+        tmp_path, ['{"graph": "ab", "variant": "fr'])
+    assert code == 2 and out == ""
+    assert "line 2 is not a cache record" in err
+    assert "Traceback" not in err
+
+
+def test_non_json_cache_line_is_a_parse_error(tmp_path):
+    code, out, err = _solve_with_cache_lines(tmp_path, ["", "not json at all"])
+    assert code == 2 and out == ""
+    assert "line 3 is not a cache record" in err
+
+
+@pytest.mark.parametrize("record", [
+    {"graph": "ab", "verdict": {}},
+    {"graph": "ab", "variant": "free",
+     "verdict": {"winner": "first", "grundy": 1}},
+    {"graph": ["ab"], "variant": "free", "verdict": {}},
+    ["ab", "free"],
+], ids=["no-variant", "verdict-without-witness", "list-digest", "not-an-object"])
+def test_cache_line_missing_a_field_is_a_parse_error(tmp_path, record):
+    code, out, err = _solve_with_cache_lines(tmp_path, [json.dumps(record)])
+    assert code == 2 and out == ""
+    assert "line 2 is not a cache record" in err
+
+
 def test_cache_refuses_to_overwrite_an_entry(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
     verdict = {"winner": "first", "grundy": 2, "witness": 1}

@@ -1,0 +1,22 @@
+"""The demos run end to end and print the verdicts the engine gives."""
+
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def run_demo(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_quickstart_runs(capsys):
+    lines = run_demo("quickstart.py", capsys)
+    assert "connected game: first wins, value 1, best opening 0" in lines
+    assert lines[-1] == "no moves left; the player to move (second) loses."
+
+
+def test_family_tour_runs(capsys):
+    lines = run_demo("family_tour.py", capsys)
+    assert "ladder n=6 connected: first wins, value 1, best opening 0" in lines

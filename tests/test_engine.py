@@ -1,6 +1,6 @@
 """Exhaustive engine: mex/nim-sum arithmetic, known verdicts, memo table
-discipline, budgets, determinism, witness correctness, and the product
-theorem on disjoint unions."""
+discipline, budgets, determinism, witness correctness, agreement with the
+plain whole-graph search, and the product theorem on disjoint unions."""
 
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -9,13 +9,14 @@ import pytest
 
 from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     ResourceLimitError, TranspositionTable, Variant, Verdict,
-                    best_move, bits, decide, free_grundy_by_components,
-                    grundy, hull, make_clique, make_cycle, make_ladder,
-                    make_path, make_star, mex, nim_sum, start_position)
-from p3game.engine import _child_masks
+                    apply_move, best_move, bits, components, decide, grundy,
+                    hull, is_p3_closed, legal_moves, make_clique, make_cycle,
+                    make_ladder, make_path, make_star, mex, nim_sum,
+                    random_gnp, start_position)
 from p3game.graphs import popcount
 
-from helpers import connected_atlas_graphs
+from helpers import atlas_graphs, connected_atlas_graphs
+from reference import child_masks, reference_decide, reference_grundy
 
 
 # =====================================================================
@@ -192,28 +193,76 @@ def test_shared_table_across_threads():
 # =====================================================================
 
 def test_stored_values_reexpand_to_their_mex():
+    # every stored component C is connected with G - C closed, its value
+    # is the mex over its children of the nim-sum of their stored parts,
+    # and the whole-graph search agrees on the position G - C
     rng = random.Random(21)
     cases = [(make_cycle(8), Variant.CONNECTED),
              (make_path(9), Variant.FREE),
-             (make_ladder(4), Variant.CONNECTED)]
+             (make_ladder(4), Variant.CONNECTED),
+             (random_gnp(10, 0.3, random.Random(3)), Variant.FREE),
+             (random_gnp(10, 0.3, random.Random(4)), Variant.CONNECTED)]
     for g, variant in cases:
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
-        keys = list(table.entries)
-        for labeled, var in rng.sample(keys, min(60, len(keys))):
-            children = _child_masks(g, labeled, var)
-            expect = mex(table.entries[(c, var)] for c in children)
-            assert table.entries[(labeled, var)] == expect
+        stored = table.entries[variant]
+        for comp in rng.sample(sorted(stored), min(60, len(stored))):
+            outside = g.full_mask & ~comp
+            assert components(g, comp) == [comp]
+            assert is_p3_closed(g, outside)
+            expect = mex(nim_sum(stored[part]
+                                 for part in components(g, comp & ~child))
+                         for child in child_masks(g, outside, variant))
+            assert stored[comp] == expect
+            assert stored[comp] == reference_grundy(g, outside, variant)
 
 
 def test_cycle_search_never_builds_an_arc_missing_one_vertex():
     # on a cycle, labeling all but one vertex is impossible: the last
-    # gap closes as soon as it narrows to a single vertex
+    # gap closes as soon as it narrows to a single vertex, so no stored
+    # component is a lone vertex
     for n in range(4, 10):
         g = make_cycle(n)
-        table = TranspositionTable(g)
-        grundy(start_position(g, Variant.CONNECTED), table)
-        assert all(popcount(mask) != n - 1 for mask, _ in table.entries)
+        for variant in Variant:
+            table = TranspositionTable(g)
+            grundy(start_position(g, variant), table)
+            stored = table.entries[variant]
+            assert stored
+            assert all(popcount(comp) != 1 for comp in stored)
+
+
+# =====================================================================
+# agreement with the plain whole-graph search (tests/reference.py)
+# =====================================================================
+
+def test_decide_matches_the_whole_graph_search_on_the_atlas():
+    # every graph of up to seven vertices, disconnected ones included:
+    # winner, value and witness
+    for g in atlas_graphs(7):
+        for variant in Variant:
+            assert decide(g, variant) == reference_decide(g, variant), \
+                (g.n, g.edges(), variant)
+
+
+def test_every_opening_matches_the_whole_graph_search_on_the_atlas():
+    for g in atlas_graphs(7):
+        for variant in Variant:
+            start = start_position(g, variant)
+            table, memo = TranspositionTable(g), {}
+            for x in bits(legal_moves(start)):
+                child = apply_move(start, x)
+                assert grundy(child, table) == \
+                    reference_grundy(g, child.labeled, variant, memo), \
+                    (g.n, g.edges(), variant, x)
+
+
+def test_decide_matches_the_whole_graph_search_on_random_graphs():
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_gnp(rng.randint(1, 11), rng.random(), rng)
+        for variant in Variant:
+            assert decide(g, variant) == reference_decide(g, variant), \
+                (g.n, g.edges(), variant)
 
 
 # =====================================================================
@@ -242,7 +291,6 @@ def test_free_game_value_of_union_is_nim_sum():
         split = nim_sum(grundy(start_position(p, Variant.FREE))
                         for p in parts)
         assert whole == split
-        assert free_grundy_by_components(union) == whole
 
 
 # =====================================================================
