@@ -40,8 +40,7 @@ from .graphs import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
                      random_biconnected_chordal, random_caterpillar_spec,
                      random_cotree, random_gnp, random_tree)
 from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
-                      hull_by_rescan, is_p3_closed, legal_moves,
-                      start_position)
+                      is_p3_closed, legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
                      grundy, mex, nim_sum)
@@ -69,7 +68,7 @@ __all__ = [
     "random_biconnected_chordal", "random_gnp",
     # closure
     "Variant", "Position", "IllegalMoveError",
-    "is_p3_closed", "hull", "hull_by_rescan", "legal_moves", "apply_move",
+    "is_p3_closed", "hull", "legal_moves", "apply_move",
     "start_position",
     # engine
     "Player", "Verdict", "TranspositionTable", "ResourceLimitError",

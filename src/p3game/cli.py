@@ -93,19 +93,19 @@ class ResultCache:
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("P3_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise GraphFormatError(
-                "P3_BUDGET must be a positive integer, got %r" % env)
-        return value
-    return DEFAULT_BUDGET
+    value, source = args.budget, "--budget"
+    if value is None:
+        value, source = os.environ.get("P3_BUDGET"), "P3_BUDGET"
+        if value is None:
+            return DEFAULT_BUDGET
+    try:
+        budget = int(value)
+        if budget < 1:
+            raise ValueError
+    except ValueError:
+        raise GraphFormatError(
+            "%s must be a positive integer, got %r" % (source, value))
+    return budget
 
 
 def _read_graph_file(path: str):
@@ -123,9 +123,15 @@ def _read_graph_file(path: str):
 
 def cmd_solve(args, stdout, stderr) -> int:
     g = _read_graph_file(args.graph)
+    if g.n < 1:
+        raise GraphFormatError("cannot decide the game on an empty graph")
     variant = Variant(args.variant)
     budget = _resolve_budget(args)
-    cache = ResultCache(args.cache) if args.cache else None
+    try:
+        cache = ResultCache(args.cache) if args.cache else None
+    except OSError as exc:
+        raise GraphFormatError(
+            "cannot open cache directory %s: %s" % (args.cache, exc))
     digest = graph_digest(g)
 
     # explicit None test: an empty cache is falsy through __len__
@@ -275,8 +281,12 @@ def cmd_gen(args, stdout, stderr) -> int:
     if args.output == "-":
         stdout.write(data.decode())
     else:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise GraphFormatError(
+                "cannot write graph file %s: %s" % (args.output, exc))
     return 0
 
 

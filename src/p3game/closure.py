@@ -4,7 +4,10 @@ variants.
 A vertex set S is P3-closed when no vertex outside S has two or more
 neighbors inside S.  The hull of A is the smallest P3-closed superset of
 A, obtained by repeatedly absorbing any vertex with two labeled
-neighbors.  The hull operator is a closure operator: extensive, monotone,
+neighbors.  ``hull`` finds all such vertices of a round at once, as a
+bitmask built from the adjacency rows of the vertices absorbed so far,
+so it costs a few big-integer operations per vertex of the hull.  The
+hull operator is a closure operator: extensive, monotone,
 idempotent, and with an empty hull for the empty set; closed sets are
 also closed under intersection.  Tests exercise all of these properties.
 
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .graphs import Graph, bits, popcount
 
@@ -54,53 +56,27 @@ def is_p3_closed(g: Graph, s: int) -> bool:
 def hull(g: Graph, a: int) -> int:
     """Smallest P3-closed superset of a.
 
-    Fixpoint with per-vertex counters of labeled neighbors and a work
-    queue; amortized O(n + m) per call.  This sits in the innermost loop
-    of the search engine.
+    Word-parallel fixpoint over two bitmasks: ``ones`` holds the
+    vertices with at least one neighbor among the vertices processed so
+    far, ``twos`` those with at least two.  Processing v is
+    ``twos |= ones & adj[v]; ones |= adj[v]``; each round absorbs
+    ``twos`` outside the hull and processes only what it absorbed.  Every
+    vertex of the result is processed once, so a call costs O(|hull|)
+    big-integer operations and allocates nothing per vertex.  This sits
+    in the innermost loop of the search engine.
     """
-    if a == 0:
-        return 0
     adj = g.adj
-    counts = [0] * g.n
-    inside = a
-    queue = []
-    for v in bits(a):
-        for w in bits(adj[v] & ~inside):
-            counts[w] += 1
-            if counts[w] == 2:
-                queue.append(w)
-    while queue:
-        v = queue.pop()
-        bit = 1 << v
-        if inside & bit:
-            continue
-        inside |= bit
-        for w in bits(adj[v] & ~inside):
-            counts[w] += 1
-            if counts[w] == 2:
-                queue.append(w)
-    return inside
-
-
-def hull_by_rescan(g: Graph, a: int, order: Optional[Iterable[int]] = None) -> int:
-    """Reference hull: rescan all vertices until no absorption happens.
-
-    ``order`` fixes the scan order (default 0..n-1); the result must not
-    depend on it, which the order-independence tests check against the
-    queue-based implementation.
-    """
-    scan = list(order) if order is not None else list(range(g.n))
-    inside = a
-    changed = True
-    while changed:
-        changed = False
-        for v in scan:
-            bit = 1 << v
-            if inside & bit:
-                continue
-            if popcount(g.adj[v] & inside) >= 2:
-                inside |= bit
-                changed = True
+    ones = twos = 0
+    inside = new = a
+    while new:
+        while new:
+            low = new & -new
+            row = adj[low.bit_length() - 1]
+            twos |= ones & row
+            ones |= row
+            new ^= low
+        new = twos & ~inside
+        inside |= new
     return inside
 
 

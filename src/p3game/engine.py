@@ -144,7 +144,8 @@ def grundy(p: Position, table: Optional[TranspositionTable] = None,
            budget: Optional[int] = None) -> int:
     """Exact Grundy value of a position."""
     if table is None:
-        table = TranspositionTable(p.graph, budget or DEFAULT_BUDGET)
+        table = TranspositionTable(
+            p.graph, DEFAULT_BUDGET if budget is None else budget)
     elif table.graph is not p.graph and table.graph != p.graph:
         raise ValueError("transposition table belongs to a different graph")
     return _position_value(p.graph, p.labeled, p.variant, table)
@@ -203,7 +204,7 @@ def decide(g: Graph, variant: Variant,
     lowest-numbered winning first move when one exists."""
     if g.n < 1:
         raise ValueError("cannot decide the game on an empty graph")
-    table = TranspositionTable(g, budget or DEFAULT_BUDGET)
+    table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
     value = _position_value(g, 0, variant, table)
     witness = None
     if value != 0:

@@ -119,10 +119,17 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighborhood_of_set(self, mask: int) -> int:
-        """Union of neighborhoods of the vertices in ``mask``."""
+        """Union of neighborhoods of the vertices in ``mask``.
+
+        Connected-variant legality runs on this, so the loop is inlined
+        rather than built on ``bits``.
+        """
+        adj = self.adj
         out = 0
-        for v in bits(mask):
-            out |= self.adj[v]
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
         return out
 
     # -- dunder --------------------------------------------------------

@@ -176,6 +176,8 @@ def enumerate_trees(max_n: int):
 def verify_tree(max_n: int, seed: int = 0, samples: int = 200,
                 budget=None) -> VerifyReport:
     rng = random.Random(seed)
+    if max_n < 1:
+        raise ValueError("trees need at least 1 vertex")
 
     def rows():
         for n, idx, tree in enumerate_trees(min(max_n, 9)):

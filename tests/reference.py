@@ -1,20 +1,41 @@
-"""The plain whole-graph search: the oracle the engine's decomposition is
-checked against.
+"""The plain whole-graph search and the rescan hull: the oracles the
+engine's decomposition and the word-parallel hull are checked against.
 
-It memoizes whole labeled sets, one dict per (graph, variant), and knows
-nothing about components, so it shares no idea with the engine beyond
-the game rules in p3game.closure.  It recurses once per move, which is
-fine for the small graphs it is used on.
+The search memoizes whole labeled sets, one dict per (graph, variant),
+and knows nothing about components.  It builds child positions with
+``hull_by_rescan``, not ``p3game.hull``, so it shares no idea with the
+engine beyond the legal-move rule in p3game.closure.  It recurses once
+per move, which is fine for the small graphs it is used on.
 """
 
-from p3game import Player, Verdict, bits, hull, mex
+from p3game import Player, Verdict, bits, mex
 from p3game.closure import legal_moves_raw
+
+
+def hull_by_rescan(g, a, order=None):
+    """Hull by definition: rescan the vertices until none outside has two
+    neighbors inside.
+
+    ``order`` fixes the scan order (default 0..n-1); the result must not
+    depend on it.
+    """
+    scan = list(order) if order is not None else list(range(g.n))
+    inside = a
+    changed = True
+    while changed:
+        changed = False
+        for v in scan:
+            bit = 1 << v
+            if not inside & bit and (g.adj[v] & inside).bit_count() >= 2:
+                inside |= bit
+                changed = True
+    return inside
 
 
 def child_masks(g, labeled, variant):
     """Distinct hulls reachable in one move (moves that close to the same
     set are the same child)."""
-    return {hull(g, labeled | (1 << x))
+    return {hull_by_rescan(g, labeled | (1 << x))
             for x in bits(legal_moves_raw(g, labeled, variant))}
 
 
@@ -37,6 +58,6 @@ def reference_decide(g, variant):
     witness = None
     if value != 0:
         witness = next(x for x in bits(legal_moves_raw(g, 0, variant))
-                       if reference_grundy(g, hull(g, 1 << x), variant,
-                                           memo) == 0)
+                       if reference_grundy(g, hull_by_rescan(g, 1 << x),
+                                           variant, memo) == 0)
     return Verdict(Player.FIRST if value else Player.SECOND, value, witness)

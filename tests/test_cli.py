@@ -76,6 +76,30 @@ def test_solve_malformed_graph_is_a_usage_error(tmp_path):
     assert "error:" in err
 
 
+def test_solve_empty_graph_is_a_usage_error(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    code, out, err = run_cli(["solve", "--graph", str(path),
+                              "--variant", "free"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot decide the game on an empty graph\n"
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_solve_cache_directory_that_cannot_be_made_is_a_usage_error(
+        tmp_path, where):
+    path = write_graph(tmp_path, make_path(3))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = blocker if where == "a-file" else blocker / "cache"
+    code, out, err = run_cli(["solve", "--graph", path, "--variant", "free",
+                              "--cache", str(cache)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot open cache directory %s:" % cache)
+
+
 def test_solve_rejects_unknown_variant(tmp_path):
     path = write_graph(tmp_path, make_path(3))
     with contextlib.redirect_stderr(io.StringIO()):
@@ -113,6 +137,16 @@ def test_budget_env_var_must_be_a_positive_integer(tmp_path, monkeypatch,
     code, _, err = run_cli(["solve", "--graph", path, "--variant", "free"])
     assert code == 2
     assert "P3_BUDGET must be a positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_flag_must_be_a_positive_integer(tmp_path, value):
+    path = write_graph(tmp_path, make_path(4))
+    code, out, err = run_cli(["solve", "--graph", path, "--variant", "free",
+                              "--budget", value])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --budget must be a positive integer, got %s\n" % value
 
 
 def test_budget_flag_wins_over_env_var(tmp_path, monkeypatch):
@@ -295,6 +329,13 @@ def test_verify_ladder_family_passes():
     assert report["passed"] and report["instances"] == 7
 
 
+def test_verify_tree_below_its_minimum_size_names_it():
+    code, out, err = run_cli(["verify", "--family", "tree", "--max-n", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: trees need at least 1 vertex\n"
+
+
 def test_verify_rejects_unknown_family():
     with contextlib.redirect_stderr(io.StringIO()):
         with pytest.raises(SystemExit) as exc:
@@ -389,6 +430,16 @@ def test_gen_parameter_errors(argv, fragment):
     assert code == 2
     assert out == ""
     assert fragment in err
+
+
+def test_gen_to_an_unwritable_path_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["gen", "--family", "path", "--n", "3",
+                              "-o", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write graph file %s:" % target)
+    assert not target.exists()
 
 
 # =====================================================================

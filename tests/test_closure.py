@@ -7,12 +7,13 @@ import random
 import pytest
 
 from p3game import (Graph, IllegalMoveError, Position, Variant, apply_move,
-                    bits, hull, hull_by_rescan, is_p3_closed, legal_moves,
-                    make_clique, make_cycle, make_path, make_star, mask_of,
+                    bits, hull, is_p3_closed, legal_moves, make_clique,
+                    make_cycle, make_ladder, make_path, make_star, mask_of,
                     random_gnp, start_position)
 from p3game.closure import legal_moves_raw
 
 from helpers import connected_atlas_graphs
+from reference import hull_by_rescan
 
 
 # =====================================================================
@@ -49,23 +50,44 @@ def test_is_p3_closed_examples():
 # closure axioms over random inputs
 # =====================================================================
 
-def _random_pairs(count, max_n, seed):
+def _random_pairs(count, max_n, seed, min_n=1):
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, max_n)
+        n = rng.randint(min_n, max_n)
         g = random_gnp(n, rng.uniform(0.05, 0.95), rng)
         yield g, rng.getrandbits(n), rng
 
 
+def _sparse_set(n, rng):
+    """A labeled set of 1 to 8 vertices: on a long path, cycle or ladder a
+    dense random set would close to nearly everything."""
+    return mask_of(rng.sample(range(n), rng.randint(1, 8)))
+
+
+def _check_closure_axioms(g, a, b):
+    """hull is extensive, idempotent, lands on a closed set, and is
+    monotone from a to its superset b."""
+    h = hull(g, a)
+    assert a & ~h == 0, "extensive: a is inside hull(a)"
+    assert hull(g, h) == h, "idempotent"
+    assert is_p3_closed(g, h)
+    assert h & ~hull(g, b) == 0, "monotone: hull(a) inside hull(b)"
+
+
 def test_hull_is_a_closure_operator():
     for g, a, rng in _random_pairs(400, 12, 10):
-        h = hull(g, a)
-        assert a & ~h == 0, "extensive: a is inside hull(a)"
-        assert hull(g, h) == h, "idempotent"
-        assert is_p3_closed(g, h)
-        b = a | rng.getrandbits(g.n)  # a superset of a
-        assert h & ~hull(g, b) == 0, "monotone: hull(a) inside hull(b)"
+        _check_closure_axioms(g, a, a | rng.getrandbits(g.n))
     assert hull(make_path(5), 0) == 0
+
+
+def test_hull_is_a_closure_operator_up_to_100_vertices():
+    for g, a, rng in _random_pairs(60, 100, 15, min_n=13):
+        _check_closure_axioms(g, a, a | rng.getrandbits(g.n))
+        # a dense random set mostly closes to everything; a sparse one
+        # leaves room for the hull to stop short
+        a = _sparse_set(g.n, rng)
+        _check_closure_axioms(g, a, a | _sparse_set(g.n, rng))
+    assert hull(make_path(100), 0) == 0
 
 
 def test_closed_sets_are_exactly_hull_fixpoints():
@@ -88,6 +110,23 @@ def test_hull_matches_rescan_in_any_order():
         for _ in range(4):
             rng.shuffle(order)
             assert hull_by_rescan(g, a, order) == expect
+
+
+def test_hull_matches_rescan_beyond_one_machine_word():
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randint(65, 200)
+        g = random_gnp(n, rng.uniform(0.005, 0.05), rng)
+        for a in (_sparse_set(n, rng), rng.getrandbits(n) & rng.getrandbits(n)
+                  & rng.getrandbits(n)):
+            assert hull(g, a) == hull_by_rescan(g, a)
+    for g in (make_path(600), make_cycle(600), make_ladder(300)):
+        for _ in range(20):
+            for a in (_sparse_set(g.n, rng), rng.getrandbits(g.n)):
+                assert hull(g, a) == hull_by_rescan(g, a)
+        assert hull(g, 0) == 0
+    p601 = make_path(601)
+    assert hull(p601, mask_of(range(0, 601, 2))) == p601.full_mask
 
 
 # =====================================================================

@@ -155,6 +155,15 @@ def test_table_budget_validation():
         TranspositionTable(g, budget=0)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_budget_is_rejected_not_defaulted(budget):
+    position = start_position(make_path(3), Variant.FREE)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        decide(make_path(3), Variant.FREE, budget=budget)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        grundy(position, budget=budget)
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(ResourceLimitError):
         decide(make_path(12), Variant.FREE, budget=5)
