@@ -12,6 +12,7 @@ variable, else the engine default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,11 @@ class CacheCorruptionError(RuntimeError):
     computed or stored verdict."""
 
 
+# a stripped line holds exactly one record: raw_decode stops after the
+# first JSON value, so trailing data is caught by comparing offsets
+_decode_record = json.JSONDecoder().raw_decode
+
+
 class ResultCache:
     """Append-only store of verdicts, one JSON object per line, keyed by
     (graph content hash, variant).  An existing entry is never replaced;
@@ -47,29 +53,36 @@ class ResultCache:
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, self.FILENAME)
         self._entries: dict[tuple[str, str], dict] = {}
-        if os.path.exists(self.path):
+        try:
             # undecodable bytes become U+FFFD and fail as non-JSON below
             with open(self.path, "r", encoding="utf-8",
                       errors="replace") as fh:
-                for number, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        key = (obj["graph"], obj["variant"])
-                        verdict = obj["verdict"]
-                        prior = self._entries.get(key)  # key must hash
-                        # solve prints these; check them here, not there
-                        verdict["winner"], verdict["grundy"], verdict["witness"]
-                    except (ValueError, LookupError, TypeError) as exc:
-                        raise CacheCorruptionError(
-                            "%s line %d is not a cache record: %s: %s"
-                            % (self.path, number, type(exc).__name__, exc))
-                    if prior is not None and prior != verdict:
-                        raise CacheCorruptionError(
-                            "conflicting cache lines for %r" % (key,))
-                    self._entries[key] = verdict
+                text = fh.read()
+        except FileNotFoundError:
+            return
+        # text mode has already turned \r\n and \r into \n; splitlines
+        # would also split on U+2028 and form feeds and shift line numbers
+        for number, line in enumerate(text.split("\n"), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj, end = _decode_record(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                key = (obj["graph"], obj["variant"])
+                verdict = obj["verdict"]
+                prior = self._entries.get(key)  # key must hash
+                # solve prints these; check them here, not there
+                verdict["winner"], verdict["grundy"], verdict["witness"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise CacheCorruptionError(
+                    "%s line %d is not a cache record: %s: %s"
+                    % (self.path, number, type(exc).__name__, exc))
+            if prior is not None and prior != verdict:
+                raise CacheCorruptionError(
+                    "conflicting cache lines for %r" % (key,))
+            self._entries[key] = verdict
 
     def get(self, digest: str, variant: Variant):
         return self._entries.get((digest, variant.value))
@@ -344,11 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call and reused by every
+    later call in the process.  Building it costs about 1 ms, most of a
+    cached solve.  It captures nothing from the environment: help width
+    is read when help is printed, and P3_BUDGET when a command runs."""
+    return build_parser()
+
+
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":

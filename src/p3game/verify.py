@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import graphs, solvers
-from .closure import Variant, hull, start_position
+from .closure import (IllegalMoveError, Variant, apply_move, hull,
+                      start_position)
 from .engine import decide, grundy
 from .graphs import (Graph, bits, make_caterpillar, make_clique, make_cograph,
                      make_cycle, make_ladder, make_path, make_star)
@@ -68,11 +69,33 @@ def _verdict_fields(v):
     return {"winner": v.winner.value, "grundy": v.grundy}
 
 
-def _compare_verdicts(solver_v, oracle_v):
+def _witness_child_value(g, variant, witness, budget):
+    """The engine's value of the position the witness opening leads to,
+    or "illegal" when the witness is not a legal opening."""
+    try:
+        child = apply_move(start_position(g, variant), witness)
+    except IllegalMoveError:
+        return "illegal"
+    return grundy(child, budget=budget)
+
+
+def _verdict_row(solver_v, g, variant, budget):
+    """(solver, oracle) projections of a solver's Verdict and the
+    engine's.  The claim is the winner alone when the solver derives no
+    value, else winner and value.  A witness is a claim too: the engine
+    must value the child it leads to at 0; when it does not, both sides
+    carry the witness and that child value."""
+    oracle_v = decide(g, variant, budget=budget)
     sv, ov = _verdict_fields(solver_v), _verdict_fields(oracle_v)
     if sv["grundy"] is None:
         # formula-level solver: winner is its whole claim
-        return sv["winner"], ov["winner"]
+        sv, ov = sv["winner"], ov["winner"]
+    witness = solver_v.witness
+    if witness is not None:
+        child = _witness_child_value(g, variant, witness, budget)
+        if child != 0:
+            sv = {"verdict": sv, "witness": witness, "child": 0}
+            ov = {"verdict": ov, "witness": witness, "child": child}
     return sv, ov
 
 
@@ -81,7 +104,9 @@ def _compare_verdicts(solver_v, oracle_v):
 # ---------------------------------------------------------------------
 
 def verify_path_free(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    table = solvers.free_path_grundy_table(max(max_n, 1))
+    if max_n < 1:
+        raise ValueError("paths need at least 1 vertex")
+    table = solvers.free_path_grundy_table(max_n)
 
     def rows():
         for n in range(1, max_n + 1):
@@ -94,6 +119,9 @@ def verify_path_free(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
 
 
 def verify_path_connected(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    if max_n < 1:
+        raise ValueError("paths need at least 1 vertex")
+
     def rows():
         for n in range(1, max_n + 1):
             solver_val = solvers.connected_path_grundy(n)
@@ -105,17 +133,22 @@ def verify_path_connected(max_n: int, seed: int = 0, budget=None) -> VerifyRepor
 
 
 def verify_cycle_free(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    if max_n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+
     def rows():
         for n in range(3, max_n + 1):
-            solver_v = solvers.free_cycle_winner(n)
-            oracle_v = decide(make_cycle(n), Variant.FREE, budget=budget)
-            sv, ov = _compare_verdicts(solver_v, oracle_v)
+            sv, ov = _verdict_row(solvers.free_cycle_winner(n),
+                                  make_cycle(n), Variant.FREE, budget)
             yield {"n": n}, sv, ov
 
     return _report("cycle-free", rows())
 
 
 def verify_cycle_connected(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    if max_n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+
     def rows():
         for n in range(3, max_n + 1):
             solver_val = solvers.connected_cycle_grundy(n)
@@ -127,33 +160,40 @@ def verify_cycle_connected(max_n: int, seed: int = 0, budget=None) -> VerifyRepo
 
 
 def verify_ladder(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    if max_n < 1:
+        raise ValueError("ladders need at least 1 rung")
+
     def rows():
         for n in range(1, max_n + 1):
-            solver_v = solvers.ladder_connected_winner(n)
-            oracle_v = decide(make_ladder(n), Variant.CONNECTED, budget=budget)
-            sv, ov = _compare_verdicts(solver_v, oracle_v)
+            sv, ov = _verdict_row(solvers.ladder_connected_winner(n),
+                                  make_ladder(n), Variant.CONNECTED,
+                                  budget)
             yield {"n": n}, sv, ov
 
     return _report("ladder", rows())
 
 
 def verify_star(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    if max_n < 0:
+        raise ValueError("stars need at least 0 leaves")
+
     def rows():
         for t in range(0, max_n + 1):
-            solver_v = solvers.star_free_winner(t)
-            oracle_v = decide(make_star(t), Variant.FREE, budget=budget)
-            sv, ov = _compare_verdicts(solver_v, oracle_v)
+            sv, ov = _verdict_row(solvers.star_free_winner(t),
+                                  make_star(t), Variant.FREE, budget)
             yield {"t": t}, sv, ov
 
     return _report("star", rows())
 
 
 def verify_clique(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    if max_n < 1:
+        raise ValueError("cliques need at least 1 vertex")
+
     def rows():
         for n in range(1, max_n + 1):
-            solver_v = solvers.clique_free_winner(n)
-            oracle_v = decide(make_clique(n), Variant.FREE, budget=budget)
-            sv, ov = _compare_verdicts(solver_v, oracle_v)
+            sv, ov = _verdict_row(solvers.clique_free_winner(n),
+                                  make_clique(n), Variant.FREE, budget)
             yield {"n": n}, sv, ov
 
     return _report("clique", rows())
@@ -203,10 +243,9 @@ def verify_caterpillar(max_n: int, seed: int = 0, samples: int = 200,
     def rows():
         for k in range(samples):
             spec = graphs.random_caterpillar_spec(max_n, rng)
-            solver_v = solvers.caterpillar_connected_winner(spec)
-            oracle_v = decide(make_caterpillar(spec), Variant.CONNECTED,
-                              budget=budget)
-            sv, ov = _compare_verdicts(solver_v, oracle_v)
+            sv, ov = _verdict_row(solvers.caterpillar_connected_winner(spec),
+                                  make_caterpillar(spec), Variant.CONNECTED,
+                                  budget)
             yield {"sample": k, "backbone": spec.backbone,
                    "feet": list(spec.feet)}, sv, ov
 
@@ -220,9 +259,8 @@ def verify_cograph(max_n: int, seed: int = 0, samples: int = 200,
     def rows():
         for k in range(samples):
             cotree = graphs.random_cotree(max_n, rng)
-            solver_v = solvers.cograph_free_winner(cotree)
-            oracle_v = decide(make_cograph(cotree), Variant.FREE, budget=budget)
-            sv, ov = _compare_verdicts(solver_v, oracle_v)
+            sv, ov = _verdict_row(solvers.cograph_free_winner(cotree),
+                                  make_cograph(cotree), Variant.FREE, budget)
             yield {"sample": k,
                    "leaves": len(graphs.cotree_leaves(cotree))}, sv, ov
 

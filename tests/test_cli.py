@@ -3,9 +3,14 @@ tables and diagnostics on stderr), the append-only verdict cache, graph
 generation, and interactive play backed by the engine."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +20,7 @@ from p3game import (CaterpillarSpec, Cotree, TranspositionTable, Variant,
                     make_clique, make_cograph, make_cycle, make_ladder,
                     make_path, parse_graph, random_biconnected_chordal,
                     random_tree, start_position)
+from p3game import cli, solvers
 from p3game.cli import CacheCorruptionError, ResultCache, main
 from p3game.graphs import JOIN, bits, random_gnp
 from p3game.verify import FAMILIES, run_family
@@ -230,7 +236,7 @@ def _solve_with_cache_lines(tmp_path, lines):
                        "verdict": {"winner": "first", "grundy": 1,
                                    "witness": 0}})
     (cache_dir / "results.jsonl").write_text(
-        "".join(line + "\n" for line in [good] + lines))
+        "".join(line + "\n" for line in [good] + lines), encoding="utf-8")
     return run_cli(["solve", "--graph", path, "--variant", "free",
                     "--cache", str(cache_dir)])
 
@@ -260,6 +266,63 @@ def test_cache_line_missing_a_field_is_a_parse_error(tmp_path, record):
     code, out, err = _solve_with_cache_lines(tmp_path, [json.dumps(record)])
     assert code == 2 and out == ""
     assert "line 2 is not a cache record" in err
+
+
+def test_two_records_on_one_line_are_a_parse_error(tmp_path):
+    record = json.dumps({"graph": "ab", "variant": "free",
+                         "verdict": {"winner": "second", "grundy": 0,
+                                     "witness": None}})
+    code, out, err = _solve_with_cache_lines(
+        tmp_path, [record, record + " " + record.replace("ab", "cd")])
+    assert code == 2 and out == ""
+    assert "line 3 is not a cache record" in err
+
+
+def test_line_separator_inside_a_record_does_not_shift_line_numbers(tmp_path):
+    # U+2028 is legal raw inside a JSON string, and only \n ends a line
+    record = json.dumps({"graph": "a\u2028b", "variant": "free",
+                         "verdict": {"winner": "second", "grundy": 0,
+                                     "witness": None}}, ensure_ascii=False)
+    assert "\u2028" in record
+    code, out, err = _solve_with_cache_lines(
+        tmp_path, [record, '{"graph": "ab", "variant": "fr'])
+    assert code == 2 and out == ""
+    assert "line 3 is not a cache record" in err
+
+
+def test_cache_with_crlf_line_ends_is_read(tmp_path):
+    g = make_cycle(5)
+    path = write_graph(tmp_path, g)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    verdict = decide(g, Variant.FREE).to_json_dict()
+    rows = [{"graph": "0" * 64, "variant": "free", "verdict": verdict},
+            {"graph": graph_digest(g), "variant": "free", "verdict": verdict}]
+    data = "".join(json.dumps(r) + "\r\n" for r in rows).encode()
+    (cache_dir / "results.jsonl").write_bytes(data)
+    code, out, err = run_cli(["solve", "--graph", path, "--variant", "free",
+                              "--cache", str(cache_dir)])
+    assert code == 0 and json.loads(out) == verdict
+    # a hit appends nothing
+    assert (cache_dir / "results.jsonl").read_bytes() == data
+    assert len(ResultCache(str(cache_dir))) == 2
+
+
+def test_cache_skips_blank_lines_and_starts_empty_without_a_file(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache = ResultCache(str(cache_dir))
+    assert len(cache) == 0
+    assert cache.get("ab", Variant.FREE) is None
+    assert not (cache_dir / "results.jsonl").exists()
+    verdict = {"winner": "second", "grundy": 0, "witness": None}
+    lines = ["", json.dumps({"graph": "ab", "variant": "free",
+                             "verdict": verdict}),
+             "   ", "\t", json.dumps({"graph": "ab", "variant": "connected",
+                                     "verdict": verdict}), "", ""]
+    (cache_dir / "results.jsonl").write_text("\n".join(lines))
+    cache = ResultCache(str(cache_dir))
+    assert len(cache) == 2
+    assert cache.get("ab", Variant.CONNECTED) == verdict
 
 
 def test_cache_refuses_to_overwrite_an_entry(tmp_path):
@@ -354,6 +417,163 @@ def test_every_family_sweep_passes_at_small_size():
         report = run_family(family, max_n)
         assert report.passed, (family, report.mismatches[:3])
         assert report.instances > 0
+
+
+@pytest.mark.parametrize("family,max_n,message", [
+    ("path-free", 0, "paths need at least 1 vertex"),
+    ("path-connected", 0, "paths need at least 1 vertex"),
+    ("cycle-free", 2, "cycles need at least 3 vertices"),
+    ("cycle-connected", 2, "cycles need at least 3 vertices"),
+    ("ladder", 0, "ladders need at least 1 rung"),
+    ("clique", 0, "cliques need at least 1 vertex"),
+    ("star", -1, "stars need at least 0 leaves"),
+])
+def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
+                                                          message):
+    # a range with no instance would otherwise check nothing and pass
+    code, out, err = run_cli(["verify", "--family", family,
+                              "--max-n", str(max_n), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+WITNESS_SOLVERS = [("cycle-free", "free_cycle_winner", 9),
+                   ("ladder", "ladder_connected_winner", 6),
+                   ("star", "star_free_winner", 4),
+                   ("clique", "clique_free_winner", 3),
+                   ("caterpillar", "caterpillar_connected_winner", 7),
+                   ("cograph", "cograph_free_winner", 6)]
+
+
+@pytest.mark.parametrize("family,solver,max_n", WITNESS_SOLVERS,
+                         ids=[f for f, _, _ in WITNESS_SOLVERS])
+def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
+        monkeypatch, family, solver, max_n):
+    original = getattr(solvers, solver)
+
+    def far_witness(*args):
+        verdict = original(*args)
+        if verdict.witness is None:
+            return verdict
+        return dataclasses.replace(verdict, witness=10 ** 6)
+
+    monkeypatch.setattr(solvers, solver, far_witness)
+    report = run_family(family, max_n)
+    assert report.mismatches
+    for m in report.mismatches:
+        assert m["solver"]["witness"] == m["oracle"]["witness"] == 10 ** 6
+        assert m["oracle"]["child"] == "illegal"
+        # the winner or value claim itself still agrees
+        assert m["solver"]["verdict"] == m["oracle"]["verdict"]
+
+
+def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):
+    # the corner is the ladder's winning opening; its neighbour is not
+    original = solvers.ladder_connected_winner
+
+    def next_to_the_corner(n):
+        verdict = original(n)
+        if verdict.witness is None:
+            return verdict
+        return dataclasses.replace(verdict, witness=1)
+
+    monkeypatch.setattr(solvers, "ladder_connected_winner", next_to_the_corner)
+    code, out, _ = run_cli(["verify", "--family", "ladder", "--max-n", "7",
+                            "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["instances"] == 7
+    assert [m["instance"]["n"] for m in report["mismatches"]] == [3, 6]
+    for m in report["mismatches"]:
+        assert m["solver"]["child"] == 0
+        assert m["oracle"]["child"] not in (0, "illegal")
+
+
+# =====================================================================
+# argument parsing and the process entry point
+# =====================================================================
+
+def _run_capturing_streams(argv):
+    """Exit code, stdout and stderr of main, including what argparse
+    itself prints on --help or a usage error (SystemExit)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    # the verify table's elapsed column is the one nondeterministic field
+    return code, out.getvalue(), re.sub(r"\d+\.\d+s\b", "", err.getvalue())
+
+
+def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cycle = write_graph(tmp_path, make_cycle(5))
+    path12 = write_graph(tmp_path, make_path(12), name="p12.json")
+    calls = [
+        (["solve", "--graph", cycle, "--variant", "connected"], None),
+        (["solve", "--graph", cycle, "--variant", "both"], None),
+        (["verify", "--family", "ladder", "--max-n", "4", "--json"], None),
+        (["verify", "--family", "ladder", "--max-n", "4"], None),
+        (["solve", "--graph", cycle, "--variant", "connected",
+          "--mode", "winner"], None),
+        # the budget is read from the environment per call, not cached
+        (["solve", "--graph", path12, "--variant", "free"], "3"),
+        (["solve", "--graph", path12, "--variant", "free"], None),
+        (["verify", "--help"], None),
+    ]
+
+    def run_all():
+        results = []
+        for argv, budget in calls:
+            if budget is None:
+                monkeypatch.delenv("P3_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("P3_BUDGET", budget)
+            results.append(_run_capturing_streams(argv))
+        return results
+
+    cli._shared_parser.cache_clear()
+    shared = run_all()
+    info = cli._shared_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = run_all()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 3, 0, 0]
+    assert "invalid choice: 'both'" in shared[1][2]
+    assert shared[7][1].startswith("usage: p3game verify")
+
+
+def test_process_entry_point_matches_in_process_main(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    path = write_graph(tmp_path, make_ladder(6))
+
+    def calls(cache_dir):
+        solve = ["solve", "--graph", path, "--variant", "connected",
+                 "--cache", str(tmp_path / cache_dir)]
+        return [solve, solve,
+                ["verify", "--family", "ladder", "--max-n", "4", "--json"],
+                ["solve", "--graph", path, "--variant", "both"]]
+
+    in_process = [_run_capturing_streams(argv) for argv in calls("a")]
+    for argv, (code, out, err) in zip(calls("b"), in_process):
+        proc = subprocess.run([sys.executable, "-m", "p3game"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == code
+        assert proc.stdout == out
+        if code == 2:
+            assert proc.stderr == err
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2]
+    assert (tmp_path / "a" / "results.jsonl").read_bytes() == \
+        (tmp_path / "b" / "results.jsonl").read_bytes()
 
 
 # =====================================================================
