@@ -12,23 +12,21 @@ variable, else the engine default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import random
 import sys
 
 from .closure import (IllegalMoveError, Position, Variant, apply_move,
                       legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide)
-from .graphs import (CaterpillarSpec, GraphFormatError, bits, emit_graph,
-                     graph_digest, make_caterpillar, make_clique, make_cograph,
-                     make_cycle, make_ladder, make_path, make_star,
-                     parse_cotree, parse_graph, random_biconnected_chordal,
-                     random_tree)
+from .graphs import (SIZED_FAMILIES, CaterpillarSpec, GraphFormatError, bits,
+                     emit_graph, graph_digest, make_caterpillar, make_cograph,
+                     parse_cotree, parse_graph)
 from .verify import FAMILIES, run_family
-
-import random
 
 
 class CacheCorruptionError(RuntimeError):
@@ -240,25 +238,12 @@ def cmd_play(args, stdout, stderr, stdin) -> int:
 
 def _gen_graph(args):
     family = args.family
-
-    def need_n(minimum):
-        if args.n is None or args.n < minimum:
+    if family in SIZED_FAMILIES:
+        least, build = SIZED_FAMILIES[family]
+        if args.n is None or args.n < least:
             raise GraphFormatError(
-                "--family %s needs --n >= %d" % (family, minimum))
-        return args.n
-
-    if family == "path":
-        return make_path(need_n(1))
-    if family == "cycle":
-        return make_cycle(need_n(3))
-    if family == "star":
-        if args.n is None or args.n < 0:
-            raise GraphFormatError("--family star needs --n >= 0 (leaf count)")
-        return make_star(args.n)
-    if family == "clique":
-        return make_clique(need_n(1))
-    if family == "ladder":
-        return make_ladder(need_n(1))
+                "--family %s needs --n >= %d" % (family, least))
+        return build(args.n, random.Random(args.seed))
     if family == "caterpillar":
         if not args.feet:
             raise GraphFormatError("--family caterpillar needs --feet h1,h2,...")
@@ -282,10 +267,6 @@ def _gen_graph(args):
         except OSError as exc:
             raise GraphFormatError("cannot read cotree file: %s" % exc)
         return make_cograph(cotree)
-    if family == "tree":
-        return random_tree(need_n(1), random.Random(args.seed))
-    if family == "chordal":
-        return random_biconnected_chordal(need_n(3), random.Random(args.seed))
     raise GraphFormatError("unknown family %r" % family)
 
 
@@ -345,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a family graph file")
     p_gen.add_argument("--family", required=True,
-                       choices=["path", "cycle", "star", "clique", "ladder",
-                                "caterpillar", "cograph", "tree", "chordal"])
-    p_gen.add_argument("--n", type=int, default=None)
+                       choices=[*SIZED_FAMILIES, "caterpillar", "cograph"])
+    p_gen.add_argument("--n", type=int, default=None,
+                       help="vertex count; leaf count for star, rung count "
+                            "for ladder")
     p_gen.add_argument("--feet", default=None,
                        help="comma-separated foot counts (caterpillar)")
     p_gen.add_argument("--cotree", default=None, help="cotree JSON file (cograph)")
@@ -370,8 +352,14 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
+    # argparse prints usage errors and --help to the process streams and
+    # exits; route both to the caller's streams and return the code
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            args = _shared_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         if args.command == "solve":
             return cmd_solve(args, stdout, stderr)
@@ -379,9 +367,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             return cmd_verify(args, stdout, stderr)
         if args.command == "play":
             return cmd_play(args, stdout, stderr, stdin)
-        if args.command == "gen":
-            return cmd_gen(args, stdout, stderr)
-        parser.error("unknown command %r" % args.command)
+        return cmd_gen(args, stdout, stderr)
     except GraphFormatError as exc:
         print("error: %s" % exc, file=stderr)
         return 2
@@ -391,7 +377,6 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -145,20 +145,6 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count())
 
 
-def check_graph_invariants(g: Graph) -> None:
-    """Re-derive the simple/symmetric/in-range invariants from the
-    adjacency rows.  Raises AssertionError on violation; used by tests on
-    every generator output."""
-    assert len(g.adj) == g.n
-    full = g.full_mask
-    for v in range(g.n):
-        row = g.adj[v]
-        assert row & ~full == 0, "neighbor id out of range at vertex %d" % v
-        assert not (row >> v) & 1, "self-loop at vertex %d" % v
-        for w in bits(row):
-            assert (g.adj[w] >> v) & 1, "asymmetric edge (%d, %d)" % (v, w)
-
-
 def components(g: Graph, within: Optional[int] = None) -> list[int]:
     """Connected components of the subgraph induced by ``within`` (default:
     all of g) as bitmasks, ordered by smallest member.
@@ -591,3 +577,19 @@ def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+#: Families built from one integer size: name -> (smallest size,
+#: builder(size, rng)).  The size counts vertices, except a star's leaves
+#: and a ladder's rungs; only the random families draw from rng.  `gen`
+#: checks --n and the verification sweeps check --max-n against these
+#: minimums.
+SIZED_FAMILIES = {
+    "path": (1, lambda n, rng: make_path(n)),
+    "cycle": (3, lambda n, rng: make_cycle(n)),
+    "star": (0, lambda t, rng: make_star(t)),
+    "clique": (1, lambda n, rng: make_clique(n)),
+    "ladder": (1, lambda n, rng: make_ladder(n)),
+    "tree": (1, random_tree),
+    "chordal": (3, random_biconnected_chordal),
+}

@@ -42,14 +42,18 @@ def connected_path_f(n: int) -> int:
     two and the closure absorbs the skipped vertex.  The closed form
     (0, 1, 2 for n = 1, 2, 0 mod 3) is asserted in tests, not assumed.
     """
+    return _connected_path_fs(n)[n]
+
+
+def _connected_path_fs(n: int) -> list[int]:
+    """[f(0), ..., f(n)] of ``connected_path_f``, in O(n); f(0) = 0 is
+    padding, not a position."""
     if n < 1:
         raise ValueError("path playground needs at least one vertex")
-    if n == 1:
-        return 0
-    prev, cur = 0, 1
-    for _ in range(n - 2):
-        prev, cur = cur, mex((cur, prev))
-    return cur
+    f = [0, 0, 1][:n + 1]
+    for k in range(3, n + 1):
+        f.append(mex((f[k - 1], f[k - 2])))
+    return f
 
 
 def connected_path_grundy(n: int) -> int:
@@ -61,9 +65,7 @@ def connected_path_grundy(n: int) -> int:
     """
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    f = [0] * (n + 1)
-    for k in range(1, n + 1):
-        f[k] = 0 if k == 1 else (1 if k == 2 else mex((f[k - 1], f[k - 2])))
+    f = _connected_path_fs(n)
     outcomes = {f[n]}
     for i in range(1, n - 1):
         outcomes.add(f[n - i] ^ f[i + 1])
@@ -175,15 +177,6 @@ def free_cycle_winner(n: int) -> Verdict:
         raise ValueError("cycle needs at least three vertices")
     if n % 2 == 0 or n == 3:
         return Verdict(Player.SECOND, 0, None)
-    arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
-    value = mex((arc,))
-    if value != 0:
-        return Verdict(Player.FIRST, value, 0)
-    return Verdict(Player.SECOND, 0, None)
-
-
-def _free_cycle_by_reduction(n: int) -> Verdict:
-    """Fenced-run reduction applied uniformly (test cross-check route)."""
     arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
     value = mex((arc,))
     if value != 0:

@@ -1,7 +1,10 @@
 """Verification sweeps: family solvers checked against the exhaustive
 engine on every instance small enough to afford.
 
-Each sweep returns a VerifyReport listing any disagreement.  Reports are
+Every family is one entry of the FAMILIES table: its smallest size, the
+error for a smaller one, and its instances, each paired with the
+solver's claim.  run_family compares each claim with the engine and
+returns a VerifyReport listing any disagreement.  Reports are
 deterministic for a given seed: instances are generated by a seeded RNG
 and compared in instance order.  Elapsed time is kept out of the JSON
 projection so identical runs stay byte-identical; it appears only in the
@@ -10,16 +13,20 @@ human-readable table.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import graphs, solvers
 from .closure import (IllegalMoveError, Variant, apply_move, hull,
                       start_position)
-from .engine import decide, grundy
-from .graphs import (Graph, bits, make_caterpillar, make_clique, make_cograph,
-                     make_cycle, make_ladder, make_path, make_star)
+from .engine import Verdict, decide, grundy
+from .graphs import (SIZED_FAMILIES, Graph, bits, make_caterpillar,
+                     make_cograph, make_path)
+
+FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
 
 
 @dataclass
@@ -46,21 +53,6 @@ class VerifyReport:
             self.family, self.instances, len(self.mismatches),
             "PASS" if self.passed else "FAIL", self.elapsed)
         return header + "\n" + row
-
-
-def _report(family, rows, budget=None):
-    """Collect mismatch dicts from an iterable of (descriptor, solver,
-    oracle) triples where None on either side means 'not derived'."""
-    start = time.monotonic()
-    count = 0
-    mismatches = []
-    for descriptor, solver_val, oracle_val in rows:
-        count += 1
-        if solver_val != oracle_val:
-            mismatches.append({"instance": descriptor,
-                               "solver": solver_val,
-                               "oracle": oracle_val})
-    return VerifyReport(family, count, mismatches, time.monotonic() - start)
 
 
 def _verdict_fields(v):
@@ -99,104 +91,41 @@ def _verdict_row(solver_v, g, variant, budget):
     return sv, ov
 
 
+
+
+def _row(claim, g, variant, budget):
+    """(solver, oracle) sides of one instance.  An int claim is a Grundy
+    value, checked against the engine's; a Verdict goes through
+    _verdict_row; a list holds counterexamples, of which none are due."""
+    if isinstance(claim, Verdict):
+        return _verdict_row(claim, g, variant, budget)
+    if isinstance(claim, list):
+        return claim, []
+    return claim, grundy(start_position(g, variant), budget=budget)
+
+
 # ---------------------------------------------------------------------
-# individual families
+# the families
 # ---------------------------------------------------------------------
 
-def verify_path_free(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 1:
-        raise ValueError("paths need at least 1 vertex")
-    table = solvers.free_path_grundy_table(max_n)
+class Family(NamedTuple):
+    """One sweep.  ``instances(least, max_n, rng)`` yields (descriptor,
+    graph, variant, claim) in sweep order, calling the solver for each
+    claim; ``too_small`` is the error, formatted with ``least``, for a
+    max_n below the smallest size ``least``."""
 
-    def rows():
-        for n in range(1, max_n + 1):
-            solver_val = table[(n, False, False)]
-            oracle_val = grundy(start_position(make_path(n), Variant.FREE),
-                                budget=budget)
-            yield {"n": n}, solver_val, oracle_val
-
-    return _report("path-free", rows())
+    least: int
+    too_small: str
+    instances: Callable
 
 
-def verify_path_connected(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 1:
-        raise ValueError("paths need at least 1 vertex")
-
-    def rows():
-        for n in range(1, max_n + 1):
-            solver_val = solvers.connected_path_grundy(n)
-            oracle_val = grundy(start_position(make_path(n), Variant.CONNECTED),
-                                budget=budget)
-            yield {"n": n}, solver_val, oracle_val
-
-    return _report("path-connected", rows())
-
-
-def verify_cycle_free(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-
-    def rows():
-        for n in range(3, max_n + 1):
-            sv, ov = _verdict_row(solvers.free_cycle_winner(n),
-                                  make_cycle(n), Variant.FREE, budget)
-            yield {"n": n}, sv, ov
-
-    return _report("cycle-free", rows())
-
-
-def verify_cycle_connected(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-
-    def rows():
-        for n in range(3, max_n + 1):
-            solver_val = solvers.connected_cycle_grundy(n)
-            oracle_val = grundy(start_position(make_cycle(n), Variant.CONNECTED),
-                                budget=budget)
-            yield {"n": n}, solver_val, oracle_val
-
-    return _report("cycle-connected", rows())
-
-
-def verify_ladder(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 1:
-        raise ValueError("ladders need at least 1 rung")
-
-    def rows():
-        for n in range(1, max_n + 1):
-            sv, ov = _verdict_row(solvers.ladder_connected_winner(n),
-                                  make_ladder(n), Variant.CONNECTED,
-                                  budget)
-            yield {"n": n}, sv, ov
-
-    return _report("ladder", rows())
-
-
-def verify_star(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 0:
-        raise ValueError("stars need at least 0 leaves")
-
-    def rows():
-        for t in range(0, max_n + 1):
-            sv, ov = _verdict_row(solvers.star_free_winner(t),
-                                  make_star(t), Variant.FREE, budget)
-            yield {"t": t}, sv, ov
-
-    return _report("star", rows())
-
-
-def verify_clique(max_n: int, seed: int = 0, budget=None) -> VerifyReport:
-    if max_n < 1:
-        raise ValueError("cliques need at least 1 vertex")
-
-    def rows():
-        for n in range(1, max_n + 1):
-            sv, ov = _verdict_row(solvers.clique_free_winner(n),
-                                  make_clique(n), Variant.FREE, budget)
-            yield {"n": n}, sv, ov
-
-    return _report("clique", rows())
+def _each_size(family, too_small, variant, solver, key="n"):
+    """A sweep with one instance per size of a sized family, claimed by
+    solvers.<solver>(size)."""
+    smallest, build = SIZED_FAMILIES[family]
+    return Family(smallest, too_small, lambda least, max_n, rng: (
+        ({key: n}, build(n, rng), variant, getattr(solvers, solver)(n))
+        for n in range(least, max_n + 1)))
 
 
 def enumerate_trees(max_n: int):
@@ -213,103 +142,87 @@ def enumerate_trees(max_n: int):
     return out
 
 
-def verify_tree(max_n: int, seed: int = 0, samples: int = 200,
-                budget=None) -> VerifyReport:
-    rng = random.Random(seed)
-    if max_n < 1:
-        raise ValueError("trees need at least 1 vertex")
-
-    def rows():
-        for n, idx, tree in enumerate_trees(min(max_n, 9)):
-            solver_val = solvers.tree_connected_grundy(tree)
-            oracle_val = grundy(start_position(tree, Variant.CONNECTED),
-                                budget=budget)
-            yield {"class": [n, idx]}, solver_val, oracle_val
-        for k in range(samples):
-            n = rng.randint(1, max_n)
-            tree = graphs.random_tree(n, rng)
-            solver_val = solvers.tree_connected_grundy(tree)
-            oracle_val = grundy(start_position(tree, Variant.CONNECTED),
-                                budget=budget)
-            yield {"sample": k, "n": n}, solver_val, oracle_val
-
-    return _report("tree", rows())
-
-
-def verify_caterpillar(max_n: int, seed: int = 0, samples: int = 200,
-                       budget=None) -> VerifyReport:
-    rng = random.Random(seed)
-
-    def rows():
-        for k in range(samples):
-            spec = graphs.random_caterpillar_spec(max_n, rng)
-            sv, ov = _verdict_row(solvers.caterpillar_connected_winner(spec),
-                                  make_caterpillar(spec), Variant.CONNECTED,
-                                  budget)
-            yield {"sample": k, "backbone": spec.backbone,
-                   "feet": list(spec.feet)}, sv, ov
-
-    return _report("caterpillar", rows())
-
-
-def verify_cograph(max_n: int, seed: int = 0, samples: int = 200,
-                   budget=None) -> VerifyReport:
-    rng = random.Random(seed)
-
-    def rows():
-        for k in range(samples):
-            cotree = graphs.random_cotree(max_n, rng)
-            sv, ov = _verdict_row(solvers.cograph_free_winner(cotree),
-                                  make_cograph(cotree), Variant.FREE, budget)
-            yield {"sample": k,
-                   "leaves": len(graphs.cotree_leaves(cotree))}, sv, ov
-
-    return _report("cograph", rows())
-
-
-def verify_chordal_lemma(max_n: int, seed: int = 0, samples: int = 100,
-                         budget=None) -> VerifyReport:
-    """On a chordal graph with no cut vertex, the hull of any two
-    vertices at distance <= 2 is the whole vertex set.  Checked for
-    every qualifying pair of every sampled graph."""
-    rng = random.Random(seed)
-    if max_n < 3:
-        raise ValueError("biconnected chordal graphs need at least 3 vertices")
-
-    def rows():
-        for k in range(samples):
-            n = rng.randint(3, max_n)
-            g = graphs.random_biconnected_chordal(n, rng)
-            bad = []
-            for x in range(g.n):
-                near = g.adj[x] | g.neighborhood_of_set(g.adj[x])
-                for y in bits(near):
-                    if y <= x:
-                        continue
-                    if hull(g, (1 << x) | (1 << y)) != g.full_mask:
-                        bad.append([x, y])
-            yield {"sample": k, "n": n, "edges": g.edges()}, bad, []
-
-    return _report("chordal-lemma", rows())
-
-
 FAMILIES = {
-    "path-free": verify_path_free,
-    "path-connected": verify_path_connected,
-    "cycle-free": verify_cycle_free,
-    "cycle-connected": verify_cycle_connected,
-    "ladder": verify_ladder,
-    "tree": verify_tree,
-    "caterpillar": verify_caterpillar,
-    "cograph": verify_cograph,
-    "star": verify_star,
-    "clique": verify_clique,
-    "chordal-lemma": verify_chordal_lemma,
+    # one run-length table serves the whole sweep
+    "path-free": Family(
+        SIZED_FAMILIES["path"][0], "paths need at least %d vertex",
+        lambda least, max_n, rng: (
+            ({"n": n}, make_path(n), FREE, table[(n, False, False)])
+            for table in [solvers.free_path_grundy_table(max_n)]
+            for n in range(least, max_n + 1))),
+    "path-connected": _each_size("path", "paths need at least %d vertex",
+                                 CONNECTED, "connected_path_grundy"),
+    "cycle-free": _each_size("cycle", "cycles need at least %d vertices",
+                             FREE, "free_cycle_winner"),
+    "cycle-connected": _each_size("cycle", "cycles need at least %d vertices",
+                                  CONNECTED, "connected_cycle_grundy"),
+    "ladder": _each_size("ladder", "ladders need at least %d rung",
+                         CONNECTED, "ladder_connected_winner"),
+    # every isomorphism class up to 9 vertices, then 200 random trees
+    "tree": Family(
+        SIZED_FAMILIES["tree"][0], "trees need at least %d vertex",
+        lambda least, max_n, rng: (
+            (descriptor, t, CONNECTED, solvers.tree_connected_grundy(t))
+            for descriptor, t in itertools.chain(
+                (({"class": [n, idx]}, t)
+                 for n, idx, t in enumerate_trees(min(max_n, 9))),
+                (({"sample": k, "n": n}, graphs.random_tree(n, rng))
+                 for k in range(200)
+                 for n in [rng.randint(least, max_n)])))),
+    "caterpillar": Family(
+        1, "caterpillars need at least %d vertex",
+        lambda least, max_n, rng: (
+            ({"sample": k, "backbone": s.backbone, "feet": list(s.feet)},
+             make_caterpillar(s), CONNECTED,
+             solvers.caterpillar_connected_winner(s))
+            for k in range(200)
+            for s in [graphs.random_caterpillar_spec(max_n, rng)])),
+    "cograph": Family(
+        1, "cographs need at least %d vertex",
+        lambda least, max_n, rng: (
+            ({"sample": k, "leaves": len(graphs.cotree_leaves(c))},
+             make_cograph(c), FREE, solvers.cograph_free_winner(c))
+            for k in range(200)
+            for c in [graphs.random_cotree(max_n, rng)])),
+    "star": _each_size("star", "stars need at least %d leaves", FREE,
+                       "star_free_winner", key="t"),
+    "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
+                         "clique_free_winner"),
+    # On a chordal graph with no cut vertex, the hull of any two vertices
+    # at distance <= 2 is the whole vertex set.  The claim lists the
+    # pairs of a sampled graph that break it.
+    "chordal-lemma": Family(
+        SIZED_FAMILIES["chordal"][0],
+        "biconnected chordal graphs need at least %d vertices",
+        lambda least, max_n, rng: (
+            ({"sample": k, "n": n, "edges": g.edges()}, g, None,
+             [[x, y] for x in range(g.n)
+              for y in bits(g.adj[x] | g.neighborhood_of_set(g.adj[x]))
+              if y > x and hull(g, (1 << x) | (1 << y)) != g.full_mask])
+            for k in range(100)
+            for n in [rng.randint(least, max_n)]
+            for g in [graphs.random_biconnected_chordal(n, rng)])),
 }
 
 
 def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+    """Check one family's solver against the engine on its instances up
+    to size max_n, drawing samples from random.Random(seed)."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(sorted(FAMILIES))))
-    return FAMILIES[family](max_n, seed=seed, budget=budget)
+    least, too_small, instances = FAMILIES[family]
+    if max_n < least:
+        raise ValueError(too_small % least)
+    start = time.monotonic()
+    count = 0
+    mismatches = []
+    for descriptor, g, variant, claim in instances(least, max_n,
+                                                   random.Random(seed)):
+        count += 1
+        solver_val, oracle_val = _row(claim, g, variant, budget)
+        if solver_val != oracle_val:
+            mismatches.append({"instance": descriptor,
+                               "solver": solver_val,
+                               "oracle": oracle_val})
+    return VerifyReport(family, count, mismatches, time.monotonic() - start)

@@ -1,11 +1,12 @@
-"""Shared test utilities: conversion to/from networkx and enumeration of
-small graphs (one representative per isomorphism class)."""
+"""Shared test utilities: conversion to/from networkx, enumeration of
+small graphs (one representative per isomorphism class), and the graph
+invariant check run on every generator output."""
 
 from functools import lru_cache
 
 import networkx as nx
 
-from p3game import Graph
+from p3game import Graph, bits
 
 
 def nx_to_graph(g) -> Graph:
@@ -40,3 +41,16 @@ def connected_atlas_graphs(max_n: int) -> tuple:
         if 1 <= g.number_of_nodes() <= max_n and nx.is_connected(g):
             out.append(nx_to_graph(g))
     return tuple(out)
+
+
+def check_graph_invariants(g: Graph) -> None:
+    """Re-derive the simple/symmetric/in-range invariants from the
+    adjacency rows.  Raises AssertionError on violation."""
+    assert len(g.adj) == g.n
+    full = g.full_mask
+    for v in range(g.n):
+        row = g.adj[v]
+        assert row & ~full == 0, "neighbor id out of range at vertex %d" % v
+        assert not (row >> v) & 1, "self-loop at vertex %d" % v
+        for w in bits(row):
+            assert (g.adj[w] >> v) & 1, "asymmetric edge (%d, %d)" % (v, w)

@@ -1,5 +1,7 @@
 """The plain whole-graph search and the rescan hull: the oracles the
 engine's decomposition and the word-parallel hull are checked against.
+Also the uniform fenced-run route to the free cycle game, which the
+solver's strategy shortcuts are checked against.
 
 The search memoizes whole labeled sets, one dict per (graph, variant),
 and knows nothing about components.  It builds child positions with
@@ -8,7 +10,7 @@ engine beyond the legal-move rule in p3game.closure.  It recurses once
 per move, which is fine for the small graphs it is used on.
 """
 
-from p3game import Player, Verdict, bits, mex
+from p3game import Player, Verdict, bits, free_path_grundy_table, mex
 from p3game.closure import legal_moves_raw
 
 
@@ -61,3 +63,14 @@ def reference_decide(g, variant):
                        if reference_grundy(g, hull_by_rescan(g, 1 << x),
                                            variant, memo) == 0)
     return Verdict(Player.FIRST if value else Player.SECOND, value, witness)
+
+
+def free_cycle_by_reduction(n):
+    """Free game on C_n by the fenced-run reduction alone, for every
+    n >= 3: cutting the cycle at the first move leaves a run of n-1
+    vertices fenced on both sides."""
+    arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
+    value = mex((arc,))
+    if value != 0:
+        return Verdict(Player.FIRST, value, 0)
+    return Verdict(Player.SECOND, 0, None)

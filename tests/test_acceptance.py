@@ -16,7 +16,7 @@ from p3game import (Player, Variant, apply_move,
                     random_gnp, random_tree, star_free_winner, start_position,
                     tree_connected_grundy)
 from p3game.graphs import Graph
-from p3game.verify import enumerate_trees, verify_chordal_lemma
+from p3game.verify import enumerate_trees, run_family
 
 
 def _union(parts):
@@ -175,7 +175,7 @@ def test_chordal_distance_two_pairs_span_everything():
     # in a biconnected chordal graph, the hull of any two vertices at
     # distance at most two is the whole vertex set
     t0 = time.monotonic()
-    report = verify_chordal_lemma(12)
+    report = run_family("chordal-lemma", 12)
     assert report.passed, report.mismatches[:3]
     assert report.instances == 100
     assert time.monotonic() - t0 < 60  # deadline: one minute

@@ -2,7 +2,6 @@
 tables and diagnostics on stderr), the append-only verdict cache, graph
 generation, and interactive play backed by the engine."""
 
-import contextlib
 import dataclasses
 import io
 import json
@@ -14,13 +13,13 @@ import sys
 
 import pytest
 
-from p3game import (CaterpillarSpec, Cotree, TranspositionTable, Variant,
-                    apply_move, best_move, decide, emit_cotree, emit_graph,
-                    graph_digest, grundy, legal_moves, make_caterpillar,
-                    make_clique, make_cograph, make_cycle, make_ladder,
-                    make_path, parse_graph, random_biconnected_chordal,
-                    random_tree, start_position)
-from p3game import cli, solvers
+from p3game import (CaterpillarSpec, Cotree, Player, TranspositionTable,
+                    Variant, Verdict, apply_move, best_move, decide,
+                    emit_cotree, emit_graph, graph_digest, grundy,
+                    legal_moves, make_caterpillar, make_clique, make_cograph,
+                    make_cycle, make_ladder, make_path, parse_graph,
+                    random_biconnected_chordal, random_tree, start_position)
+from p3game import cli, solvers, verify
 from p3game.cli import CacheCorruptionError, ResultCache, main
 from p3game.graphs import JOIN, bits, random_gnp
 from p3game.verify import FAMILIES, run_family
@@ -108,10 +107,11 @@ def test_solve_cache_directory_that_cannot_be_made_is_a_usage_error(
 
 def test_solve_rejects_unknown_variant(tmp_path):
     path = write_graph(tmp_path, make_path(3))
-    with contextlib.redirect_stderr(io.StringIO()):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["solve", "--graph", path, "--variant", "both"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["solve", "--graph", path, "--variant", "both"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: p3game solve")
+    assert "argument --variant: invalid choice: 'both'" in err
 
 
 # =====================================================================
@@ -400,10 +400,12 @@ def test_verify_tree_below_its_minimum_size_names_it():
 
 
 def test_verify_rejects_unknown_family():
-    with contextlib.redirect_stderr(io.StringIO()):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["verify", "--family", "moebius", "--max-n", "4"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["verify", "--family", "moebius",
+                              "--max-n", "4"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: p3game verify")
+    assert "argument --family: invalid choice: 'moebius'" in err
     with pytest.raises(ValueError, match="unknown family"):
         run_family("moebius", 4)
 
@@ -413,10 +415,16 @@ def test_every_family_sweep_passes_at_small_size():
              "cycle-connected": 6, "ladder": 4, "star": 5, "clique": 5,
              "tree": 6, "caterpillar": 7, "cograph": 6, "chordal-lemma": 6}
     assert set(sizes) == set(FAMILIES)
+    # one instance per size from the family's smallest; the tree sweep
+    # adds every isomorphism class (14 up to 6 vertices) to its samples
+    counts = {"path-free": 6, "path-connected": 6, "cycle-free": 4,
+              "cycle-connected": 4, "ladder": 4, "star": 6, "clique": 5,
+              "tree": 214, "caterpillar": 200, "cograph": 200,
+              "chordal-lemma": 100}
     for family, max_n in sizes.items():
         report = run_family(family, max_n)
         assert report.passed, (family, report.mismatches[:3])
-        assert report.instances > 0
+        assert report.instances == counts[family], family
 
 
 @pytest.mark.parametrize("family,max_n,message", [
@@ -427,6 +435,8 @@ def test_every_family_sweep_passes_at_small_size():
     ("ladder", 0, "ladders need at least 1 rung"),
     ("clique", 0, "cliques need at least 1 vertex"),
     ("star", -1, "stars need at least 0 leaves"),
+    ("caterpillar", 0, "caterpillars need at least 1 vertex"),
+    ("cograph", 0, "cographs need at least 1 vertex"),
 ])
 def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
                                                           message):
@@ -436,6 +446,59 @@ def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+def _other_winner(verdict, *_):
+    if verdict.winner is Player.FIRST:
+        return Verdict(Player.SECOND, None if verdict.grundy is None else 0,
+                       None)
+    return Verdict(Player.FIRST, None if verdict.grundy is None else 1, None)
+
+
+def _one_more(value, *_):
+    return value + 1
+
+
+# family, max_n, (module, name) to patch, wrong answer from the true one
+# and the call's arguments, descriptor key sets of the family's instances
+WRONG_ANSWERS = [
+    ("path-free", 6, (solvers, "free_path_grundy_table"),
+     lambda table, *_: {key: v + 1 for key, v in table.items()}, [{"n"}]),
+    ("path-connected", 6, (solvers, "connected_path_grundy"), _one_more,
+     [{"n"}]),
+    ("cycle-free", 6, (solvers, "free_cycle_winner"), _other_winner, [{"n"}]),
+    ("cycle-connected", 6, (solvers, "connected_cycle_grundy"), _one_more,
+     [{"n"}]),
+    ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
+     [{"n"}]),
+    ("tree", 6, (solvers, "tree_connected_grundy"), _one_more,
+     [{"class"}, {"sample", "n"}]),
+    ("caterpillar", 7, (solvers, "caterpillar_connected_winner"),
+     _other_winner, [{"sample", "backbone", "feet"}]),
+    ("cograph", 6, (solvers, "cograph_free_winner"), _other_winner,
+     [{"sample", "leaves"}]),
+    ("star", 5, (solvers, "star_free_winner"), _other_winner, [{"t"}]),
+    ("clique", 5, (solvers, "clique_free_winner"), _other_winner, [{"n"}]),
+    # a hull that never reaches the last vertex breaks the lemma everywhere
+    ("chordal-lemma", 6, (verify, "hull"),
+     lambda h, g, a: h & ~(1 << (g.n - 1)), [{"sample", "n", "edges"}]),
+]
+
+
+@pytest.mark.parametrize("family,max_n,target,wrong,keys", WRONG_ANSWERS,
+                         ids=[entry[0] for entry in WRONG_ANSWERS])
+def test_verify_catches_a_wrong_answer_in_every_family(
+        monkeypatch, family, max_n, target, wrong, keys):
+    module, name = target
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: wrong(original(*args), *args))
+    report = run_family(family, max_n)
+    # every answer is wrong, so every instance is a mismatch
+    assert report.instances > 0
+    assert len(report.mismatches) == report.instances
+    assert {frozenset(m["instance"]) for m in report.mismatches} == \
+        {frozenset(k) for k in keys}
 
 
 WITNESS_SOLVERS = [("cycle-free", "free_cycle_winner", 9),
@@ -496,15 +559,10 @@ def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):
 
 def _run_capturing_streams(argv):
     """Exit code, stdout and stderr of main, including what argparse
-    itself prints on --help or a usage error (SystemExit)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    prints on --help or a usage error."""
+    code, out, err = run_cli(argv)
     # the verify table's elapsed column is the one nondeterministic field
-    return code, out.getvalue(), re.sub(r"\d+\.\d+s\b", "", err.getvalue())
+    return code, out, re.sub(r"\d+\.\d+s\b", "", err)
 
 
 def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):

@@ -16,10 +16,10 @@ from p3game import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
                     parse_caterpillar, parse_cotree, parse_graph,
                     random_biconnected_chordal, random_caterpillar_spec,
                     random_cotree, random_gnp, random_tree)
-from p3game.graphs import (JOIN, UNION, check_graph_invariants, cotree_leaves,
-                           is_connected, popcount, validate_cotree)
+from p3game.graphs import (JOIN, UNION, cotree_leaves, is_connected, popcount,
+                           validate_cotree)
 
-from helpers import graph_to_nx
+from helpers import check_graph_invariants, graph_to_nx
 
 
 # =====================================================================
