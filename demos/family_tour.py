@@ -6,13 +6,12 @@ Run:  python3 demos/family_tour.py
 
 import random
 
-from p3game import (CaterpillarSpec, Variant, caterpillar_connected_winner,
+from p3game import (CaterpillarSpec, Variant, block_connected_winner,
                     cograph_free_winner, connected_cycle_grundy,
                     connected_path_grundy, decide, free_cycle_winner,
                     free_path_grundy, ladder_connected_winner,
-                    make_caterpillar, make_cograph, make_cycle, make_ladder,
-                    make_path, random_cotree, star_free_winner,
-                    tree_connected_grundy)
+                    make_caterpillar, make_cograph, make_ladder,
+                    random_chordal, random_cotree, star_free_winner)
 
 
 def banner(title):
@@ -50,19 +49,19 @@ def main():
     print("the ladder first player wins exactly when 2n, the vertex")
     print("count, is a multiple of six.")
 
-    banner("one tree, one caterpillar, one cograph, against the engine")
+    banner("a caterpillar, a chordal graph and a cograph, against the engine")
     rng = random.Random(7)
 
+    # trees and chordal graphs share one solver over their blocks
     spec = CaterpillarSpec(5, (0, 2, 1, 0, 0))
-    cat = make_caterpillar(spec)
-    print("caterpillar %s: solver %s, engine %s"
-          % (spec, caterpillar_connected_winner(spec).winner.value,
-             decide(cat, Variant.CONNECTED).winner.value))
-    print("  same grundy value? ",
-          caterpillar_connected_winner(spec) == decide(cat, Variant.CONNECTED))
-
-    print("that caterpillar through the general tree solver:",
-          tree_connected_grundy(cat))
+    chordal = random_chordal(14, rng)
+    for name, g in (("caterpillar %s" % (spec,), make_caterpillar(spec)),
+                    ("random chordal graph on %d vertices" % chordal.n,
+                     chordal)):
+        v = block_connected_winner(g)
+        print("%s: block solver %s (value %d), same verdict as the engine? %s"
+              % (name, v.winner.value, v.grundy,
+                 v == decide(g, Variant.CONNECTED)))
 
     cotree = random_cotree(8, rng)
     cg = make_cograph(cotree)

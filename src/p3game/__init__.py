@@ -20,7 +20,8 @@ Layout:
   checked against.
 * :mod:`p3game.solvers` holds the per-family closed forms and
   polynomial-time dynamic programs (paths, cycles, ladders, stars,
-  cliques, trees, caterpillars, cographs).
+  cliques, cographs, and one block-cut-tree recurrence for trees,
+  caterpillars and chordal graphs).
 * :mod:`p3game.verify` sweeps each solver against the engine.
 * :mod:`p3game.cli` is the command-line harness (solve, verify, gen,
   play).
@@ -38,14 +39,15 @@ from .graphs import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
                      make_cycle, make_ladder, make_path, make_star, mask_of,
                      parse_caterpillar, parse_cotree, parse_graph,
                      random_biconnected_chordal, random_caterpillar_spec,
-                     random_cotree, random_gnp, random_tree)
+                     random_chordal, random_cotree, random_gnp, random_tree)
 from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
                       is_p3_closed, legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
                      grundy, mex, nim_sum)
-from .solvers import (caterpillar_connected_winner, clique_free_winner,
-                      cograph_free_winner, connected_cycle_arc_values,
+from .solvers import (block_connected_winner, clique_free_winner,
+                      cograph_free_winner, connected_block_values,
+                      connected_cycle_arc_values,
                       connected_cycle_grundy, connected_path_f,
                       connected_path_grundy, cotree_grundy,
                       cotree_move_values, free_cycle_winner,
@@ -65,7 +67,7 @@ __all__ = [
     "parse_graph", "emit_graph", "graph_digest",
     "parse_cotree", "emit_cotree", "parse_caterpillar", "emit_caterpillar",
     "random_tree", "random_caterpillar_spec", "random_cotree",
-    "random_biconnected_chordal", "random_gnp",
+    "random_biconnected_chordal", "random_chordal", "random_gnp",
     # closure
     "Variant", "Position", "IllegalMoveError",
     "is_p3_closed", "hull", "legal_moves", "apply_move",
@@ -78,7 +80,8 @@ __all__ = [
     "connected_cycle_grundy", "connected_cycle_arc_values",
     "free_path_grundy_table", "free_path_grundy", "free_cycle_winner",
     "ladder_connected_winner", "star_free_winner", "clique_free_winner",
-    "tree_connected_grundy", "caterpillar_connected_winner",
+    "connected_block_values", "block_connected_winner",
+    "tree_connected_grundy",
     "cograph_free_winner", "cotree_grundy", "cotree_move_values",
     # verify
     "VerifyReport", "FAMILIES", "run_family",

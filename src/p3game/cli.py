@@ -21,8 +21,8 @@ import sys
 
 from .closure import (IllegalMoveError, Position, Variant, apply_move,
                       legal_moves, start_position)
-from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
-                     TranspositionTable, Verdict, best_move, decide)
+from .engine import (DEFAULT_BUDGET, ResourceLimitError, TranspositionTable,
+                     best_move, decide)
 from .graphs import (SIZED_FAMILIES, CaterpillarSpec, GraphFormatError, bits,
                      emit_graph, graph_digest, make_caterpillar, make_cograph,
                      parse_cotree, parse_graph)

@@ -570,6 +570,27 @@ def random_biconnected_chordal(n: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def random_chordal(n: int, rng: random.Random) -> Graph:
+    """Random chordal graph on n vertices with cut vertices: blocks of
+    2 to 8 vertices (single edges and ``random_biconnected_chordal``
+    graphs) glued one at a time at a random vertex already placed.
+    Gluing chordal graphs at one vertex keeps them chordal."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    edges = []
+    size = 1
+    while size < n:
+        k = rng.randint(1, min(n - size, 7))  # new vertices in the block
+        block = (Graph(2, [(0, 1)]) if k == 1
+                 else random_biconnected_chordal(k + 1, rng))
+        glued = rng.randrange(k + 1)  # the block vertex that already exists
+        ids = list(range(size, size + k))
+        ids.insert(glued, rng.randrange(size))
+        edges += [(ids[u], ids[v]) for u, v in block.edges()]
+        size += k
+    return Graph(n, edges)
+
+
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
     """Erdos-Renyi G(n, p)."""
     if n < 0:
@@ -592,4 +613,5 @@ SIZED_FAMILIES = {
     "ladder": (1, lambda n, rng: make_ladder(n)),
     "tree": (1, random_tree),
     "chordal": (3, random_biconnected_chordal),
+    "glued-chordal": (1, random_chordal),
 }

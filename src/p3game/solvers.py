@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import (CaterpillarSpec, Cotree, CotreeNode, Graph, JOIN, UNION,
-                     bits, cotree_leaves, is_tree, validate_cotree)
+from .closure import hull
 from .engine import Player, Verdict, mex, nim_sum
+from .graphs import (CotreeNode, Graph, UNION, bits, components,
+                     cotree_leaves, is_tree, popcount, validate_cotree)
 
 
 def _par(k: int) -> int:
@@ -189,25 +190,22 @@ def free_cycle_winner(n: int) -> Verdict:
 # =====================================================================
 
 def ladder_connected_winner(n: int) -> Verdict:
-    """Winner of the connected game on the ladder P_2 x P_n: the first
-    player wins exactly when the vertex count 2n is a multiple of six,
-    i.e. when the rung count n is a multiple of three.
+    """Connected game on the ladder P_2 x P_n: the first player wins
+    exactly when the vertex count 2n is a multiple of six, i.e. when the
+    rung count n is a multiple of three, and then the start value is 1.
 
     Intuition: a ladder with 3k rungs splits into k blocks of P_2 x P_3
     (six vertices each).  Opening in a corner lets the first player
     finish the current block on every return visit, so the second
     player always faces a fresh block boundary.  The corner opening is
-    reported as the witness; the search engine confirms it is a winning
-    first move for every rung count up to thirty.
-
-    This is a winner-only formula: in the first-player case it knows
-    the start value is nonzero but not which nonzero, so grundy stays
-    None.
+    reported as the witness.  The engine confirms the value 1 and the
+    corner witness at every multiple of three up to 30 rungs (the
+    acceptance sweep); beyond that both are the formula's claim.
     """
     if n < 1:
         raise ValueError("ladder needs at least one rung")
     if n % 3 == 0:
-        return Verdict(Player.FIRST, None, 0)
+        return Verdict(Player.FIRST, 1, 0)
     return Verdict(Player.SECOND, 0, None)
 
 
@@ -239,227 +237,106 @@ def clique_free_winner(n: int) -> Verdict:
 
 
 # =====================================================================
-# Trees (connected variant)
+# Connected variant: graphs whose blocks close from any one edge
 # =====================================================================
 
+def connected_block_values(g: Graph) -> list[int]:
+    """Value of the connected game after each opening, by vertex, on a
+    graph in which every edge's hull is its whole block (2-connected
+    component or bridge): trees, block graphs and chordal graphs.
+
+    The blocks are the distinct edge hulls.  An edge's hull absorbs a
+    vertex only through two neighbours already inside it, one ear at a
+    time, so it is 2-connected and lies in the edge's block.  The hulls
+    are exactly the blocks, each closed by any of its edges, exactly
+    when the vertex-hull incidence graph is a forest, i.e. when the sum
+    of (|P| - 1) over the hulls P is n minus the component count;
+    otherwise (C_4, ladders, the house graph) this raises ValueError.
+
+    A connected labeled set L then meets each block B in nothing, in one
+    vertex or in all of B: two labeled vertices of B are joined by a
+    labeled path inside B, and any of its edges closes B.  So after the
+    opening, play splits into branches b(c, B), one per labeled vertex c
+    and unlabeled block B at c, that add by nim-sum.  In b(c, B) the
+    mover either labels a vertex of B within distance two of c, closing
+    B alone, or labels a vertex x of a block B' != B that hangs at a
+    neighbour u of c in B; u is absorbed and B and B' both close.  With
+    k the nim-sum of the branches that hang at B's vertices other than
+    c, b(c, B) = mex({k} and k ^ b(u, B') ^ close(B', u) over those
+    (u, B')), where close(B', u) is B''s own k as seen from u.  With
+    K_2 blocks (trees) the two kinds are "label the neighbour" and
+    "label a vertex two steps away".
+
+    Branches are evaluated from an explicit stack, each once, so no
+    graph size meets Python's recursion limit.  A branch at block B
+    costs O(|B|) steps plus one per block hanging at B, so the whole
+    evaluation is quadratic in the largest block and linear in the
+    number of blocks.
+    """
+    blocks = sorted({hull(g, (1 << u) | (1 << v)) for u, v in g.edges()})
+    if sum(popcount(b) - 1 for b in blocks) != g.n - len(components(g)):
+        raise ValueError("some edge's hull is not its whole block")
+    at = [[] for _ in range(g.n)]
+    for i, block in enumerate(blocks):
+        for v in bits(block):
+            at[v].append(i)
+
+    def hanging(c, i):
+        """The branches left when block i closes with c labeled first."""
+        return [(v, j) for v in bits(blocks[i] & ~(1 << c))
+                for j in at[v] if j != i]
+
+    solved = {}  # (c, i) -> (b(c, block i), close(block i, c))
+    stack = [(v, i) for v in range(g.n) for i in at[v]]
+    while stack:
+        c, i = stack[-1]
+        if (c, i) in solved:
+            stack.pop()
+            continue
+        branches = hanging(c, i)
+        unsolved = [d for d in branches if d not in solved]
+        if unsolved:
+            stack += unsolved
+            continue
+        stack.pop()
+        k = nim_sum(solved[d][0] for d in branches)
+        options = {k}
+        for u in bits(g.adj[c] & blocks[i]):
+            for j in at[u]:
+                if j != i:
+                    options.add(k ^ solved[u, j][0] ^ solved[u, j][1])
+        solved[c, i] = (mex(options), k)
+    return [nim_sum(solved[v, i][0] for i in at[v]) for v in range(g.n)]
+
+
+def block_connected_winner(g: Graph) -> Verdict:
+    """Connected game on a graph whose blocks each close from any one of
+    their edges (see ``connected_block_values``), with the lowest
+    opening worth 0 as the witness."""
+    if g.n < 1:
+        raise ValueError("cannot decide the game on an empty graph")
+    values = connected_block_values(g)
+    value = mex(values)
+    if value == 0:
+        return Verdict(Player.SECOND, 0, None)
+    return Verdict(Player.FIRST, value, values.index(0))
+
+
 def tree_connected_grundy(tree: Graph, first_move: Optional[int] = None) -> int:
-    """Grundy value of the connected game on a tree.
-
-    After the first move the position splits into branches: maximal
-    subtrees containing exactly one labeled vertex, as a leaf.  Branch
-    games are independent, so a position's value is the nim-sum of its
-    branch values (moves in one branch can neither reach nor absorb
-    anything across the labeled root).
-
-    The branch value b(p -> c), for labeled p and unlabeled neighbor c,
-    is the mex over the two move kinds available inside the branch:
-    label c itself, or label a child d of c, in which case the closure
-    absorbs c.  Values are memoized per directed edge, giving 2(n-1)
-    branch states.
+    """Grundy value of the connected game on a tree, read off
+    ``connected_block_values`` (every edge of a tree is a block).
 
     With ``first_move`` given, returns the value of the position after
     that move; otherwise the start value (mex over all first moves).
     """
     if not is_tree(tree):
         raise ValueError("input graph is not a tree")
-    neighbors = [tuple(bits(row)) for row in tree.adj]
-    memo: dict[tuple[int, int], int] = {}
-
-    def branch(p: int, c: int) -> int:
-        key = (p, c)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        kids = [d for d in neighbors[c] if d != p]
-        outcomes = {nim_sum(branch(c, d) for d in kids)}
-        for d in kids:
-            val = 0
-            for e in kids:
-                if e != d:
-                    val ^= branch(c, e)
-            for f in neighbors[d]:
-                if f != c:
-                    val ^= branch(d, f)
-            outcomes.add(val)
-        value = mex(outcomes)
-        memo[key] = value
-        return value
-
-    def after_first(x: int) -> int:
-        return nim_sum(branch(x, c) for c in neighbors[x])
-
+    values = connected_block_values(tree)
     if first_move is not None:
         if not (0 <= first_move < tree.n):
             raise ValueError("first move %r is not a vertex" % (first_move,))
-        return after_first(first_move)
-    return mex(after_first(x) for x in range(tree.n))
-
-
-# =====================================================================
-# Caterpillars (connected variant)
-# =====================================================================
-
-def _normalize_feet(spec: CaterpillarSpec) -> tuple[list[int], bool, bool]:
-    """Re-root the backbone so both endpoints are leaves.
-
-    If an endpoint carries feet, one of its feet is promoted to be the
-    new backbone endpoint (the dominating path is extended into it); the
-    tree itself is unchanged.  Returns (feet profile, left promoted,
-    right promoted).
-    """
-    h = list(spec.feet)
-    left = right = False
-    if h[0] > 0:
-        h = [0, h[0] - 1] + h[1:]
-        left = True
-    if h[-1] > 0:
-        h = h[:-1] + [h[-1] - 1, 0]
-        right = True
-    return h, left, right
-
-
-def _caterpillar_tables(h: list[int]) -> tuple[list[int], list[int]]:
-    """Branch-value arrays for a normalized foot profile.
-
-    L[i] is the value of the branch strictly left of backbone vertex i,
-    rooted at labeled i (R[i] mirrors to the right).  The moves inside
-    the left branch are: its neighbor i-1 (leaving the smaller left
-    branch plus i-1's pendant games), a foot of i-1, or vertex i-2
-    (whose closure absorbs i-1).
-    """
-    n = len(h)
-    L = [0] * n
-    for i in range(1, n):
-        outcomes = {L[i - 1] ^ _par(h[i - 1])}
-        if h[i - 1] >= 1:
-            outcomes.add(L[i - 1] ^ _par(h[i - 1] - 1))
-        if i >= 2:
-            outcomes.add(L[i - 2] ^ _par(h[i - 2]) ^ _par(h[i - 1]))
-        L[i] = mex(outcomes)
-    R = [0] * n
-    for i in range(n - 2, -1, -1):
-        outcomes = {R[i + 1] ^ _par(h[i + 1])}
-        if h[i + 1] >= 1:
-            outcomes.add(R[i + 1] ^ _par(h[i + 1] - 1))
-        if i <= n - 3:
-            outcomes.add(R[i + 2] ^ _par(h[i + 2]) ^ _par(h[i + 1]))
-        R[i] = mex(outcomes)
-    return L, R
-
-
-def _caterpillar_first_move_values(h: list[int]) -> tuple[list[int], dict[int, int]]:
-    """Values of the positions after each possible first move.
-
-    Every position two moves deep decomposes into a left branch, a right
-    branch, and leftover pendant games, so its value is a nim-sum read
-    off the branch arrays.  There are five such position shapes: two
-    feet of the same vertex, a vertex plus one of its feet, a foot of i
-    plus backbone neighbor of i (absorbing i), two adjacent backbone
-    vertices, and two backbone vertices at distance two (absorbing the
-    middle).  Each first move's value is the mex over the shapes it can
-    reach.
-
-    Returns (per-backbone-vertex values, per-vertex foot-move values
-    keyed by backbone index, for vertices with feet).
-    """
-    n = len(h)
-    L, R = _caterpillar_tables(h)
-
-    def pos_foot_foot(i):  # two feet of i; i absorbed
-        return L[i] ^ R[i] ^ _par(h[i] - 2)
-
-    def pos_foot_own(i):   # vertex i and one of its feet
-        return L[i] ^ R[i] ^ _par(h[i] - 1)
-
-    def pos_foot_left(i):  # foot of i and vertex i-1; i absorbed
-        return L[i - 1] ^ _par(h[i - 1]) ^ _par(h[i] - 1) ^ R[i]
-
-    def pos_foot_right(i):  # foot of i and vertex i+1; i absorbed
-        return L[i] ^ _par(h[i] - 1) ^ _par(h[i + 1]) ^ R[i + 1]
-
-    def pos_adjacent(i):   # vertices i and i+1
-        return L[i] ^ _par(h[i]) ^ _par(h[i + 1]) ^ R[i + 1]
-
-    def pos_skip(i):       # vertices i and i+2; i+1 absorbed
-        return L[i] ^ _par(h[i]) ^ _par(h[i + 1]) ^ _par(h[i + 2]) ^ R[i + 2]
-
-    backbone = []
-    for i in range(n):
-        cands = []
-        if h[i] >= 1:
-            cands.append(pos_foot_own(i))
-        if i + 1 < n:
-            cands.append(pos_adjacent(i))
-            if h[i + 1] >= 1:
-                cands.append(pos_foot_left(i + 1))
-        if i - 1 >= 0:
-            cands.append(pos_adjacent(i - 1))
-            if h[i - 1] >= 1:
-                cands.append(pos_foot_right(i - 1))
-        if i + 2 < n:
-            cands.append(pos_skip(i))
-        if i - 2 >= 0:
-            cands.append(pos_skip(i - 2))
-        backbone.append(mex(cands))
-
-    feet = {}
-    for i in range(n):
-        if h[i] < 1:
-            continue
-        cands = [pos_foot_own(i)]
-        if h[i] >= 2:
-            cands.append(pos_foot_foot(i))
-        if i - 1 >= 0:
-            cands.append(pos_foot_left(i))
-        if i + 1 < n:
-            cands.append(pos_foot_right(i))
-        feet[i] = mex(cands)
-    return backbone, feet
-
-
-def caterpillar_connected_winner(spec: CaterpillarSpec) -> Verdict:
-    """Connected game on a caterpillar, solved in O(backbone) time.
-
-    The witness uses the vertex numbering of ``make_caterpillar``:
-    backbone vertices 0..b-1 first, then feet grouped by backbone
-    vertex.
-    """
-    h, left, right = _normalize_feet(spec)
-    backbone_vals, foot_vals = _caterpillar_first_move_values(h)
-    shift = 1 if left else 0
-
-    def value_of_backbone(j):
-        return backbone_vals[j + shift]
-
-    def value_of_foot(j):
-        # a promoted foot sits at a backbone end of the normalized tree;
-        # its siblings share its value by symmetry
-        if j == 0 and left:
-            return backbone_vals[0]
-        if j == spec.backbone - 1 and right:
-            return backbone_vals[-1]
-        return foot_vals[j + shift]
-
-    all_values = [value_of_backbone(j) for j in range(spec.backbone)]
-    all_values += [value_of_foot(j)
-                   for j in range(spec.backbone) if spec.feet[j] >= 1]
-    value = mex(all_values)
-    if value == 0:
-        return Verdict(Player.SECOND, 0, None)
-    witness = None
-    for j in range(spec.backbone):
-        if value_of_backbone(j) == 0:
-            witness = j
-            break
-    if witness is None:
-        foot_id = spec.backbone
-        for j in range(spec.backbone):
-            if spec.feet[j] >= 1 and value_of_foot(j) == 0:
-                witness = foot_id
-                break
-            foot_id += spec.feet[j]
-    assert witness is not None, "nonzero start must have a 0-valued move"
-    return Verdict(Player.FIRST, value, witness)
+        return values[first_move]
+    return mex(values)
 
 
 # =====================================================================

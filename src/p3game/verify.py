@@ -2,11 +2,12 @@
 engine on every instance small enough to afford.
 
 Every family is one entry of the FAMILIES table: its smallest size, the
-error for a smaller one, and its instances, each paired with the
-solver's claim.  run_family compares each claim with the engine and
-returns a VerifyReport listing any disagreement.  Reports are
-deterministic for a given seed: instances are generated by a seeded RNG
-and compared in instance order.  Elapsed time is kept out of the JSON
+error for a smaller one, and its instances, each paired with the call
+that makes the solver's claim.  run_family makes each claim, compares
+it with the engine and returns a VerifyReport listing any disagreement;
+an instance whose solver or engine raises is a disagreement too.
+Reports are deterministic for a given seed: instances are generated by
+a seeded RNG and compared in instance order.  Elapsed time is kept out of the JSON
 projection so identical runs stay byte-identical; it appears only in the
 human-readable table.
 """
@@ -17,14 +18,15 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import graphs, solvers
 from .closure import (IllegalMoveError, Variant, apply_move, hull,
                       start_position)
-from .engine import Verdict, decide, grundy
+from .engine import ResourceLimitError, Verdict, decide, grundy
 from .graphs import (SIZED_FAMILIES, Graph, bits, make_caterpillar,
-                     make_cograph, make_path)
+                     make_cograph)
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
 
@@ -56,8 +58,7 @@ class VerifyReport:
 
 
 def _verdict_fields(v):
-    """Comparable projection of a Verdict: winner always, value when the
-    solver derived one."""
+    """Comparable projection of a Verdict: winner and value."""
     return {"winner": v.winner.value, "grundy": v.grundy}
 
 
@@ -73,15 +74,11 @@ def _witness_child_value(g, variant, witness, budget):
 
 def _verdict_row(solver_v, g, variant, budget):
     """(solver, oracle) projections of a solver's Verdict and the
-    engine's.  The claim is the winner alone when the solver derives no
-    value, else winner and value.  A witness is a claim too: the engine
+    engine's: winner and value.  A witness is a claim too: the engine
     must value the child it leads to at 0; when it does not, both sides
     carry the witness and that child value."""
-    oracle_v = decide(g, variant, budget=budget)
-    sv, ov = _verdict_fields(solver_v), _verdict_fields(oracle_v)
-    if sv["grundy"] is None:
-        # formula-level solver: winner is its whole claim
-        sv, ov = sv["winner"], ov["winner"]
+    sv = _verdict_fields(solver_v)
+    ov = _verdict_fields(decide(g, variant, budget=budget))
     witness = solver_v.witness
     if witness is not None:
         child = _witness_child_value(g, variant, witness, budget)
@@ -89,8 +86,6 @@ def _verdict_row(solver_v, g, variant, budget):
             sv = {"verdict": sv, "witness": witness, "child": 0}
             ov = {"verdict": ov, "witness": witness, "child": child}
     return sv, ov
-
-
 
 
 def _row(claim, g, variant, budget):
@@ -110,8 +105,8 @@ def _row(claim, g, variant, budget):
 
 class Family(NamedTuple):
     """One sweep.  ``instances(least, max_n, rng)`` yields (descriptor,
-    graph, variant, claim) in sweep order, calling the solver for each
-    claim; ``too_small`` is the error, formatted with ``least``, for a
+    graph, variant, claim) in sweep order, where ``claim()`` calls the
+    solver; ``too_small`` is the error, formatted with ``least``, for a
     max_n below the smallest size ``least``."""
 
     least: int
@@ -124,7 +119,8 @@ def _each_size(family, too_small, variant, solver, key="n"):
     solvers.<solver>(size)."""
     smallest, build = SIZED_FAMILIES[family]
     return Family(smallest, too_small, lambda least, max_n, rng: (
-        ({key: n}, build(n, rng), variant, getattr(solvers, solver)(n))
+        ({key: n}, build(n, rng), variant,
+         partial(getattr(solvers, solver), n))
         for n in range(least, max_n + 1)))
 
 
@@ -142,14 +138,16 @@ def enumerate_trees(max_n: int):
     return out
 
 
+def _lemma_breaks(g):
+    """The pairs of g at distance <= 2 whose hull is not all of g."""
+    return [[x, y] for x in range(g.n)
+            for y in bits(g.adj[x] | g.neighborhood_of_set(g.adj[x]))
+            if y > x and hull(g, (1 << x) | (1 << y)) != g.full_mask]
+
+
 FAMILIES = {
-    # one run-length table serves the whole sweep
-    "path-free": Family(
-        SIZED_FAMILIES["path"][0], "paths need at least %d vertex",
-        lambda least, max_n, rng: (
-            ({"n": n}, make_path(n), FREE, table[(n, False, False)])
-            for table in [solvers.free_path_grundy_table(max_n)]
-            for n in range(least, max_n + 1))),
+    "path-free": _each_size("path", "paths need at least %d vertex", FREE,
+                            "free_path_grundy"),
     "path-connected": _each_size("path", "paths need at least %d vertex",
                                  CONNECTED, "connected_path_grundy"),
     "cycle-free": _each_size("cycle", "cycles need at least %d vertices",
@@ -162,7 +160,8 @@ FAMILIES = {
     "tree": Family(
         SIZED_FAMILIES["tree"][0], "trees need at least %d vertex",
         lambda least, max_n, rng: (
-            (descriptor, t, CONNECTED, solvers.tree_connected_grundy(t))
+            (descriptor, t, CONNECTED,
+             partial(solvers.tree_connected_grundy, t))
             for descriptor, t in itertools.chain(
                 (({"class": [n, idx]}, t)
                  for n, idx, t in enumerate_trees(min(max_n, 9))),
@@ -173,15 +172,15 @@ FAMILIES = {
         1, "caterpillars need at least %d vertex",
         lambda least, max_n, rng: (
             ({"sample": k, "backbone": s.backbone, "feet": list(s.feet)},
-             make_caterpillar(s), CONNECTED,
-             solvers.caterpillar_connected_winner(s))
+             g, CONNECTED, partial(solvers.block_connected_winner, g))
             for k in range(200)
-            for s in [graphs.random_caterpillar_spec(max_n, rng)])),
+            for s in [graphs.random_caterpillar_spec(max_n, rng)]
+            for g in [make_caterpillar(s)])),
     "cograph": Family(
         1, "cographs need at least %d vertex",
         lambda least, max_n, rng: (
             ({"sample": k, "leaves": len(graphs.cotree_leaves(c))},
-             make_cograph(c), FREE, solvers.cograph_free_winner(c))
+             make_cograph(c), FREE, partial(solvers.cograph_free_winner, c))
             for k in range(200)
             for c in [graphs.random_cotree(max_n, rng)])),
     "star": _each_size("star", "stars need at least %d leaves", FREE,
@@ -196,18 +195,30 @@ FAMILIES = {
         "biconnected chordal graphs need at least %d vertices",
         lambda least, max_n, rng: (
             ({"sample": k, "n": n, "edges": g.edges()}, g, None,
-             [[x, y] for x in range(g.n)
-              for y in bits(g.adj[x] | g.neighborhood_of_set(g.adj[x]))
-              if y > x and hull(g, (1 << x) | (1 << y)) != g.full_mask])
+             partial(_lemma_breaks, g))
             for k in range(100)
             for n in [rng.randint(least, max_n)]
             for g in [graphs.random_biconnected_chordal(n, rng)])),
+    # chordal graphs with cut vertices, whose blocks the lemma closes
+    "chordal-connected": Family(
+        SIZED_FAMILIES["glued-chordal"][0],
+        "chordal graphs need at least %d vertex",
+        lambda least, max_n, rng: (
+            ({"sample": k, "n": n, "edges": g.edges()}, g, CONNECTED,
+             partial(solvers.block_connected_winner, g))
+            for k in range(200)
+            for n in [rng.randint(least, max_n)]
+            for g in [graphs.random_chordal(n, rng)])),
 }
 
 
 def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyReport:
     """Check one family's solver against the engine on its instances up
-    to size max_n, drawing samples from random.Random(seed)."""
+    to size max_n, drawing samples from random.Random(seed).
+
+    An unknown family or a max_n below the family's smallest size raises
+    ValueError.  An instance whose solver or engine raises anything but
+    ResourceLimitError is a mismatch whose solver side is the error."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(sorted(FAMILIES))))
@@ -220,7 +231,13 @@ def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyRep
     for descriptor, g, variant, claim in instances(least, max_n,
                                                    random.Random(seed)):
         count += 1
-        solver_val, oracle_val = _row(claim, g, variant, budget)
+        try:
+            solver_val, oracle_val = _row(claim(), g, variant, budget)
+        except ResourceLimitError:
+            raise
+        except Exception as exc:
+            solver_val = {"error": "%s: %s" % (type(exc).__name__, exc)}
+            oracle_val = None
         if solver_val != oracle_val:
             mismatches.append({"instance": descriptor,
                                "solver": solver_val,

@@ -5,16 +5,15 @@ a wall-clock deadline asserted for each sweep."""
 import random
 import time
 
-from p3game import (Player, Variant, apply_move,
-                    caterpillar_connected_winner, clique_free_winner,
-                    cograph_free_winner, connected_cycle_grundy,
-                    connected_path_grundy, decide, free_cycle_winner,
-                    free_path_grundy, grundy, hull, is_p3_closed,
-                    ladder_connected_winner, make_caterpillar, make_clique,
-                    make_cograph, make_cycle, make_ladder, make_path,
-                    make_star, nim_sum, random_caterpillar_spec, random_cotree,
-                    random_gnp, random_tree, star_free_winner, start_position,
-                    tree_connected_grundy)
+from p3game import (Player, Variant, apply_move, block_connected_winner,
+                    clique_free_winner, cograph_free_winner,
+                    connected_cycle_grundy, connected_path_grundy, decide,
+                    free_cycle_winner, free_path_grundy, grundy, hull,
+                    is_p3_closed, ladder_connected_winner, make_caterpillar,
+                    make_clique, make_cograph, make_cycle, make_ladder,
+                    make_path, make_star, nim_sum, random_caterpillar_spec,
+                    random_chordal, random_cotree, random_gnp, random_tree,
+                    star_free_winner, start_position, tree_connected_grundy)
 from p3game.graphs import Graph
 from p3game.verify import enumerate_trees, run_family
 
@@ -81,7 +80,8 @@ def test_ladder_sweep():
         ladder = make_ladder(n)
         verdict = decide(ladder, Variant.CONNECTED)
         solver = ladder_connected_winner(n)
-        assert verdict.winner is solver.winner, n
+        assert (verdict.winner, verdict.grundy) == \
+            (solver.winner, solver.grundy), n
         if solver.witness is not None:
             # the solver's corner opening leaves a position worth 0
             start = start_position(ladder, Variant.CONNECTED)
@@ -127,9 +127,24 @@ def test_caterpillar_sweep():
     rng = random.Random(99)
     for _ in range(200):
         spec = random_caterpillar_spec(14, rng)
-        assert caterpillar_connected_winner(spec) == \
-            decide(make_caterpillar(spec), Variant.CONNECTED), spec
+        g = make_caterpillar(spec)
+        assert block_connected_winner(g) == \
+            decide(g, Variant.CONNECTED), spec
     assert time.monotonic() - t0 < 300  # deadline: five minutes
+
+
+def test_chordal_connected_sweep():
+    t0 = time.monotonic()
+    rng = random.Random(35)
+    for n in [*(rng.randint(1, 16) for _ in range(200)), 200]:
+        g = random_chordal(n, rng)
+        assert block_connected_winner(g) == decide(g, Variant.CONNECTED), \
+            g.edges()
+    assert time.monotonic() - t0 < 120  # deadline: two minutes
+    g = random_chordal(1000, rng)
+    t0 = time.monotonic()
+    block_connected_winner(g)
+    assert time.monotonic() - t0 < 1  # deadline: one second
 
 
 def test_cograph_sweep():

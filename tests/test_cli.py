@@ -413,14 +413,15 @@ def test_verify_rejects_unknown_family():
 def test_every_family_sweep_passes_at_small_size():
     sizes = {"path-free": 6, "path-connected": 6, "cycle-free": 6,
              "cycle-connected": 6, "ladder": 4, "star": 5, "clique": 5,
-             "tree": 6, "caterpillar": 7, "cograph": 6, "chordal-lemma": 6}
+             "tree": 6, "caterpillar": 7, "cograph": 6, "chordal-lemma": 6,
+             "chordal-connected": 9}
     assert set(sizes) == set(FAMILIES)
     # one instance per size from the family's smallest; the tree sweep
     # adds every isomorphism class (14 up to 6 vertices) to its samples
     counts = {"path-free": 6, "path-connected": 6, "cycle-free": 4,
               "cycle-connected": 4, "ladder": 4, "star": 6, "clique": 5,
               "tree": 214, "caterpillar": 200, "cograph": 200,
-              "chordal-lemma": 100}
+              "chordal-lemma": 100, "chordal-connected": 200}
     for family, max_n in sizes.items():
         report = run_family(family, max_n)
         assert report.passed, (family, report.mismatches[:3])
@@ -437,6 +438,7 @@ def test_every_family_sweep_passes_at_small_size():
     ("star", -1, "stars need at least 0 leaves"),
     ("caterpillar", 0, "caterpillars need at least 1 vertex"),
     ("cograph", 0, "cographs need at least 1 vertex"),
+    ("chordal-connected", 0, "chordal graphs need at least 1 vertex"),
 ])
 def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
                                                           message):
@@ -450,9 +452,8 @@ def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
 
 def _other_winner(verdict, *_):
     if verdict.winner is Player.FIRST:
-        return Verdict(Player.SECOND, None if verdict.grundy is None else 0,
-                       None)
-    return Verdict(Player.FIRST, None if verdict.grundy is None else 1, None)
+        return Verdict(Player.SECOND, 0, None)
+    return Verdict(Player.FIRST, 1, None)
 
 
 def _one_more(value, *_):
@@ -462,8 +463,7 @@ def _one_more(value, *_):
 # family, max_n, (module, name) to patch, wrong answer from the true one
 # and the call's arguments, descriptor key sets of the family's instances
 WRONG_ANSWERS = [
-    ("path-free", 6, (solvers, "free_path_grundy_table"),
-     lambda table, *_: {key: v + 1 for key, v in table.items()}, [{"n"}]),
+    ("path-free", 6, (solvers, "free_path_grundy"), _one_more, [{"n"}]),
     ("path-connected", 6, (solvers, "connected_path_grundy"), _one_more,
      [{"n"}]),
     ("cycle-free", 6, (solvers, "free_cycle_winner"), _other_winner, [{"n"}]),
@@ -473,7 +473,7 @@ WRONG_ANSWERS = [
      [{"n"}]),
     ("tree", 6, (solvers, "tree_connected_grundy"), _one_more,
      [{"class"}, {"sample", "n"}]),
-    ("caterpillar", 7, (solvers, "caterpillar_connected_winner"),
+    ("caterpillar", 7, (solvers, "block_connected_winner"),
      _other_winner, [{"sample", "backbone", "feet"}]),
     ("cograph", 6, (solvers, "cograph_free_winner"), _other_winner,
      [{"sample", "leaves"}]),
@@ -482,6 +482,8 @@ WRONG_ANSWERS = [
     # a hull that never reaches the last vertex breaks the lemma everywhere
     ("chordal-lemma", 6, (verify, "hull"),
      lambda h, g, a: h & ~(1 << (g.n - 1)), [{"sample", "n", "edges"}]),
+    ("chordal-connected", 9, (solvers, "block_connected_winner"),
+     _other_winner, [{"sample", "n", "edges"}]),
 ]
 
 
@@ -505,8 +507,9 @@ WITNESS_SOLVERS = [("cycle-free", "free_cycle_winner", 9),
                    ("ladder", "ladder_connected_winner", 6),
                    ("star", "star_free_winner", 4),
                    ("clique", "clique_free_winner", 3),
-                   ("caterpillar", "caterpillar_connected_winner", 7),
-                   ("cograph", "cograph_free_winner", 6)]
+                   ("caterpillar", "block_connected_winner", 7),
+                   ("cograph", "cograph_free_winner", 6),
+                   ("chordal-connected", "block_connected_winner", 9)]
 
 
 @pytest.mark.parametrize("family,solver,max_n", WITNESS_SOLVERS,
@@ -529,6 +532,26 @@ def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
         assert m["oracle"]["child"] == "illegal"
         # the winner or value claim itself still agrees
         assert m["solver"]["verdict"] == m["oracle"]["verdict"]
+
+
+def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
+    # a solver bug is a failed check (exit 1), not a usage error (exit 2)
+    def broken(n):
+        if n == 5:
+            raise ValueError("cycle solver broke")
+        return 0
+
+    monkeypatch.setattr(solvers, "connected_cycle_grundy", broken)
+    code, out, err = run_cli(["verify", "--family", "cycle-connected",
+                              "--max-n", "6", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["instances"] == 4
+    # n = 5 is the one first-player win, so the 0 claims hold elsewhere
+    assert report["mismatches"] == [
+        {"instance": {"n": 5},
+         "solver": {"error": "ValueError: cycle solver broke"},
+         "oracle": None}]
 
 
 def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from p3game import (Graph, IllegalMoveError, Position, Variant, apply_move,
-                    bits, hull, is_p3_closed, legal_moves, make_clique,
-                    make_cycle, make_ladder, make_path, make_star, mask_of,
-                    random_gnp, start_position)
+from p3game import (IllegalMoveError, Position, Variant, apply_move, bits,
+                    hull, is_p3_closed, legal_moves, make_clique, make_cycle,
+                    make_ladder, make_path, make_star, mask_of, random_gnp,
+                    start_position)
 from p3game.closure import legal_moves_raw
 
 from helpers import connected_atlas_graphs

@@ -15,7 +15,7 @@ from p3game import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
                     make_ladder, make_path, make_star, mask_of,
                     parse_caterpillar, parse_cotree, parse_graph,
                     random_biconnected_chordal, random_caterpillar_spec,
-                    random_cotree, random_gnp, random_tree)
+                    random_chordal, random_cotree, random_gnp, random_tree)
 from p3game.graphs import (JOIN, UNION, cotree_leaves, is_connected, popcount,
                            validate_cotree)
 
@@ -370,6 +370,23 @@ def test_random_biconnected_chordal_properties():
         if n >= 3:
             assert nx.is_biconnected(h)
         assert g == random_biconnected_chordal(n, random.Random(seed))
+
+
+def test_random_chordal_properties():
+    sizes = []
+    for seed in range(60):
+        n = 1 + seed % 30
+        g = random_chordal(n, random.Random(seed))
+        assert g.n == n
+        check_graph_invariants(g)
+        h = graph_to_nx(g)
+        assert nx.is_chordal(h) and nx.is_connected(h)
+        blocks = list(nx.biconnected_components(h))
+        assert all(2 <= len(b) <= 8 for b in blocks)
+        sizes += [len(b) for b in blocks]
+        assert g == random_chordal(n, random.Random(seed))
+    # bridges and larger blocks both occur
+    assert {2, 3, 8} <= set(sizes)
 
 
 def test_random_gnp_extremes():

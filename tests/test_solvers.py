@@ -4,24 +4,24 @@ against the exhaustive engine on small instances."""
 
 import random
 
+import networkx as nx
 import pytest
 
 from p3game import (CaterpillarSpec, Cotree, Player, Position, Variant,
-                    Verdict, caterpillar_connected_winner, clique_free_winner,
-                    cograph_free_winner, connected_cycle_arc_values,
-                    connected_cycle_grundy, connected_path_f,
-                    connected_path_grundy, cotree_grundy, cotree_move_values,
-                    decide, free_cycle_winner, free_path_grundy,
-                    free_path_grundy_table, grundy, hull,
+                    Verdict, block_connected_winner, clique_free_winner,
+                    cograph_free_winner, connected_block_values,
+                    connected_cycle_arc_values, connected_cycle_grundy,
+                    connected_path_f, connected_path_grundy, cotree_grundy,
+                    cotree_move_values, decide, free_cycle_winner,
+                    free_path_grundy, free_path_grundy_table, grundy, hull,
                     ladder_connected_winner, make_caterpillar, make_cograph,
-                    make_cycle, make_path, make_star, mex, random_cotree,
-                    random_tree, star_free_winner, start_position,
-                    tree_connected_grundy)
+                    make_cycle, make_ladder, make_path, mask_of, mex,
+                    nim_sum, random_cotree, random_tree,
+                    star_free_winner, start_position, tree_connected_grundy)
 from p3game.graphs import JOIN, UNION, Graph, GraphFormatError
-from p3game.solvers import (_caterpillar_first_move_values,
-                            _caterpillar_tables, _par)
 
-from reference import free_cycle_by_reduction
+from helpers import atlas_graphs, graph_to_nx
+from reference import free_cycle_by_reduction, reference_decide
 
 
 # =====================================================================
@@ -150,8 +150,7 @@ def test_ladder_winner_formula_symbolically_to_1000():
         # first player wins exactly when the vertex count 2n is a
         # multiple of six
         if (2 * n) % 6 == 0:
-            assert v.winner is Player.FIRST
-            assert v.grundy is None and v.witness == 0
+            assert v == Verdict(Player.FIRST, 1, 0)  # witness: a corner
         else:
             assert v == Verdict(Player.SECOND, 0, None)
     with pytest.raises(ValueError):
@@ -186,8 +185,26 @@ def test_clique_rule():
 # =====================================================================
 
 def test_tree_solver_on_paths_matches_path_solver():
-    for n in range(1, 31):
+    # far past the default recursion limit: the solver keeps its own stack
+    for n in [*range(1, 31), 4998, 4999, 5000]:
         assert tree_connected_grundy(make_path(n)) == connected_path_grundy(n)
+
+
+def test_tree_solver_solves_5000_vertex_trees():
+    tree = random_tree(5000, random.Random(34))
+    values = connected_block_values(tree)
+    assert tree_connected_grundy(tree) == mex(values)
+    # a spider opened at its centre is a sum of legs, each a path with
+    # one end labeled
+    legs = [1 + 97 * k % 199 for k in range(50)]
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    spider = Graph(n, edges)
+    assert n > 5000
+    assert tree_connected_grundy(spider, first_move=0) == \
+        nim_sum(connected_path_f(length + 1) for length in legs)
 
 
 def test_tree_solver_basics():
@@ -220,45 +237,57 @@ def test_tree_solver_matches_engine_on_small_trees():
 
 
 # =====================================================================
-# caterpillars
+# blocks: trees, caterpillars, chordal graphs (connected variant)
 # =====================================================================
+
+def _hulls_are_blocks(g):
+    """Whether every edge's hull is its networkx biconnected component."""
+    blocks = [mask_of(b) for b in nx.biconnected_components(graph_to_nx(g))]
+    return all(hull(g, (1 << u) | (1 << v)) in blocks
+               for u, v in g.edges())
+
+
+def test_block_solver_on_every_atlas_graph():
+    accepted = chordal = 0
+    for g in atlas_graphs(7):
+        if not _hulls_are_blocks(g):
+            with pytest.raises(ValueError, match="not its whole block"):
+                block_connected_winner(g)
+            continue
+        assert block_connected_winner(g) == \
+            reference_decide(g, Variant.CONNECTED), g.edges()
+        accepted += 1
+        chordal += nx.is_chordal(graph_to_nx(g))
+    # every chordal graph is among the accepted ones
+    assert chordal == sum(nx.is_chordal(graph_to_nx(g))
+                          for g in atlas_graphs(7)) == 531
+    assert accepted == 712
+
+
+def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
+    house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+    for g in (make_cycle(4), make_ladder(3), house):
+        with pytest.raises(ValueError, match="not its whole block"):
+            connected_block_values(g)
+    with pytest.raises(ValueError, match="empty graph"):
+        block_connected_winner(Graph(0, []))
+
 
 def test_caterpillar_of_a_path_matches_path_solver():
     for b in range(1, 21):
-        v = caterpillar_connected_winner(CaterpillarSpec(b, (0,) * b))
-        assert v.grundy == connected_path_grundy(b)
+        g = make_caterpillar(CaterpillarSpec(b, (0,) * b))
+        assert block_connected_winner(g).grundy == connected_path_grundy(b)
 
 
 def test_caterpillar_star_example_matches_tree_solver():
-    spec = CaterpillarSpec(3, (0, 1, 0))
-    tree = make_caterpillar(spec)
-    v = caterpillar_connected_winner(spec)
+    tree = make_caterpillar(CaterpillarSpec(3, (0, 1, 0)))
+    v = block_connected_winner(tree)
     assert v.grundy == tree_connected_grundy(tree)
 
 
 def test_caterpillar_worked_example_against_engine():
-    spec = CaterpillarSpec(4, (1, 0, 0, 1))
-    assert caterpillar_connected_winner(spec) == \
-        decide(make_caterpillar(spec), Variant.CONNECTED)
-
-
-def test_caterpillar_two_value_routes_agree():
-    # the value after a first move on backbone vertex i can be read two
-    # ways: as the nim-sum of the left branch, right branch, and pendant
-    # parity (sum of independent games), or as the mex over the reachable
-    # two-move positions; they must match on every normalized profile
-    rng = random.Random(31)
-    for _ in range(200):
-        n = rng.randint(1, 10)
-        h = [rng.randint(0, 3) for _ in range(n)]
-        if n >= 1:
-            h[0] = 0
-        if n >= 2:
-            h[-1] = 0
-        L, R = _caterpillar_tables(h)
-        backbone_vals, _ = _caterpillar_first_move_values(h)
-        for i in range(n):
-            assert backbone_vals[i] == L[i] ^ R[i] ^ _par(h[i])
+    g = make_caterpillar(CaterpillarSpec(4, (1, 0, 0, 1)))
+    assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
 
 
 def test_caterpillar_witness_is_a_winning_move():
@@ -266,8 +295,8 @@ def test_caterpillar_witness_is_a_winning_move():
     from p3game.graphs import random_caterpillar_spec
     for _ in range(60):
         spec = random_caterpillar_spec(12, rng)
-        v = caterpillar_connected_winner(spec)
         g = make_caterpillar(spec)
+        v = block_connected_winner(g)
         if v.winner is Player.FIRST:
             pos = Position(g, hull(g, 1 << v.witness), Variant.CONNECTED)
             assert grundy(pos) == 0
