@@ -63,10 +63,9 @@ def main():
               % (name, v.winner.value, v.grundy,
                  v == decide(g, Variant.CONNECTED)))
 
-    cotree = random_cotree(8, rng)
-    cg = make_cograph(cotree)
+    cg = make_cograph(random_cotree(8, rng))
     print("random cograph on %d vertices: solver %s, engine %s"
-          % (cg.n, cograph_free_winner(cotree).winner.value,
+          % (cg.n, cograph_free_winner(cg).winner.value,
              decide(cg, Variant.FREE).winner.value))
 
     banner("a full engine verdict")

@@ -33,11 +33,11 @@ Quick start::
 """
 
 from .graphs import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
-                     bits, components, cotree_leaves, emit_caterpillar,
-                     emit_cotree, emit_graph, graph_digest, induced_subgraph,
-                     is_tree, make_caterpillar, make_clique, make_cograph,
-                     make_cycle, make_ladder, make_path, make_star, mask_of,
-                     parse_caterpillar, parse_cotree, parse_graph,
+                     bits, components, cotree_leaves, emit_cotree,
+                     emit_graph, graph_digest, induced_subgraph, is_tree,
+                     make_caterpillar, make_clique, make_cograph, make_cycle,
+                     make_ladder, make_path, make_star, mask_of,
+                     parse_cotree, parse_graph,
                      random_biconnected_chordal, random_caterpillar_spec,
                      random_chordal, random_cotree, random_gnp, random_tree)
 from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
@@ -46,11 +46,10 @@ from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
                      grundy, mex, nim_sum)
 from .solvers import (block_connected_winner, clique_free_winner,
-                      cograph_free_winner, connected_block_values,
-                      connected_cycle_arc_values,
+                      cograph_free_values, cograph_free_winner,
+                      connected_block_values, connected_cycle_arc_values,
                       connected_cycle_grundy, connected_path_f,
-                      connected_path_grundy, cotree_grundy,
-                      cotree_move_values, free_cycle_winner,
+                      connected_path_grundy, free_cycle_winner,
                       free_path_grundy, free_path_grundy_table,
                       ladder_connected_winner, star_free_winner,
                       tree_connected_grundy)
@@ -65,7 +64,7 @@ __all__ = [
     "make_path", "make_cycle", "make_star", "make_clique", "make_ladder",
     "make_caterpillar", "make_cograph", "cotree_leaves",
     "parse_graph", "emit_graph", "graph_digest",
-    "parse_cotree", "emit_cotree", "parse_caterpillar", "emit_caterpillar",
+    "parse_cotree", "emit_cotree",
     "random_tree", "random_caterpillar_spec", "random_cotree",
     "random_biconnected_chordal", "random_chordal", "random_gnp",
     # closure
@@ -82,7 +81,7 @@ __all__ = [
     "ladder_connected_winner", "star_free_winner", "clique_free_winner",
     "connected_block_values", "block_connected_winner",
     "tree_connected_grundy",
-    "cograph_free_winner", "cotree_grundy", "cotree_move_values",
+    "cograph_free_values", "cograph_free_winner",
     # verify
     "VerifyReport", "FAMILIES", "run_family",
 ]

@@ -73,7 +73,8 @@ class ResultCache:
                 prior = self._entries.get(key)  # key must hash
                 # solve prints these; check them here, not there
                 verdict["winner"], verdict["grundy"], verdict["witness"]
-            except (ValueError, LookupError, TypeError) as exc:
+            except (ValueError, LookupError, TypeError,
+                    RecursionError) as exc:
                 raise CacheCorruptionError(
                     "%s line %d is not a cache record: %s: %s"
                     % (self.path, number, type(exc).__name__, exc))

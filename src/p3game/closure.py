@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, popcount
+from .graphs import Graph, bits, components, popcount
 
 
 class Variant(enum.Enum):
@@ -104,26 +104,12 @@ class Position:
         if not is_p3_closed(g, lab):
             raise ValueError("labeled set is not P3-closed")
         if self.variant is Variant.CONNECTED and lab:
-            if not _induces_connected(g, lab):
+            if len(components(g, lab)) != 1:
                 raise ValueError("labeled set must induce a connected subgraph")
 
     @property
     def is_over(self) -> bool:
         return legal_moves(self) == 0
-
-
-def _induces_connected(g: Graph, mask: int) -> bool:
-    seed = mask & -mask
-    comp = seed
-    frontier = seed
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= g.adj[v]
-        grow &= mask & ~comp
-        comp |= grow
-        frontier = grow
-    return comp == mask
 
 
 def start_position(g: Graph, variant: Variant) -> Position:

@@ -28,11 +28,6 @@ Entries are keyed by (component bitmask, variant) per graph; there is no
 isomorphism-based canonicalization.  Correctness first: symmetry
 reduction is an optimization with high bug risk.  The search keeps its
 own stack, so Python's recursion limit does not bound the graph size.
-
-Thread use: a TranspositionTable may be shared by workers evaluating
-independent subtrees.  Writes are idempotent (same key implies same
-value), so racy duplicate computation is harmless, and the table rejects
-a divergent write outright.
 """
 
 from __future__ import annotations

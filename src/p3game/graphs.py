@@ -278,28 +278,6 @@ def make_caterpillar(spec: CaterpillarSpec) -> Graph:
     return Graph(nxt, edges)
 
 
-def parse_caterpillar(data) -> CaterpillarSpec:
-    obj = _load_json_object(data, expect="caterpillar spec")
-    if set(obj) != {"backbone", "feet"}:
-        raise GraphFormatError(
-            'caterpillar spec must have exactly the keys "backbone" and "feet"')
-    backbone, feet = obj["backbone"], obj["feet"]
-    if not isinstance(backbone, int) or isinstance(backbone, bool):
-        raise GraphFormatError('"backbone" must be an integer')
-    if (not isinstance(feet, list)
-            or any(not isinstance(h, int) or isinstance(h, bool) for h in feet)):
-        raise GraphFormatError('"feet" must be a list of integers')
-    try:
-        return CaterpillarSpec(backbone, tuple(feet))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
-
-
-def emit_caterpillar(spec: CaterpillarSpec) -> bytes:
-    payload = {"backbone": spec.backbone, "feet": list(spec.feet)}
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
 # =====================================================================
 # Cographs and cotrees
 # =====================================================================
@@ -430,6 +408,9 @@ def _load_json_value(data, expect: str):
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise GraphFormatError("malformed JSON in %s: %s" % (expect, exc)) from exc
+    except RecursionError:
+        raise GraphFormatError(
+            "malformed JSON in %s: nested too deeply" % expect) from None
 
 
 def _load_json_object(data, expect: str) -> dict:

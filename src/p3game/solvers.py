@@ -18,17 +18,22 @@ Value conventions used throughout:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .closure import hull
 from .engine import Player, Verdict, mex, nim_sum
-from .graphs import (CotreeNode, Graph, UNION, bits, components,
-                     cotree_leaves, is_tree, popcount, validate_cotree)
+from .graphs import Graph, bits, components, is_tree, popcount
 
 
-def _par(k: int) -> int:
-    """Nim-sum of k single-move pendant subgames."""
-    return k & 1
+def _opening_verdict(g: Graph, opening_values) -> Verdict:
+    """Verdict of the game on g from ``opening_values(g)``, the value
+    after each opening by vertex: their mex, with the lowest opening
+    worth 0 as the witness."""
+    if g.n < 1:
+        raise ValueError("cannot decide the game on an empty graph")
+    values = opening_values(g)
+    value = mex(values)
+    if value == 0:
+        return Verdict(Player.SECOND, 0, None)
+    return Verdict(Player.FIRST, value, values.index(0))
 
 
 # =====================================================================
@@ -313,178 +318,110 @@ def block_connected_winner(g: Graph) -> Verdict:
     """Connected game on a graph whose blocks each close from any one of
     their edges (see ``connected_block_values``), with the lowest
     opening worth 0 as the witness."""
-    if g.n < 1:
-        raise ValueError("cannot decide the game on an empty graph")
-    values = connected_block_values(g)
-    value = mex(values)
-    if value == 0:
-        return Verdict(Player.SECOND, 0, None)
-    return Verdict(Player.FIRST, value, values.index(0))
+    return _opening_verdict(g, connected_block_values)
 
 
-def tree_connected_grundy(tree: Graph, first_move: Optional[int] = None) -> int:
-    """Grundy value of the connected game on a tree, read off
-    ``connected_block_values`` (every edge of a tree is a block).
-
-    With ``first_move`` given, returns the value of the position after
-    that move; otherwise the start value (mex over all first moves).
-    """
+def tree_connected_grundy(tree: Graph) -> int:
+    """Grundy value of the connected game on a tree: the mex of
+    ``connected_block_values`` (every edge of a tree is a block)."""
     if not is_tree(tree):
         raise ValueError("input graph is not a tree")
-    values = connected_block_values(tree)
-    if first_move is not None:
-        if not (0 <= first_move < tree.n):
-            raise ValueError("first move %r is not a vertex" % (first_move,))
-        return values[first_move]
-    return mex(values)
+    return mex(connected_block_values(tree))
 
 
 # =====================================================================
-# Cographs (free variant)
+# Free variant: cographs
 # =====================================================================
 
-class _PartStats:
-    """Connected-component profile of one side of a join."""
+def _join_opening_value(s: int, own: list[int], far: list[int]) -> int:
+    """Value after opening at a vertex x of a join of two sides, where
+    x's component inside its own side has s vertices, and ``own`` and
+    ``far`` list the component sizes of x's side and of the other side.
 
-    __slots__ = ("size", "comp_sizes")
-
-    def __init__(self, size: int, comp_sizes: tuple[int, ...]):
-        self.size = size
-        self.comp_sizes = comp_sizes
-
-    @property
-    def comp_count(self):
-        return len(self.comp_sizes)
-
-    @property
-    def has_isolated(self):
-        return any(s == 1 for s in self.comp_sizes)
-
-    @property
-    def has_nonisolated(self):
-        return any(s >= 2 for s in self.comp_sizes)
-
-
-def _part_stats(node: CotreeNode) -> _PartStats:
-    if isinstance(node, int):
-        return _PartStats(1, (1,))
-    sizes = tuple(len(cotree_leaves(c)) for c in node.children)
-    total = sum(sizes)
-    if node.op == UNION:
-        return _PartStats(total, sizes)
-    return _PartStats(total, (total,))
-
-
-def _both_isolated_value(own: _PartStats, other: _PartStats) -> int:
-    """Value of {x, y} with x, y on opposite sides of a 2-part join and
-    each isolated within its side; this is the one two-move position the
-    closure does not finish, so it is evaluated one move deeper.
-
-    Any third move on a side of size >= 2 puts two labels there, which
-    absorbs the entire far side; when the far side then holds >= 2
-    labels it absorbs everything (value 0).  When the far side is a
-    single universal vertex, what remains is one forced move per
-    untouched component of the near side, worth its count mod 2.
+    A side holding two labels absorbs the whole other side, which
+    absorbs everything back unless it is a single vertex; then each
+    untouched component of the near side is one forced move.  The one
+    second move that absorbs nothing labels an isolated vertex across
+    from an isolated x, and is evaluated one move deeper.
     """
-    if own.size == 1 and other.size == 1:
-        return 0  # the join is K_2; nothing is left to play
-    if own.size == 1:
-        return mex((_par(other.comp_count - 2),))
-    if other.size == 1:
-        return mex((_par(own.comp_count - 2),))
-    return 1  # every third move closes the graph: mex{0}
+    a, b = sum(own), sum(far)
+
+    def closed(untouched, other_side):
+        """Value once a side holds two labels and has ``untouched``
+        components left, across from ``other_side`` vertices."""
+        return 0 if other_side >= 2 else untouched & 1
+
+    options = set()
+    if s >= 2:  # a neighbour of x, or any vertex across
+        options.add(closed(len(own) - 1, b))
+    if len(own) >= 2:  # a vertex of another component of x's side
+        options.add(closed(len(own) - 2, b))
+    if s == 1 and max(far) >= 2:  # a vertex across with a neighbour there
+        options.add(closed(len(far) - 1, a))
+    if s == 1 and min(far) == 1:  # an isolated vertex across
+        third = set()
+        if a >= 2:
+            third.add(closed(len(own) - 2, b))
+        if b >= 2:
+            third.add(closed(len(far) - 2, a))
+        options.add(mex(third))
+    return mex(options)
 
 
-def _join_move_value(comp_size: int, own: _PartStats, other: _PartStats) -> int:
-    """Value after a first move on a vertex x with component size
-    ``comp_size`` inside its side of a 2-part join.
+def cograph_free_values(g: Graph) -> list[int]:
+    """Value of the free game after each opening, by vertex, on a
+    cograph; any other graph raises ValueError.
 
-    The closure cascades across the join only through a side holding two
-    labels: that side absorbs the whole opposite side, and the opposite
-    side relays back only if it has >= 2 vertices.  A single-vertex far
-    side cannot relay, leaving one forced move per untouched component.
+    A vertex set of two or more vertices that is connected both in g and
+    in its complement induces a P_4 (Seinsche), so splitting sets into
+    components, or else co-components, down to single vertices from an
+    explicit stack recognises cographs without recursion.
+
+    The components of g are independent games that add by nim-sum.  A
+    component with three or more co-components closes on any second
+    move, so every opening there is worth mex{0} = 1.  With two
+    co-components (the sides of a join), an opening's value depends
+    only on the component sizes of each side (``_join_opening_value``).
+    A single vertex is worth 0 once labeled.
     """
-    cands = []
-    if own.size >= 2:
-        # second move on the same side: the far side is absorbed whole;
-        # with >= 2 vertices there it relays and the graph closes
-        if comp_size >= 2:
-            cands.append(0 if other.size >= 2 else _par(own.comp_count - 1))
-        if own.comp_count >= 2:
-            cands.append(0 if other.size >= 2 else _par(own.comp_count - 2))
-    if comp_size >= 2:
-        # cross move: x's component doubles up, absorbing the far side
-        cands.append(0 if other.size >= 2 else _par(own.comp_count - 1))
-    else:
-        if other.has_nonisolated:
-            # y's component doubles up, absorbing x's whole side
-            cands.append(0 if own.size >= 2 else _par(other.comp_count - 1))
-        if other.has_isolated:
-            cands.append(_both_isolated_value(own, other))
-    return mex(cands)
+    co = Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if not g.has_edge(u, v)])
+    pending = [g.full_mask]
+    while pending:
+        s = pending.pop()
+        if s & (s - 1):
+            parts = components(g, s)
+            if len(parts) == 1:
+                parts = components(co, s)
+            if len(parts) == 1:
+                raise ValueError("the graph has an induced P4")
+            pending += parts
+
+    values = [0] * g.n
+    comps = components(g)
+    for comp in comps:
+        sides = components(co, comp)
+        if len(sides) >= 3:
+            for x in bits(comp):
+                values[x] = 1
+        elif len(sides) == 2:
+            pieces = [components(g, side) for side in sides]
+            sizes = [[popcount(c) for c in p] for p in pieces]
+            for own, far in ((0, 1), (1, 0)):
+                for c in pieces[own]:
+                    value = _join_opening_value(popcount(c), sizes[own],
+                                                sizes[far])
+                    for x in bits(c):
+                        values[x] = value
+    worth = [mex(values[x] for x in bits(comp)) for comp in comps]
+    total = nim_sum(worth)
+    for comp, own in zip(comps, worth):
+        for x in bits(comp):
+            values[x] ^= total ^ own
+    return values
 
 
-def _components_of_part(node: CotreeNode) -> list[tuple[CotreeNode, int]]:
-    """(component subtree, size) pairs for one side of a join; a union's
-    components are exactly its children."""
-    if isinstance(node, int):
-        return [(node, 1)]
-    if node.op == UNION:
-        return [(c, len(cotree_leaves(c))) for c in node.children]
-    return [(node, len(cotree_leaves(node)))]
-
-
-def cotree_move_values(node: CotreeNode) -> dict[int, int]:
-    """Grundy value of the position after each possible first move,
-    keyed by vertex."""
-    if isinstance(node, int):
-        return {node: 0}
-    if node.op == UNION:
-        child_values = [cotree_grundy(c) for c in node.children]
-        total = nim_sum(child_values)
-        out = {}
-        for child, gc in zip(node.children, child_values):
-            rest = total ^ gc
-            for x, m in cotree_move_values(child).items():
-                out[x] = m ^ rest
-        return out
-    # join node
-    if len(node.children) >= 3:
-        # any second move absorbs the rest of the graph, so every first
-        # move is worth mex{0} = 1
-        return {x: 1 for x in cotree_leaves(node)}
-    a, b = node.children
-    stats_a, stats_b = _part_stats(a), _part_stats(b)
-    out = {}
-    for part, own, other in ((a, stats_a, stats_b), (b, stats_b, stats_a)):
-        for comp, size in _components_of_part(part):
-            value = _join_move_value(size, own, other)
-            for x in cotree_leaves(comp):
-                out[x] = value
-    return out
-
-
-def cotree_grundy(node: CotreeNode) -> int:
-    """Grundy value of the free game on the cograph of a cotree.
-
-    A union is a disjoint sum of independent games, so its value is the
-    nim-sum of its children's values; joins and leaves take the mex of
-    their first-move values.
-    """
-    if isinstance(node, int):
-        return 1
-    if node.op == UNION:
-        return nim_sum(cotree_grundy(c) for c in node.children)
-    return mex(set(cotree_move_values(node).values()))
-
-
-def cograph_free_winner(cotree: CotreeNode) -> Verdict:
-    """Free game on a cograph, solved from its cotree by component
-    counting (no search)."""
-    validate_cotree(cotree)
-    value = cotree_grundy(cotree)
-    if value == 0:
-        return Verdict(Player.SECOND, 0, None)
-    moves = cotree_move_values(cotree)
-    witness = min(x for x, m in moves.items() if m == 0)
-    return Verdict(Player.FIRST, value, witness)
+def cograph_free_winner(g: Graph) -> Verdict:
+    """Free game on a cograph (see ``cograph_free_values``), with the
+    lowest opening worth 0 as the witness."""
+    return _opening_verdict(g, cograph_free_values)

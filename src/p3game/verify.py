@@ -179,10 +179,10 @@ FAMILIES = {
     "cograph": Family(
         1, "cographs need at least %d vertex",
         lambda least, max_n, rng: (
-            ({"sample": k, "leaves": len(graphs.cotree_leaves(c))},
-             make_cograph(c), FREE, partial(solvers.cograph_free_winner, c))
+            ({"sample": k, "leaves": g.n}, g, FREE,
+             partial(solvers.cograph_free_winner, g))
             for k in range(200)
-            for c in [graphs.random_cotree(max_n, rng)])),
+            for g in [make_cograph(graphs.random_cotree(max_n, rng))])),
     "star": _each_size("star", "stars need at least %d leaves", FREE,
                        "star_free_winner", key="t"),
     "clique": _each_size("clique", "cliques need at least %d vertex", FREE,

@@ -2,11 +2,12 @@
 small graphs (one representative per isomorphism class), and the graph
 invariant check run on every generator output."""
 
+import itertools
 from functools import lru_cache
 
 import networkx as nx
 
-from p3game import Graph, bits
+from p3game import Graph, bits, mask_of
 
 
 def nx_to_graph(g) -> Graph:
@@ -41,6 +42,17 @@ def connected_atlas_graphs(max_n: int) -> tuple:
         if 1 <= g.number_of_nodes() <= max_n and nx.is_connected(g):
             out.append(nx_to_graph(g))
     return tuple(out)
+
+
+def has_induced_p4(g: Graph) -> bool:
+    """Whether some four vertices of g induce a path: among four
+    vertices, degrees 1, 1, 2, 2 inside the four mean exactly P_4."""
+    for quad in itertools.combinations(range(g.n), 4):
+        inside = mask_of(quad)
+        if sorted((g.adj[v] & inside).bit_count() for v in quad) == \
+                [1, 1, 2, 2]:
+            return True
+    return False
 
 
 def check_graph_invariants(g: Graph) -> None:

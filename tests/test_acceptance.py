@@ -5,7 +5,7 @@ a wall-clock deadline asserted for each sweep."""
 import random
 import time
 
-from p3game import (Player, Variant, apply_move, block_connected_winner,
+from p3game import (Player, Variant, Verdict, apply_move, block_connected_winner,
                     clique_free_winner, cograph_free_winner,
                     connected_cycle_grundy, connected_path_grundy, decide,
                     free_cycle_winner, free_path_grundy, grundy, hull,
@@ -151,10 +151,28 @@ def test_cograph_sweep():
     t0 = time.monotonic()
     rng = random.Random(1010)
     for _ in range(200):
-        cotree = random_cotree(12, rng)
-        assert cograph_free_winner(cotree) == \
-            decide(make_cograph(cotree), Variant.FREE), cotree
+        g = make_cograph(random_cotree(12, rng))
+        assert cograph_free_winner(g) == decide(g, Variant.FREE), g.edges()
     assert time.monotonic() - t0 < 300  # deadline: five minutes
+
+
+def _threshold(n):
+    """Threshold graph whose odd vertices are joined to every earlier
+    vertex: its cotree alternates union and join n - 1 levels deep."""
+    return Graph(n, [(u, v) for v in range(1, n) if v % 2 for u in range(v)])
+
+
+def test_cograph_solver_on_threshold_graphs():
+    g = _threshold(200)
+    assert cograph_free_winner(g) == decide(g, Variant.FREE)
+    # far past the default recursion limit: the solver keeps its own stack
+    t0 = time.monotonic()
+    v = cograph_free_winner(_threshold(1500))
+    assert time.monotonic() - t0 < 30  # deadline: thirty seconds
+    # by hand: after the universal last vertex, the isolated vertex 1498
+    # and the rest (which closes on any move) are one move each, worth
+    # 1 ^ 1 = 0; every other opening can move to 0 or 1, so is worth 2
+    assert v == Verdict(Player.FIRST, 1, 1499)
 
 
 def test_disjoint_union_grundy_is_the_nim_sum():

@@ -81,6 +81,15 @@ def test_solve_malformed_graph_is_a_usage_error(tmp_path):
     assert "error:" in err
 
 
+def test_solve_deeply_nested_graph_json_is_a_usage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["solve", "--graph", str(path),
+                              "--variant", "free"])
+    assert code == 2 and out == ""
+    assert err == "error: malformed JSON in graph: nested too deeply\n"
+
+
 def test_solve_empty_graph_is_a_usage_error(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')
@@ -247,6 +256,13 @@ def test_truncated_cache_line_is_a_parse_error(tmp_path):
     assert code == 2 and out == ""
     assert "line 2 is not a cache record" in err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_cache_line_is_a_parse_error(tmp_path):
+    code, out, err = _solve_with_cache_lines(
+        tmp_path, ["[" * 5000 + "]" * 5000])
+    assert code == 2 and out == ""
+    assert "line 2 is not a cache record: RecursionError" in err
 
 
 def test_non_json_cache_line_is_a_parse_error(tmp_path):
@@ -689,6 +705,21 @@ def test_gen_cograph_from_cotree_file(tmp_path):
     assert code == 0
     assert parse_graph(out.encode()) == make_clique(3)
     assert parse_graph(out.encode()) == make_cograph(cotree)
+
+
+def test_gen_cograph_from_a_deeply_nested_cotree_is_a_usage_error(tmp_path):
+    # a valid threshold cotree whose unions and joins alternate for 519
+    # levels, nested in JSON past what the decoder accepts
+    text = "519"
+    for v in reversed(range(519)):
+        text = '{"children":[%d,%s],"op":"%s"}' % (
+            v, text, "join" if v % 2 else "union")
+    cotree_path = tmp_path / "t.json"
+    cotree_path.write_text(text)
+    code, out, err = run_cli(["gen", "--family", "cograph",
+                              "--cotree", str(cotree_path), "-o", "-"])
+    assert code == 2 and out == ""
+    assert err == "error: malformed JSON in cotree: nested too deeply\n"
 
 
 def test_gen_tree_is_seeded_and_deterministic():

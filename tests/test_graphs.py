@@ -1,7 +1,6 @@
 """Graph layer: construction invariants, family generators, JSON
 round-trips with distinct diagnostics, and seeded sampler determinism."""
 
-import itertools
 import json
 import random
 
@@ -9,17 +8,16 @@ import networkx as nx
 import pytest
 
 from p3game import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
-                    bits, components, emit_caterpillar, emit_cotree,
-                    emit_graph, graph_digest, induced_subgraph, is_tree,
-                    make_caterpillar, make_clique, make_cograph, make_cycle,
-                    make_ladder, make_path, make_star, mask_of,
-                    parse_caterpillar, parse_cotree, parse_graph,
+                    bits, components, emit_cotree, emit_graph, graph_digest,
+                    induced_subgraph, is_tree, make_caterpillar, make_clique,
+                    make_cograph, make_cycle, make_ladder, make_path,
+                    make_star, mask_of, parse_cotree, parse_graph,
                     random_biconnected_chordal, random_caterpillar_spec,
                     random_chordal, random_cotree, random_gnp, random_tree)
 from p3game.graphs import (JOIN, UNION, cotree_leaves, is_connected, popcount,
                            validate_cotree)
 
-from helpers import check_graph_invariants, graph_to_nx
+from helpers import check_graph_invariants, graph_to_nx, has_induced_p4
 
 
 # =====================================================================
@@ -207,21 +205,6 @@ def test_caterpillar_spec_validation():
     assert CaterpillarSpec(3, (1, 0, 2)).total_vertices == 6
 
 
-def test_caterpillar_spec_roundtrip_and_diagnostics():
-    spec = CaterpillarSpec(4, (1, 0, 0, 2))
-    assert parse_caterpillar(emit_caterpillar(spec)) == spec
-    with pytest.raises(GraphFormatError, match="malformed JSON"):
-        parse_caterpillar(b"{")
-    with pytest.raises(GraphFormatError, match="exactly the keys"):
-        parse_caterpillar(b'{"backbone": 2}')
-    with pytest.raises(GraphFormatError, match="integer"):
-        parse_caterpillar(b'{"backbone": "2", "feet": [0, 0]}')
-    with pytest.raises(GraphFormatError, match="list of integers"):
-        parse_caterpillar(b'{"backbone": 2, "feet": [0, true]}')
-    with pytest.raises(GraphFormatError):
-        parse_caterpillar(b'{"backbone": 2, "feet": [0]}')
-
-
 # =====================================================================
 # cotrees and cographs
 # =====================================================================
@@ -265,22 +248,12 @@ def test_make_cograph_realizations():
     assert make_cograph(0) == Graph(1, [])
 
 
-def _is_path_on_4(sub: Graph) -> bool:
-    return (sub.edge_count() == 3
-            and sorted(sub.degree(v) for v in range(4)) == [1, 1, 2, 2]
-            and is_connected(sub))
-
-
 def test_cographs_have_no_induced_p4():
     # guard: the predicate does recognize a real P_4
-    assert _is_path_on_4(make_path(4))
+    assert has_induced_p4(make_path(4))
     rng = random.Random(5)
     for _ in range(30):
-        t = random_cotree(12, rng)
-        g = make_cograph(t)
-        for quad in itertools.combinations(range(g.n), 4):
-            sub, _ = induced_subgraph(g, mask_of(quad))
-            assert not _is_path_on_4(sub)
+        assert not has_induced_p4(make_cograph(random_cotree(12, rng)))
 
 
 # =====================================================================

@@ -9,18 +9,19 @@ import pytest
 
 from p3game import (CaterpillarSpec, Cotree, Player, Position, Variant,
                     Verdict, block_connected_winner, clique_free_winner,
-                    cograph_free_winner, connected_block_values,
-                    connected_cycle_arc_values, connected_cycle_grundy,
-                    connected_path_f, connected_path_grundy, cotree_grundy,
-                    cotree_move_values, decide, free_cycle_winner,
-                    free_path_grundy, free_path_grundy_table, grundy, hull,
+                    cograph_free_values, cograph_free_winner,
+                    connected_block_values, connected_cycle_arc_values,
+                    connected_cycle_grundy, connected_path_f,
+                    connected_path_grundy, cotree_leaves, decide,
+                    free_cycle_winner, free_path_grundy,
+                    free_path_grundy_table, grundy, hull, induced_subgraph,
                     ladder_connected_winner, make_caterpillar, make_cograph,
                     make_cycle, make_ladder, make_path, mask_of, mex,
                     nim_sum, random_cotree, random_tree,
                     star_free_winner, start_position, tree_connected_grundy)
-from p3game.graphs import JOIN, UNION, Graph, GraphFormatError
+from p3game.graphs import JOIN, UNION, Graph
 
-from helpers import atlas_graphs, graph_to_nx
+from helpers import atlas_graphs, graph_to_nx, has_induced_p4
 from reference import free_cycle_by_reduction, reference_decide
 
 
@@ -203,7 +204,7 @@ def test_tree_solver_solves_5000_vertex_trees():
         n += length
     spider = Graph(n, edges)
     assert n > 5000
-    assert tree_connected_grundy(spider, first_move=0) == \
+    assert connected_block_values(spider)[0] == \
         nim_sum(connected_path_f(length + 1) for length in legs)
 
 
@@ -213,15 +214,13 @@ def test_tree_solver_basics():
         tree_connected_grundy(make_cycle(4))
     with pytest.raises(ValueError, match="not a tree"):
         tree_connected_grundy(Graph(2, []))
-    with pytest.raises(ValueError, match="not a vertex"):
-        tree_connected_grundy(make_path(3), first_move=7)
 
 
 def test_tree_solver_first_move_decomposition():
     rng = random.Random(30)
     for _ in range(20):
         t = random_tree(rng.randint(1, 12), rng)
-        per_move = [tree_connected_grundy(t, first_move=x) for x in range(t.n)]
+        per_move = connected_block_values(t)
         assert tree_connected_grundy(t) == mex(per_move)
         # each first-move value equals the engine value of that position
         for x in range(min(t.n, 4)):
@@ -308,15 +307,19 @@ def test_caterpillar_witness_is_a_winning_move():
 
 def test_cograph_clique_rule_agreement():
     for n in range(2, 11):
-        v = cograph_free_winner(Cotree(JOIN, tuple(range(n))))
+        v = cograph_free_winner(make_cograph(Cotree(JOIN, tuple(range(n)))))
         assert v == Verdict(Player.SECOND, 0, None)
-    assert cograph_free_winner(0) == Verdict(Player.FIRST, 1, 0)
+    assert cograph_free_winner(Graph(1, [])) == Verdict(Player.FIRST, 1, 0)
+    with pytest.raises(ValueError, match="empty graph"):
+        cograph_free_winner(Graph(0, []))
 
 
 def test_cograph_union_of_two_edges():
-    t = Cotree(UNION, (Cotree(JOIN, (0, 1)), Cotree(JOIN, (2, 3))))
-    assert cotree_grundy(t) == 0  # each edge is worth 0; nim-sum 0
-    assert cograph_free_winner(t).winner is Player.SECOND
+    g = make_cograph(Cotree(UNION, (Cotree(JOIN, (0, 1)),
+                                    Cotree(JOIN, (2, 3)))))
+    # each edge is worth 0, so every opening leaves 1 ^ 0
+    assert cograph_free_values(g) == [1, 1, 1, 1]
+    assert cograph_free_winner(g).winner is Player.SECOND
 
 
 def test_cograph_universal_vertex_parity_example():
@@ -325,44 +328,46 @@ def test_cograph_universal_vertex_parity_example():
     # the reply position is worth the parity of three, value 1
     edges = Cotree(UNION, tuple(Cotree(JOIN, (2 * i + 1, 2 * i + 2))
                                 for i in range(3)))
-    t = Cotree(JOIN, (0, edges))
-    moves = cotree_move_values(t)
-    assert moves[0] == 1
-    assert all(moves[x] == 2 for x in range(1, 7))
-    v = cograph_free_winner(t)
+    g = make_cograph(Cotree(JOIN, (0, edges)))
+    assert cograph_free_values(g) == [1, 2, 2, 2, 2, 2, 2]
+    v = cograph_free_winner(g)
     assert v == Verdict(Player.SECOND, 0, None)
-    assert v == decide(make_cograph(t), Variant.FREE)
+    assert v == decide(g, Variant.FREE)
 
 
 def test_cograph_paw_regression():
     # paw: triangle with a pendant vertex attached through the join; a
     # one-vertex far side cannot relay the cascade back, so taking the
     # universal vertex leaves two forced moves, value 0, first win
-    paw = Cotree(JOIN, (Cotree(UNION, (0, Cotree(JOIN, (1, 2)))), 3))
-    moves = cotree_move_values(paw)
+    paw = make_cograph(Cotree(JOIN, (Cotree(UNION, (0, Cotree(JOIN, (1, 2)))),
+                                     3)))
+    moves = cograph_free_values(paw)
     assert moves[3] == 0
-    assert cotree_grundy(paw) == 1
-    assert cograph_free_winner(paw) == decide(make_cograph(paw), Variant.FREE)
+    assert mex(moves) == 1
+    assert cograph_free_winner(paw) == decide(paw, Variant.FREE)
 
 
 def test_cograph_wide_union_under_a_universal_vertex_regression():
     # six pieces under the union, one of them an edge; playing the lone
     # join vertex leaves one forced move per far component rather than
     # absorbing them outright
-    t = Cotree(JOIN, (Cotree(UNION, (Cotree(JOIN, (3, 5)), 6, 7, 4, 2, 0)),
-                      1))
-    assert cotree_move_values(t)[1] == 0
-    v = cograph_free_winner(t)
+    g = make_cograph(Cotree(JOIN, (Cotree(UNION, (Cotree(JOIN, (3, 5)),
+                                                  6, 7, 4, 2, 0)), 1)))
+    assert cograph_free_values(g)[1] == 0
+    v = cograph_free_winner(g)
     assert v == Verdict(Player.FIRST, 1, 1)
-    assert v == decide(make_cograph(t), Variant.FREE)
+    assert v == decide(g, Variant.FREE)
 
 
 def test_cograph_move_values_mex_to_grundy():
+    # each opening value is the engine's value of the position it leaves
     rng = random.Random(33)
     for _ in range(50):
-        t = random_cotree(9, rng)
-        moves = cotree_move_values(t)
-        assert cotree_grundy(t) == mex(list(moves.values()))
+        g = make_cograph(random_cotree(9, rng))
+        values = cograph_free_values(g)
+        assert values == [grundy(Position(g, hull(g, 1 << x), Variant.FREE))
+                          for x in range(g.n)]
+        assert mex(values) == grundy(start_position(g, Variant.FREE))
 
 
 def test_cograph_union_value_is_nim_sum_of_children():
@@ -373,24 +378,41 @@ def test_cograph_union_value_is_nim_sum_of_children():
         if not (isinstance(t, Cotree) and t.op == UNION):
             continue
         seen_unions += 1
+        g = make_cograph(t)
         expect = 0
         for child in t.children:
-            expect ^= cotree_grundy(child)
-        assert cotree_grundy(t) == expect
+            part, _ = induced_subgraph(g, mask_of(cotree_leaves(child)))
+            expect ^= mex(cograph_free_values(part))
+        assert mex(cograph_free_values(g)) == expect
 
 
 def test_cograph_solver_matches_engine_on_random_cotrees():
     rng = random.Random(35)
     for _ in range(40):
-        t = random_cotree(10, rng)
-        assert cograph_free_winner(t) == decide(make_cograph(t), Variant.FREE)
+        g = make_cograph(random_cotree(10, rng))
+        assert cograph_free_winner(g) == decide(g, Variant.FREE)
 
 
-def test_cograph_solver_rejects_malformed_cotree():
-    with pytest.raises(GraphFormatError):
-        cograph_free_winner(Cotree(JOIN, (0,)))
-    with pytest.raises(GraphFormatError):
-        cograph_free_winner(Cotree("meet", (0, 1)))
+def test_cograph_solver_rejects_non_cographs():
+    house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+    for g in (make_path(4), make_cycle(5), house):
+        with pytest.raises(ValueError, match="induced P4"):
+            cograph_free_values(g)
+        with pytest.raises(ValueError, match="induced P4"):
+            cograph_free_winner(g)
+
+
+def test_cograph_solver_on_every_atlas_graph():
+    cographs = 0
+    for g in atlas_graphs(7):
+        if has_induced_p4(g):
+            with pytest.raises(ValueError, match="induced P4"):
+                cograph_free_winner(g)
+            continue
+        assert cograph_free_winner(g) == \
+            reference_decide(g, Variant.FREE), g.edges()
+        cographs += 1
+    assert cographs == 287
 
 
 # =====================================================================
