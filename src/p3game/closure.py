@@ -6,7 +6,8 @@ neighbors inside S.  The hull of A is the smallest P3-closed superset of
 A, obtained by repeatedly absorbing any vertex with two labeled
 neighbors.  ``hull`` finds all such vertices of a round at once, as a
 bitmask built from the adjacency rows of the vertices absorbed so far,
-so it costs a few big-integer operations per vertex of the hull.  The
+so it costs a few big-integer operations per vertex of the hull
+(per vertex outside a closed set the caller already holds).  The
 hull operator is a closure operator: extensive, monotone,
 idempotent, and with an empty hull for the empty set; closed sets are
 also closed under intersection.  Tests exercise all of these properties.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 from .graphs import Graph, bits, components, popcount
 
@@ -53,21 +55,28 @@ def is_p3_closed(g: Graph, s: int) -> bool:
     return True
 
 
-def hull(g: Graph, a: int) -> int:
+def hull(g: Graph, a: int, closed: int = 0, ones: int = 0) -> int:
     """Smallest P3-closed superset of a.
 
     Word-parallel fixpoint over two bitmasks: ``ones`` holds the
     vertices with at least one neighbor among the vertices processed so
     far, ``twos`` those with at least two.  Processing v is
     ``twos |= ones & adj[v]; ones |= adj[v]``; each round absorbs
-    ``twos`` outside the hull and processes only what it absorbed.  Every
-    vertex of the result is processed once, so a call costs O(|hull|)
-    big-integer operations and allocates nothing per vertex.  This sits
-    in the innermost loop of the search engine.
+    ``twos`` outside the hull and processes only what it absorbed.
+
+    A caller that knows a P3-closed ``closed`` inside a may pass it with
+    ``ones`` = N(closed) - closed, its boundary.  No vertex outside a
+    closed set has two neighbors in it, so the fixpoint starts as if
+    closed were already processed, and only a - closed and what it
+    absorbs are.  The result is the hull of a either way.  A call costs
+    O(|a - closed| + absorbed) big-integer operations and allocates
+    nothing per vertex; this sits in the innermost loop of the search
+    engine.
     """
     adj = g.adj
-    ones = twos = 0
-    inside = new = a
+    twos = 0
+    inside = a
+    new = a & ~closed
     while new:
         while new:
             low = new & -new
@@ -120,20 +129,26 @@ def legal_moves(p: Position) -> int:
     """Bitmask of playable vertices.
 
     Free: every unlabeled vertex.  Connected: every vertex when L is
-    empty, else the unlabeled vertices within distance two of L (two
-    rounds of neighborhood expansion; full BFS is never needed).
+    empty, else the unlabeled vertices within distance two of L.  Those
+    are the boundary N(L) - L and its neighbors, because the neighbors
+    of a vertex of L lie in L or the boundary; full BFS is never needed.
     """
     return legal_moves_raw(p.graph, p.labeled, p.variant)
 
 
-def legal_moves_raw(g: Graph, labeled: int, variant: Variant) -> int:
-    """legal_moves on the raw bitmask, for engine inner loops."""
-    unlabeled = g.full_mask & ~labeled
+def legal_moves_raw(g: Graph, labeled: int, variant: Variant,
+                    edge: Optional[int] = None) -> int:
+    """legal_moves on the raw bitmask, for engine inner loops.
+
+    ``edge`` is the boundary N(labeled) - labeled when the caller has
+    it; it is computed otherwise.  Passing it makes a connected call
+    cost O(|edge|) instead of O(|labeled|).
+    """
     if variant is Variant.FREE or labeled == 0:
-        return unlabeled
-    reach = labeled | g.neighborhood_of_set(labeled)
-    reach |= g.neighborhood_of_set(reach)
-    return reach & unlabeled
+        return g.full_mask & ~labeled
+    if edge is None:
+        edge = g.neighborhood_of_set(labeled) & ~labeled
+    return (edge | g.neighborhood_of_set(edge)) & ~labeled
 
 
 def apply_move(p: Position, x: int) -> Position:

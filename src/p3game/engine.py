@@ -17,6 +17,10 @@ C with everything else labeled:
     val(C) = mex over the legal x in C of the nim-sum of val(D)
              over the components D of C - hull((G - C) + x)
 
+Expanding C reads C alone: the hull of each child starts from the
+closed set G - C and the boundary of C, and the distance-two rule grows
+from that boundary, so a child costs O(|C|), not O(n).
+
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L, and so is the free start (the components of G).
 The connected start is the one position that is not a sum: the opening
@@ -102,10 +106,11 @@ class TranspositionTable:
     ``entries[variant]`` maps a component mask C to val(C) (see the
     module docstring).  Every stored C is connected and G - C is
     P3-closed.  An entry, once written, never changes; a conflicting
-    write raises.  The budget counts entries of both variants.
+    write raises.  The budget counts entries of both variants.  The
+    search reads ``entries`` directly and writes through ``store``.
     """
 
-    __slots__ = ("graph", "budget", "entries")
+    __slots__ = ("graph", "budget", "entries", "size")
 
     def __init__(self, graph: Graph, budget: int = DEFAULT_BUDGET):
         if budget < 1:
@@ -113,6 +118,7 @@ class TranspositionTable:
         self.graph = graph
         self.budget = budget
         self.entries: dict[Variant, dict[int, int]] = {v: {} for v in Variant}
+        self.size = 0  # entries of both variants, kept by store
 
     def lookup(self, component: int, variant: Variant) -> Optional[int]:
         return self.entries[variant].get(component)
@@ -126,13 +132,14 @@ class TranspositionTable:
                     "transposition table corruption: %r stored %d, got %d"
                     % ((component, variant), prior, value))
             return
-        if len(self) >= self.budget:
+        if self.size >= self.budget:
             raise ResourceLimitError(
                 "node budget of %d table entries exceeded" % self.budget)
         entries[component] = value
+        self.size += 1
 
     def __len__(self):
-        return sum(len(entries) for entries in self.entries.values())
+        return self.size
 
 
 def grundy(p: Position, table: Optional[TranspositionTable] = None,
@@ -159,37 +166,44 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
 def _component_value(g: Graph, comp: int, variant: Variant,
                      table: TranspositionTable) -> int:
     """val(comp), evaluating what is not yet memoized below it from an
-    explicit stack of components."""
-    lookup, store = table.lookup, table.store
-    value = lookup(comp, variant)
-    if value is not None:
-        return value
-    full = g.full_mask
+    explicit stack of components.  Each expansion scans C once for its
+    boundary (the vertices of C with a neighbour outside C, one each),
+    which seeds the legal moves and every child's hull."""
+    memo = table.entries[variant]
+    if comp in memo:
+        return memo[comp]
+    adj, full = g.adj, g.full_mask
     stack = [comp]
     expanded = {}  # component on the stack -> its children, split in parts
     while stack:
         c = stack[-1]
         children = expanded.pop(c, None)
         if children is None:
-            if lookup(c, variant) is not None:
+            if c in memo:
                 stack.pop()  # pushed twice, solved since
                 continue
             outside = full & ~c
-            rests = {c & ~hull(g, outside | 1 << x)
-                     for x in bits(legal_moves_raw(g, outside, variant))}
+            edge = 0
+            scan = c
+            while scan:
+                low = scan & -scan
+                if adj[low.bit_length() - 1] & outside:
+                    edge |= low
+                scan ^= low
+            rests = {c & ~hull(g, outside | 1 << x, outside, edge)
+                     for x in bits(legal_moves_raw(g, outside, variant, edge))}
             # only components are stored, so a stored rest is one
-            children = [[rest] if lookup(rest, variant) is not None
-                        else components(g, rest) for rest in rests]
+            children = [[rest] if rest in memo else components(g, rest)
+                        for rest in rests]
             unsolved = [d for parts in children for d in parts
-                        if lookup(d, variant) is None]
+                        if d not in memo]
             if unsolved:
                 expanded[c] = children
                 stack += unsolved
                 continue
         stack.pop()
-        value = mex(nim_sum(lookup(d, variant) for d in parts)
-                    for parts in children)
-        store(c, variant, value)
+        value = mex(nim_sum(memo[d] for d in parts) for parts in children)
+        table.store(c, variant, value)
     return value
 
 

@@ -25,6 +25,8 @@ import json
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -91,6 +93,18 @@ class Graph:
         self.adj = tuple(rows)
         self._hash = hash((n, self.adj))
 
+    @classmethod
+    def _from_rows(cls, rows) -> "Graph":
+        """The graph with adjacency rows ``rows``, unchecked: the caller
+        guarantees they are symmetric, loop-free and in range.  For
+        builders whose rows are right by construction (a complement, a
+        cotree's graph), where the edge-by-edge constructor would spend
+        time quadratic in n on edge tuples and checks."""
+        g = cls.__new__(cls)
+        g.n, g.adj = len(rows), tuple(rows)
+        g._hash = hash((g.n, g.adj))
+        return g
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -117,6 +131,13 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
+
+    def complement(self) -> "Graph":
+        """The graph on the same vertices whose edges are this graph's
+        non-edges, built row by row in O(n) big-integer operations."""
+        full = self.full_mask
+        return Graph._from_rows([full & ~row & ~(1 << v)
+                                 for v, row in enumerate(self.adj)])
 
     def neighborhood_of_set(self, mask: int) -> int:
         """Union of neighborhoods of the vertices in ``mask``.
@@ -302,14 +323,23 @@ class Cotree:
         object.__setattr__(self, "children", tuple(self.children))
 
 
+def _cotree_nodes(node: CotreeNode) -> list:
+    """Every node of a cotree, leaves included, in preorder (each node
+    before its children, children left to right), from an explicit
+    stack, so the depth of the cotree is not bounded by Python's
+    recursion limit."""
+    out, stack = [], [node]
+    while stack:
+        nd = stack.pop()
+        out.append(nd)
+        if isinstance(nd, Cotree):
+            stack.extend(reversed(nd.children))
+    return out
+
+
 def cotree_leaves(node: CotreeNode) -> list[int]:
     """Leaf vertex ids in left-to-right order."""
-    if isinstance(node, int):
-        return [node]
-    out = []
-    for child in node.children:
-        out.extend(cotree_leaves(child))
-    return out
+    return [nd for nd in _cotree_nodes(node) if not isinstance(nd, Cotree)]
 
 
 def validate_cotree(node: CotreeNode) -> int:
@@ -317,11 +347,13 @@ def validate_cotree(node: CotreeNode) -> int:
 
     Returns the vertex count n.  Raises GraphFormatError otherwise.
     """
-    def walk(nd, parent_op):
+    stack = [(node, None)]
+    while stack:
+        nd, parent_op = stack.pop()
         if isinstance(nd, bool) or not isinstance(nd, (int, Cotree)):
             raise GraphFormatError("cotree leaf must be an integer vertex id")
         if isinstance(nd, int):
-            return
+            continue
         if nd.op not in (UNION, JOIN):
             raise GraphFormatError('cotree op must be "union" or "join", got %r' % (nd.op,))
         if len(nd.children) < 2:
@@ -329,10 +361,7 @@ def validate_cotree(node: CotreeNode) -> int:
         if nd.op == parent_op:
             raise GraphFormatError(
                 "cotree not canonical: nested %r nodes must be merged" % nd.op)
-        for child in nd.children:
-            walk(child, nd.op)
-
-    walk(node, None)
+        stack.extend((child, nd.op) for child in reversed(nd.children))
     leaves = cotree_leaves(node)
     if sorted(leaves) != list(range(len(leaves))):
         raise GraphFormatError(
@@ -342,27 +371,31 @@ def validate_cotree(node: CotreeNode) -> int:
 
 def make_cograph(cotree: CotreeNode) -> Graph:
     """Realize a cotree: a join node connects every cross pair of its
-    children's vertex sets, a union node connects none."""
+    children's vertex sets, a union node connects none.
+
+    A vertex's row is the union, over its join ancestors, of the
+    ancestor's vertices outside the child it descends through.  One pass
+    from the leaves up gives every node's vertex mask, and one pass from
+    the root down hands each child its ancestors' contribution, so the
+    graph costs O(nodes) big-integer operations at any depth.
+    """
     n = validate_cotree(cotree)
-    edges = []
-
-    def walk(nd) -> int:
+    nodes = _cotree_nodes(cotree)
+    mask = {}  # id of a node (a leaf is its own int) -> its vertex set
+    for nd in reversed(nodes):  # children before parents
+        mask[id(nd)] = (1 << nd if isinstance(nd, int) else
+                        reduce(or_, (mask[id(c)] for c in nd.children)))
+    rows = [0] * n
+    above = {id(cotree): 0}  # id of a node -> its ancestors' contribution
+    for nd in nodes:  # parents before children
         if isinstance(nd, int):
-            return 1 << nd
-        masks = [walk(child) for child in nd.children]
-        if nd.op == JOIN:
-            for i in range(len(masks)):
-                for j in range(i + 1, len(masks)):
-                    for u in bits(masks[i]):
-                        for v in bits(masks[j]):
-                            edges.append((min(u, v), max(u, v)))
-        combined = 0
-        for m in masks:
-            combined |= m
-        return combined
-
-    walk(cotree)
-    return Graph(n, edges)
+            rows[nd] = above[id(nd)]
+            continue
+        inherited, whole = above[id(nd)], mask[id(nd)]
+        for child in nd.children:
+            above[id(child)] = (inherited | whole & ~mask[id(child)]
+                                if nd.op == JOIN else inherited)
+    return Graph._from_rows(rows)
 
 
 def parse_cotree(data) -> CotreeNode:

@@ -384,8 +384,7 @@ def cograph_free_values(g: Graph) -> list[int]:
     only on the component sizes of each side (``_join_opening_value``).
     A single vertex is worth 0 once labeled.
     """
-    co = Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.has_edge(u, v)])
+    co = g.complement()
     pending = [g.full_mask]
     while pending:
         s = pending.pop()

@@ -3,18 +3,20 @@ replayed against the exhaustive engine at the full advertised sizes, with
 a wall-clock deadline asserted for each sweep."""
 
 import random
+import sys
 import time
 
-from p3game import (Player, Variant, Verdict, apply_move, block_connected_winner,
-                    clique_free_winner, cograph_free_winner,
-                    connected_cycle_grundy, connected_path_grundy, decide,
-                    free_cycle_winner, free_path_grundy, grundy, hull,
-                    is_p3_closed, ladder_connected_winner, make_caterpillar,
-                    make_clique, make_cograph, make_cycle, make_ladder,
-                    make_path, make_star, nim_sum, random_caterpillar_spec,
+from p3game import (Cotree, Player, Variant, Verdict, apply_move,
+                    block_connected_winner, clique_free_winner,
+                    cograph_free_winner, connected_cycle_grundy,
+                    connected_path_grundy, decide, free_cycle_winner,
+                    free_path_grundy, grundy, hull, is_p3_closed,
+                    ladder_connected_winner, make_caterpillar, make_clique,
+                    make_cograph, make_cycle, make_ladder, make_path,
+                    make_star, nim_sum, random_caterpillar_spec,
                     random_chordal, random_cotree, random_gnp, random_tree,
                     star_free_winner, start_position, tree_connected_grundy)
-from p3game.graphs import Graph
+from p3game.graphs import JOIN, UNION, Graph, cotree_leaves, validate_cotree
 from p3game.verify import enumerate_trees, run_family
 
 
@@ -49,7 +51,7 @@ def test_clique_sweep():
 
 def test_connected_cycle_sweep():
     t0 = time.monotonic()
-    for n in range(3, 19):
+    for n in range(3, 41):
         verdict = decide(make_cycle(n), Variant.CONNECTED)
         assert verdict.grundy == connected_cycle_grundy(n)
         assert (verdict.winner is Player.FIRST) == (n % 3 == 2)
@@ -58,7 +60,7 @@ def test_connected_cycle_sweep():
 
 def test_connected_path_sweep():
     t0 = time.monotonic()
-    for n in range(1, 19):
+    for n in range(1, 41):
         verdict = decide(make_path(n), Variant.CONNECTED)
         assert verdict.grundy == connected_path_grundy(n)
     assert time.monotonic() - t0 < 120  # deadline: two minutes
@@ -96,7 +98,7 @@ def test_ladder_sweep():
 
 def test_free_path_sweep():
     t0 = time.monotonic()
-    for n in range(1, 17):
+    for n in range(1, 41):
         assert free_path_grundy(n) == \
             grundy(start_position(make_path(n), Variant.FREE))
     assert time.monotonic() - t0 < 120  # deadline: two minutes
@@ -104,7 +106,7 @@ def test_free_path_sweep():
 
 def test_free_cycle_sweep():
     t0 = time.monotonic()
-    for n in range(3, 17):
+    for n in range(3, 33):
         assert free_cycle_winner(n) == decide(make_cycle(n), Variant.FREE)
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
@@ -116,7 +118,7 @@ def test_tree_sweep():
             grundy(start_position(tree, Variant.CONNECTED)), (n, idx)
     rng = random.Random(88)
     for _ in range(200):
-        tree = random_tree(rng.randint(1, 14), rng)
+        tree = random_tree(rng.randint(1, 40), rng)
         assert tree_connected_grundy(tree) == \
             grundy(start_position(tree, Variant.CONNECTED))
     assert time.monotonic() - t0 < 300  # deadline: five minutes
@@ -160,6 +162,19 @@ def _threshold(n):
     """Threshold graph whose odd vertices are joined to every earlier
     vertex: its cotree alternates union and join n - 1 levels deep."""
     return Graph(n, [(u, v) for v in range(1, n) if v % 2 for u in range(v)])
+
+
+def test_make_cograph_of_a_cotree_deeper_than_the_recursion_limit():
+    # the alternating cotree of _threshold(n) is n - 1 levels deep; the
+    # cotree helpers walk it from their own stacks
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    cotree = 0
+    for v in range(1, n):
+        cotree = Cotree(JOIN if v % 2 else UNION, (cotree, v))
+    assert validate_cotree(cotree) == n
+    assert cotree_leaves(cotree) == list(range(n))
+    assert make_cograph(cotree) == _threshold(n)
 
 
 def test_cograph_solver_on_threshold_graphs():

@@ -12,7 +12,7 @@ from p3game import (IllegalMoveError, Position, Variant, apply_move, bits,
                     start_position)
 from p3game.closure import legal_moves_raw
 
-from helpers import connected_atlas_graphs
+from helpers import atlas_graphs, connected_atlas_graphs
 from reference import hull_by_rescan
 
 
@@ -129,6 +129,26 @@ def test_hull_matches_rescan_beyond_one_machine_word():
     assert hull(p601, mask_of(range(0, 601, 2))) == p601.full_mask
 
 
+def _closed_sets(g):
+    """Every P3-closed vertex set of g, by the definition."""
+    return [s for s in range(1 << g.n) if is_p3_closed(g, s)]
+
+
+def test_seeded_hull_is_the_hull_on_the_atlas():
+    # the engine seeds each child's hull with the closed set it extends
+    # and that set's boundary; on every graph of up to six vertices, for
+    # every closed set and every vertex outside it, the seeded hull, the
+    # plain hull and the rescan hull agree
+    for g in atlas_graphs(6):
+        for closed in _closed_sets(g):
+            edge = g.neighborhood_of_set(closed) & ~closed
+            for x in bits(g.full_mask & ~closed):
+                a = closed | 1 << x
+                expect = hull_by_rescan(g, a)
+                assert hull(g, a, closed, edge) == expect, (g.edges(), a)
+                assert hull(g, a) == expect, (g.edges(), a)
+
+
 # =====================================================================
 # positions
 # =====================================================================
@@ -222,6 +242,20 @@ def test_connected_legality_equals_both_characterizations():
             got = legal_moves_raw(g, labeled, Variant.CONNECTED)
             assert got == _brute_connected_moves(g, labeled)
             assert got == _distance_two_moves(g, labeled)
+
+
+def test_legality_is_the_same_with_the_boundary_passed_or_computed():
+    # every closed labeled set of every graph of up to six vertices,
+    # connected or not, in both variants
+    for g in atlas_graphs(6):
+        for labeled in _closed_sets(g):
+            edge = g.neighborhood_of_set(labeled) & ~labeled
+            for variant in Variant:
+                assert legal_moves_raw(g, labeled, variant, edge) == \
+                    legal_moves_raw(g, labeled, variant)
+            if labeled:
+                assert legal_moves_raw(g, labeled, Variant.CONNECTED, edge) \
+                    == _distance_two_moves(g, labeled)
 
 
 def test_connected_legality_on_reachable_positions():

@@ -12,7 +12,7 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     apply_move, best_move, bits, components, decide, grundy,
                     hull, is_p3_closed, legal_moves, make_clique, make_cycle,
                     make_ladder, make_path, make_star, mex, nim_sum,
-                    random_gnp, start_position)
+                    random_gnp, random_tree, start_position)
 from p3game.graphs import popcount
 
 from helpers import atlas_graphs, connected_atlas_graphs
@@ -224,6 +224,20 @@ def test_stored_values_reexpand_to_their_mex():
                          for child in child_masks(g, outside, variant))
             assert stored[comp] == expect
             assert stored[comp] == reference_grundy(g, outside, variant)
+
+
+def test_the_search_stores_the_same_components():
+    # pins which positions the search visits, not only its answers: an
+    # optimisation that expands a different set of components fails here
+    cases = [(make_path(18), Variant.FREE, 155),
+             (random_tree(17, random.Random(0)), Variant.FREE, 643),
+             (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2293),
+             (make_ladder(24), Variant.CONNECTED, 647),
+             (make_cycle(30), Variant.CONNECTED, 841)]
+    for g, variant, stored in cases:
+        table = TranspositionTable(g)
+        grundy(start_position(g, variant), table)
+        assert len(table) == len(table.entries[variant]) == stored
 
 
 def test_cycle_search_never_builds_an_arc_missing_one_vertex():

@@ -91,6 +91,20 @@ def test_neighborhood_of_set():
     assert g.neighborhood_of_set(0) == 0
 
 
+def test_complement_swaps_edges_and_non_edges():
+    rng = random.Random(6)
+    for n in (0, 1, 2, 5, 13, 70):
+        g = random_gnp(n, rng.random(), rng)
+        co = g.complement()
+        check_graph_invariants(co)
+        assert co == Graph(n, [(u, v) for u in range(n)
+                               for v in range(u + 1, n)
+                               if not g.has_edge(u, v)])
+        assert co.complement() == g
+        assert hash(co.complement()) == hash(g)
+    assert make_clique(6).complement() == Graph(6, [])
+
+
 def test_components_and_connectivity():
     g = Graph(5, [(0, 1), (1, 2)])  # P_3 plus two isolated vertices
     comps = components(g)
@@ -246,6 +260,30 @@ def test_make_cograph_realizations():
     g = make_cograph(Cotree(JOIN, (0, Cotree(UNION, (1, 2)))))
     assert g.edges() == [(0, 1), (0, 2)]
     assert make_cograph(0) == Graph(1, [])
+
+
+def _cograph_by_edges(node):
+    """(vertex set, edges) of a cotree, by the definition: a join adds
+    every pair across two of its children."""
+    if isinstance(node, int):
+        return [node], []
+    sides = [_cograph_by_edges(child) for child in node.children]
+    edges = [e for _, side_edges in sides for e in side_edges]
+    if node.op == JOIN:
+        for i, (left, _) in enumerate(sides):
+            for right, _ in sides[i + 1:]:
+                edges += [(min(u, v), max(u, v)) for u in left for v in right]
+    return [v for side, _ in sides for v in side], edges
+
+
+def test_make_cograph_matches_the_cotree_definition():
+    rng = random.Random(7)
+    for _ in range(100):
+        cotree = random_cotree(14, rng)
+        vertices, edges = _cograph_by_edges(cotree)
+        g = make_cograph(cotree)
+        check_graph_invariants(g)
+        assert g == Graph(len(vertices), edges)
 
 
 def test_cographs_have_no_induced_p4():
