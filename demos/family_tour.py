@@ -6,12 +6,11 @@ Run:  python3 demos/family_tour.py
 
 import random
 
-from p3game import (CaterpillarSpec, Variant, block_connected_winner,
-                    cograph_free_winner, connected_cycle_grundy,
-                    connected_path_grundy, decide, free_cycle_winner,
-                    free_path_grundy, ladder_connected_winner,
-                    make_caterpillar, make_cograph, make_ladder,
-                    random_chordal, random_cotree, star_free_winner)
+from p3game import (Variant, block_connected_winner, cograph_free_winner,
+                    connected_cycle_grundy, connected_path_grundy, decide,
+                    free_cycle_winner, free_path_grundy,
+                    ladder_connected_winner, make_caterpillar, make_ladder,
+                    random_chordal, random_cograph, star_free_winner)
 
 
 def banner(title):
@@ -53,9 +52,10 @@ def main():
     rng = random.Random(7)
 
     # trees and chordal graphs share one solver over their blocks
-    spec = CaterpillarSpec(5, (0, 2, 1, 0, 0))
+    feet = (0, 2, 1, 0, 0)
     chordal = random_chordal(14, rng)
-    for name, g in (("caterpillar %s" % (spec,), make_caterpillar(spec)),
+    for name, g in (("caterpillar with feet %s" % (feet,),
+                     make_caterpillar(feet)),
                     ("random chordal graph on %d vertices" % chordal.n,
                      chordal)):
         v = block_connected_winner(g)
@@ -63,7 +63,7 @@ def main():
               % (name, v.winner.value, v.grundy,
                  v == decide(g, Variant.CONNECTED)))
 
-    cg = make_cograph(random_cotree(8, rng))
+    cg = random_cograph(rng.randint(1, 8), rng)
     print("random cograph on %d vertices: solver %s, engine %s"
           % (cg.n, cograph_free_winner(cg).winner.value,
              decide(cg, Variant.FREE).winner.value))

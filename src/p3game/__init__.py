@@ -11,8 +11,7 @@ labeled set.
 Layout:
 
 * :mod:`p3game.graphs` builds and serializes graphs (paths, cycles,
-  stars, cliques, ladders, caterpillars, cographs from cotrees, plus
-  seeded random families).
+  stars, cliques, ladders, caterpillars, plus seeded random families).
 * :mod:`p3game.closure` computes P3-hulls, tests closedness, and
   enumerates legal moves for both variants.
 * :mod:`p3game.engine` is the exhaustive Sprague-Grundy engine: exact
@@ -32,14 +31,12 @@ Quick start::
     grundy(start_position(make_path(7), Variant.CONNECTED))
 """
 
-from .graphs import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
-                     bits, components, cotree_leaves, emit_cotree,
-                     emit_graph, graph_digest, induced_subgraph, is_tree,
-                     make_caterpillar, make_clique, make_cograph, make_cycle,
-                     make_ladder, make_path, make_star, mask_of,
-                     parse_cotree, parse_graph,
-                     random_biconnected_chordal, random_caterpillar_spec,
-                     random_chordal, random_cotree, random_gnp, random_tree)
+from .graphs import (Graph, GraphFormatError, bits, components, emit_graph,
+                     graph_digest, induced_subgraph, is_tree,
+                     make_caterpillar, make_clique, make_cycle, make_ladder,
+                     make_path, make_star, mask_of, parse_graph,
+                     random_biconnected_chordal, random_caterpillar,
+                     random_chordal, random_cograph, random_gnp, random_tree)
 from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
                       is_p3_closed, legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
@@ -59,13 +56,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     # graphs
-    "Graph", "GraphFormatError", "CaterpillarSpec", "Cotree",
+    "Graph", "GraphFormatError",
     "bits", "mask_of", "components", "induced_subgraph", "is_tree",
     "make_path", "make_cycle", "make_star", "make_clique", "make_ladder",
-    "make_caterpillar", "make_cograph", "cotree_leaves",
+    "make_caterpillar",
     "parse_graph", "emit_graph", "graph_digest",
-    "parse_cotree", "emit_cotree",
-    "random_tree", "random_caterpillar_spec", "random_cotree",
+    "random_tree", "random_caterpillar", "random_cograph",
     "random_biconnected_chordal", "random_chordal", "random_gnp",
     # closure
     "Variant", "Position", "IllegalMoveError",

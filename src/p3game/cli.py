@@ -23,9 +23,8 @@ from .closure import (IllegalMoveError, Position, Variant, apply_move,
                       legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, ResourceLimitError, TranspositionTable,
                      best_move, decide)
-from .graphs import (SIZED_FAMILIES, CaterpillarSpec, GraphFormatError, bits,
-                     emit_graph, graph_digest, make_caterpillar, make_cograph,
-                     parse_cotree, parse_graph)
+from .graphs import (SIZED_FAMILIES, GraphFormatError, bits, emit_graph,
+                     graph_digest, parse_graph)
 from .verify import FAMILIES, run_family
 
 
@@ -238,37 +237,11 @@ def cmd_play(args, stdout, stderr, stdin) -> int:
 # ---------------------------------------------------------------------
 
 def _gen_graph(args):
-    family = args.family
-    if family in SIZED_FAMILIES:
-        least, build = SIZED_FAMILIES[family]
-        if args.n is None or args.n < least:
-            raise GraphFormatError(
-                "--family %s needs --n >= %d" % (family, least))
-        return build(args.n, random.Random(args.seed))
-    if family == "caterpillar":
-        if not args.feet:
-            raise GraphFormatError("--family caterpillar needs --feet h1,h2,...")
-        try:
-            feet = tuple(int(x) for x in args.feet.split(","))
-        except ValueError:
-            raise GraphFormatError("--feet must be a comma-separated list of integers")
-        if args.n is not None and args.n != len(feet):
-            raise GraphFormatError("--n disagrees with the number of --feet entries")
-        try:
-            spec = CaterpillarSpec(len(feet), feet)
-        except ValueError as exc:
-            raise GraphFormatError(str(exc))
-        return make_caterpillar(spec)
-    if family == "cograph":
-        if not args.cotree:
-            raise GraphFormatError("--family cograph needs --cotree FILE")
-        try:
-            with open(args.cotree, "rb") as fh:
-                cotree = parse_cotree(fh.read())
-        except OSError as exc:
-            raise GraphFormatError("cannot read cotree file: %s" % exc)
-        return make_cograph(cotree)
-    raise GraphFormatError("unknown family %r" % family)
+    least, build = SIZED_FAMILIES[args.family]
+    if args.n is None or args.n < least:
+        raise GraphFormatError(
+            "--family %s needs --n >= %d" % (args.family, least))
+    return build(args.n, random.Random(args.seed))
 
 
 def cmd_gen(args, stdout, stderr) -> int:
@@ -327,13 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a family graph file")
     p_gen.add_argument("--family", required=True,
-                       choices=[*SIZED_FAMILIES, "caterpillar", "cograph"])
+                       choices=list(SIZED_FAMILIES))
     p_gen.add_argument("--n", type=int, default=None,
                        help="vertex count; leaf count for star, rung count "
                             "for ladder")
-    p_gen.add_argument("--feet", default=None,
-                       help="comma-separated foot counts (caterpillar)")
-    p_gen.add_argument("--cotree", default=None, help="cotree JSON file (cograph)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True,
                        help="output path, or - for stdout")

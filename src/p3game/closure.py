@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, bits, components, popcount
+from .graphs import Graph, bits, components
 
 
 class Variant(enum.Enum):
@@ -50,7 +50,7 @@ def is_p3_closed(g: Graph, s: int) -> bool:
     """True iff no vertex outside s has >= 2 neighbors inside s."""
     outside = g.full_mask & ~s
     for x in bits(outside):
-        if popcount(g.adj[x] & s) >= 2:
+        if (g.adj[x] & s).bit_count() >= 2:
             return False
     return True
 

@@ -79,18 +79,18 @@ class Verdict:
 
     winner is First exactly when grundy is nonzero.  witness is a winning
     first move (the lowest-numbered one) and is present exactly when the
-    first player wins; a solver that only derives the winner may leave
-    grundy and witness as None.
+    first player wins.
     """
 
     winner: Player
-    grundy: Optional[int]
+    grundy: int
     witness: Optional[int]
 
     def __post_init__(self):
-        if self.grundy is not None:
-            if (self.winner is Player.FIRST) != (self.grundy != 0):
-                raise ValueError("winner and grundy value disagree")
+        if not isinstance(self.grundy, int) or self.grundy < 0:
+            raise ValueError("grundy value must be a nonnegative integer")
+        if (self.winner is Player.FIRST) != (self.grundy != 0):
+            raise ValueError("winner and grundy value disagree")
         if self.witness is not None and self.winner is not Player.FIRST:
             raise ValueError("only a winning first player has a witness move")
 
@@ -142,14 +142,21 @@ class TranspositionTable:
         return self.size
 
 
+def _table_for(p: Position, table: Optional[TranspositionTable],
+               budget: Optional[int] = None) -> TranspositionTable:
+    """``table`` once checked to belong to p's graph, or a new table."""
+    if table is None:
+        return TranspositionTable(
+            p.graph, DEFAULT_BUDGET if budget is None else budget)
+    if table.graph is not p.graph and table.graph != p.graph:
+        raise ValueError("transposition table belongs to a different graph")
+    return table
+
+
 def grundy(p: Position, table: Optional[TranspositionTable] = None,
            budget: Optional[int] = None) -> int:
     """Exact Grundy value of a position."""
-    if table is None:
-        table = TranspositionTable(
-            p.graph, DEFAULT_BUDGET if budget is None else budget)
-    elif table.graph is not p.graph and table.graph != p.graph:
-        raise ValueError("transposition table belongs to a different graph")
+    table = _table_for(p, table, budget)
     return _position_value(p.graph, p.labeled, p.variant, table)
 
 
@@ -229,11 +236,10 @@ def decide(g: Graph, variant: Variant,
 def best_move(p: Position, table: Optional[TranspositionTable] = None) -> Optional[int]:
     """A move to a Grundy-0 child if one exists, else the lowest-numbered
     legal move, else None (no legal move)."""
+    table = _table_for(p, table)
     moves = legal_moves_raw(p.graph, p.labeled, p.variant)
     if moves == 0:
         return None
-    if table is None:
-        table = TranspositionTable(p.graph, DEFAULT_BUDGET)
     fallback = None
     for x in bits(moves):
         if fallback is None:

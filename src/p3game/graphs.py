@@ -2,10 +2,9 @@
 
 Vertices are the integers 0..n-1.  Vertex sets are plain Python ints used
 as bitmasks (bit v set <=> vertex v in the set); Python ints are arbitrary
-precision, so the same representation covers graphs of any size, with the
-single-machine-word fast path applying automatically whenever n <= 64.
+precision, so the same representation covers graphs of any size.
 
-Graphs are immutable after construction and safe to share across threads.
+Graphs are immutable after construction.
 
 Generator numbering conventions (stable, relied on by tests and fixtures):
 
@@ -15,8 +14,6 @@ Generator numbering conventions (stable, relied on by tests and fixtures):
 * ``make_star``: the center is vertex 0, leaves are 1..t.
 * ``make_caterpillar``: backbone vertices come first (0..b-1, in path
   order), then feet, grouped by backbone vertex in ascending order.
-* ``make_cograph``: cotree leaves carry explicit vertex ids, which must be
-  exactly 0..n-1.
 """
 
 from __future__ import annotations
@@ -24,10 +21,7 @@ from __future__ import annotations
 import json
 import hashlib
 import random
-from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 # =====================================================================
@@ -48,10 +42,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 # =====================================================================
@@ -98,7 +88,7 @@ class Graph:
         """The graph with adjacency rows ``rows``, unchecked: the caller
         guarantees they are symmetric, loop-free and in range.  For
         builders whose rows are right by construction (a complement, a
-        cotree's graph), where the edge-by-edge constructor would spend
+        random cograph), where the edge-by-edge constructor would spend
         time quadratic in n on edge tuples and checks."""
         g = cls.__new__(cls)
         g.n, g.adj = len(rows), tuple(rows)
@@ -112,7 +102,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def edge_count(self) -> int:
-        return sum(popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -127,7 +117,7 @@ class Graph:
         return bits(self.adj[v])
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -247,6 +237,22 @@ def make_clique(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def make_caterpillar(feet: Sequence[int]) -> Graph:
+    """Backbone path with ``feet[i]`` pendant leaves on backbone vertex i.
+    Backbone vertices are 0..b-1 for b = len(feet); feet are numbered
+    from b onward, grouped by backbone vertex."""
+    if not feet:
+        raise ValueError("backbone needs at least one vertex")
+    if any(h < 0 for h in feet):
+        raise ValueError("foot counts must be nonnegative")
+    nxt = len(feet)
+    edges = [(i, i + 1) for i in range(nxt - 1)]
+    for i, h in enumerate(feet):
+        edges += [(i, v) for v in range(nxt, nxt + h)]
+        nxt += h
+    return Graph(nxt, edges)
+
+
 def make_ladder(n: int) -> Graph:
     """Ladder P_2 x P_n: 2n vertices, 3n-2 edges.
 
@@ -261,197 +267,8 @@ def make_ladder(n: int) -> Graph:
 
 
 # =====================================================================
-# Caterpillars
-# =====================================================================
-
-@dataclass(frozen=True)
-class CaterpillarSpec:
-    """A caterpillar given by its backbone length and per-vertex foot
-    counts.  ``feet[i]`` pendant leaves hang from backbone vertex i."""
-
-    backbone: int
-    feet: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.backbone < 1:
-            raise ValueError("backbone needs at least one vertex")
-        if len(self.feet) != self.backbone:
-            raise ValueError("need one foot count per backbone vertex")
-        if any(h < 0 for h in self.feet):
-            raise ValueError("foot counts must be nonnegative")
-        object.__setattr__(self, "feet", tuple(self.feet))
-
-    @property
-    def total_vertices(self) -> int:
-        return self.backbone + sum(self.feet)
-
-
-def make_caterpillar(spec: CaterpillarSpec) -> Graph:
-    """Backbone path plus pendant feet.  Backbone vertices are 0..b-1;
-    feet are numbered from b onward, grouped by backbone vertex."""
-    b = spec.backbone
-    edges = [(i, i + 1) for i in range(b - 1)]
-    nxt = b
-    for i, h in enumerate(spec.feet):
-        for _ in range(h):
-            edges.append((i, nxt))
-            nxt += 1
-    return Graph(nxt, edges)
-
-
-# =====================================================================
-# Cographs and cotrees
-# =====================================================================
-
-UNION = "union"
-JOIN = "join"
-
-#: A cotree is either a bare leaf (an int vertex id) or a Cotree node.
-CotreeNode = Union[int, "Cotree"]
-
-
-@dataclass(frozen=True)
-class Cotree:
-    """Internal node of a cotree in canonical form: at least two children,
-    and no child shares this node's tag (tags alternate along every
-    root-leaf path)."""
-
-    op: str
-    children: tuple[CotreeNode, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-def _cotree_nodes(node: CotreeNode) -> list:
-    """Every node of a cotree, leaves included, in preorder (each node
-    before its children, children left to right), from an explicit
-    stack, so the depth of the cotree is not bounded by Python's
-    recursion limit."""
-    out, stack = [], [node]
-    while stack:
-        nd = stack.pop()
-        out.append(nd)
-        if isinstance(nd, Cotree):
-            stack.extend(reversed(nd.children))
-    return out
-
-
-def cotree_leaves(node: CotreeNode) -> list[int]:
-    """Leaf vertex ids in left-to-right order."""
-    return [nd for nd in _cotree_nodes(node) if not isinstance(nd, Cotree)]
-
-
-def validate_cotree(node: CotreeNode) -> int:
-    """Check canonical form and that leaves are exactly 0..n-1.
-
-    Returns the vertex count n.  Raises GraphFormatError otherwise.
-    """
-    stack = [(node, None)]
-    while stack:
-        nd, parent_op = stack.pop()
-        if isinstance(nd, bool) or not isinstance(nd, (int, Cotree)):
-            raise GraphFormatError("cotree leaf must be an integer vertex id")
-        if isinstance(nd, int):
-            continue
-        if nd.op not in (UNION, JOIN):
-            raise GraphFormatError('cotree op must be "union" or "join", got %r' % (nd.op,))
-        if len(nd.children) < 2:
-            raise GraphFormatError("cotree internal node needs at least two children")
-        if nd.op == parent_op:
-            raise GraphFormatError(
-                "cotree not canonical: nested %r nodes must be merged" % nd.op)
-        stack.extend((child, nd.op) for child in reversed(nd.children))
-    leaves = cotree_leaves(node)
-    if sorted(leaves) != list(range(len(leaves))):
-        raise GraphFormatError(
-            "cotree leaves must be exactly the vertex ids 0..n-1")
-    return len(leaves)
-
-
-def make_cograph(cotree: CotreeNode) -> Graph:
-    """Realize a cotree: a join node connects every cross pair of its
-    children's vertex sets, a union node connects none.
-
-    A vertex's row is the union, over its join ancestors, of the
-    ancestor's vertices outside the child it descends through.  One pass
-    from the leaves up gives every node's vertex mask, and one pass from
-    the root down hands each child its ancestors' contribution, so the
-    graph costs O(nodes) big-integer operations at any depth.
-    """
-    n = validate_cotree(cotree)
-    nodes = _cotree_nodes(cotree)
-    mask = {}  # id of a node (a leaf is its own int) -> its vertex set
-    for nd in reversed(nodes):  # children before parents
-        mask[id(nd)] = (1 << nd if isinstance(nd, int) else
-                        reduce(or_, (mask[id(c)] for c in nd.children)))
-    rows = [0] * n
-    above = {id(cotree): 0}  # id of a node -> its ancestors' contribution
-    for nd in nodes:  # parents before children
-        if isinstance(nd, int):
-            rows[nd] = above[id(nd)]
-            continue
-        inherited, whole = above[id(nd)], mask[id(nd)]
-        for child in nd.children:
-            above[id(child)] = (inherited | whole & ~mask[id(child)]
-                                if nd.op == JOIN else inherited)
-    return Graph._from_rows(rows)
-
-
-def parse_cotree(data) -> CotreeNode:
-    payload = _load_json_value(data, expect="cotree")
-
-    def build(obj):
-        if isinstance(obj, bool):
-            raise GraphFormatError("cotree leaf must be an integer vertex id")
-        if isinstance(obj, int):
-            return obj
-        if not isinstance(obj, dict):
-            raise GraphFormatError(
-                "cotree node must be an object or an integer leaf")
-        if set(obj) != {"op", "children"}:
-            raise GraphFormatError(
-                'cotree node must have exactly the keys "op" and "children"')
-        if not isinstance(obj["children"], list):
-            raise GraphFormatError('"children" must be a list')
-        return Cotree(obj["op"], tuple(build(c) for c in obj["children"]))
-
-    node = build(payload)
-    validate_cotree(node)
-    return node
-
-
-def emit_cotree(node: CotreeNode) -> bytes:
-    def strip(nd):
-        if isinstance(nd, int):
-            return nd
-        return {"op": nd.op, "children": [strip(c) for c in nd.children]}
-
-    return (json.dumps(strip(node), sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
-# =====================================================================
 # JSON graph serialization
 # =====================================================================
-
-def _load_json_value(data, expect: str):
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError("malformed JSON in %s: %s" % (expect, exc)) from exc
-    except RecursionError:
-        raise GraphFormatError(
-            "malformed JSON in %s: nested too deeply" % expect) from None
-
-
-def _load_json_object(data, expect: str) -> dict:
-    payload = _load_json_value(data, expect)
-    if not isinstance(payload, dict):
-        raise GraphFormatError("%s must be a JSON object" % expect)
-    return payload
-
 
 def parse_graph(data) -> Graph:
     """Parse the graph interchange format {"n": int, "edges": [[u, v], ...]}.
@@ -460,7 +277,17 @@ def parse_graph(data) -> Graph:
     for malformed JSON, an out-of-range vertex id, a self-loop, or a
     duplicate edge.
     """
-    obj = _load_json_object(data, expect="graph")
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError("malformed JSON in graph: %s" % exc) from exc
+    except RecursionError:
+        raise GraphFormatError(
+            "malformed JSON in graph: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise GraphFormatError("graph must be a JSON object")
     if set(obj) != {"n", "edges"}:
         raise GraphFormatError('graph object must have exactly the keys "n" and "edges"')
     n, edges = obj["n"], obj["edges"]
@@ -522,40 +349,56 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def random_caterpillar_spec(max_vertices: int, rng: random.Random) -> CaterpillarSpec:
-    """Random caterpillar spec with total vertex count <= max_vertices."""
-    if max_vertices < 1:
-        raise ValueError("need room for at least one vertex")
-    total = rng.randint(1, max_vertices)
-    backbone = rng.randint(1, total)
+def random_caterpillar(n: int, rng: random.Random) -> Graph:
+    """Random caterpillar on n vertices: a backbone of 1..n vertices,
+    each remaining vertex a foot of a uniformly chosen backbone vertex."""
+    if n < 1:
+        raise ValueError("caterpillar needs at least one vertex")
+    backbone = rng.randint(1, n)
     feet = [0] * backbone
-    for _ in range(total - backbone):
+    for _ in range(n - backbone):
         feet[rng.randrange(backbone)] += 1
-    return CaterpillarSpec(backbone, tuple(feet))
+    return make_caterpillar(feet)
 
 
-def random_cotree(max_leaves: int, rng: random.Random) -> CotreeNode:
-    """Random canonical cotree on 1..max_leaves leaves."""
-    if max_leaves < 1:
-        raise ValueError("need at least one leaf")
-    n = rng.randint(1, max_leaves)
-    ids = list(range(n))
-    rng.shuffle(ids)
+def random_cograph(n: int, rng: random.Random) -> Graph:
+    """Random cograph on n vertices.  The shuffled vertices are cut into
+    k contiguous groups, k uniform in 2..size, and each group of two or
+    more is cut again, under an operation that alternates with depth
+    from a random first one: a union adds no edge, a join adds every
+    edge across its groups.
 
-    def build(pool: list[int], op: str) -> CotreeNode:
-        if len(pool) == 1:
-            return pool[0]
-        k = rng.randint(2, len(pool))
-        # split the pool into k nonempty contiguous groups
-        cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
-        groups, start = [], 0
-        for cut in cuts + [len(pool)]:
-            groups.append(pool[start:cut])
-            start = cut
-        other = JOIN if op == UNION else UNION
-        return Cotree(op, tuple(build(grp, other) for grp in groups))
-
-    return build(ids, rng.choice((UNION, JOIN)))
+    A vertex's row is the union, over its join ancestors, of the
+    ancestor's vertices outside the group it lies in.  Groups are
+    slices of the shuffled order, so a group's vertex set is the xor of
+    two prefix masks.  An explicit stack visits the groups, and so
+    makes the draws, in the order a left-to-right recursion would, and
+    the depth is not bounded by Python's recursion limit."""
+    if n < 1:
+        raise ValueError("cograph needs at least one vertex")
+    order = list(range(n))
+    rng.shuffle(order)
+    prefix = [0]
+    for v in order:
+        prefix.append(prefix[-1] | 1 << v)
+    rows = [0] * n
+    # (start, end, join, row from the join ancestors) of each group
+    stack = [(0, n, rng.choice((False, True)), 0)]
+    while stack:
+        start, end, join, above = stack.pop()
+        size = end - start
+        if size == 1:
+            rows[order[start]] = above
+            continue
+        cuts = sorted(rng.sample(range(1, size), rng.randint(2, size) - 1))
+        bounds = [start] + [start + c for c in cuts] + [end]
+        whole = prefix[end] ^ prefix[start]
+        groups = []
+        for a, b in zip(bounds, bounds[1:]):
+            inner = above | whole ^ prefix[b] ^ prefix[a] if join else above
+            groups.append((a, b, not join, inner))
+        stack += reversed(groups)
+    return Graph._from_rows(rows)
 
 
 def random_biconnected_chordal(n: int, rng: random.Random) -> Graph:
@@ -628,4 +471,6 @@ SIZED_FAMILIES = {
     "tree": (1, random_tree),
     "chordal": (3, random_biconnected_chordal),
     "glued-chordal": (1, random_chordal),
+    "caterpillar": (1, random_caterpillar),
+    "cograph": (1, random_cograph),
 }

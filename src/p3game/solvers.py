@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .closure import hull
 from .engine import Player, Verdict, mex, nim_sum
-from .graphs import Graph, bits, components, is_tree, popcount
+from .graphs import Graph, bits, components, is_tree
 
 
 def _opening_verdict(g: Graph, opening_values) -> Verdict:
@@ -279,7 +279,7 @@ def connected_block_values(g: Graph) -> list[int]:
     number of blocks.
     """
     blocks = sorted({hull(g, (1 << u) | (1 << v)) for u, v in g.edges()})
-    if sum(popcount(b) - 1 for b in blocks) != g.n - len(components(g)):
+    if sum(b.bit_count() - 1 for b in blocks) != g.n - len(components(g)):
         raise ValueError("some edge's hull is not its whole block")
     at = [[] for _ in range(g.n)]
     for i, block in enumerate(blocks):
@@ -405,10 +405,10 @@ def cograph_free_values(g: Graph) -> list[int]:
                 values[x] = 1
         elif len(sides) == 2:
             pieces = [components(g, side) for side in sides]
-            sizes = [[popcount(c) for c in p] for p in pieces]
+            sizes = [[c.bit_count() for c in p] for p in pieces]
             for own, far in ((0, 1), (1, 0)):
                 for c in pieces[own]:
-                    value = _join_opening_value(popcount(c), sizes[own],
+                    value = _join_opening_value(c.bit_count(), sizes[own],
                                                 sizes[far])
                     for x in bits(c):
                         values[x] = value

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import graphs, solvers
+from . import solvers
 from .closure import (IllegalMoveError, Variant, apply_move, hull,
                       start_position)
 from .engine import ResourceLimitError, Verdict, decide, grundy
-from .graphs import (SIZED_FAMILIES, Graph, bits, make_caterpillar,
-                     make_cograph)
+from .graphs import SIZED_FAMILIES, Graph, bits
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
 
@@ -124,6 +123,23 @@ def _each_size(family, too_small, variant, solver, key="n"):
         for n in range(least, max_n + 1)))
 
 
+def _samples(family, count, variant, solver):
+    """instances(least, max_n, rng) of a sweep over ``count`` random
+    graphs of a sized family, each of a size drawn from least..max_n,
+    claimed by solvers.<solver>(graph), or by solver(graph) when it is a
+    function."""
+    build = SIZED_FAMILIES[family][1]
+
+    def instances(least, max_n, rng):
+        claim = getattr(solvers, solver) if isinstance(solver, str) else solver
+        for k in range(count):
+            n = rng.randint(least, max_n)
+            g = build(n, rng)
+            yield ({"sample": k, "n": n, "edges": g.edges()}, g, variant,
+                   partial(claim, g))
+    return instances
+
+
 def enumerate_trees(max_n: int):
     """All isomorphism classes of trees with 1..max_n vertices, as Graphs
     (canonical representatives; requires max_n <= 9 at reasonable cost)."""
@@ -159,30 +175,19 @@ FAMILIES = {
     # every isomorphism class up to 9 vertices, then 200 random trees
     "tree": Family(
         SIZED_FAMILIES["tree"][0], "trees need at least %d vertex",
-        lambda least, max_n, rng: (
-            (descriptor, t, CONNECTED,
-             partial(solvers.tree_connected_grundy, t))
-            for descriptor, t in itertools.chain(
-                (({"class": [n, idx]}, t)
-                 for n, idx, t in enumerate_trees(min(max_n, 9))),
-                (({"sample": k, "n": n}, graphs.random_tree(n, rng))
-                 for k in range(200)
-                 for n in [rng.randint(least, max_n)])))),
+        lambda least, max_n, rng: itertools.chain(
+            (({"class": [n, idx]}, t, CONNECTED,
+              partial(solvers.tree_connected_grundy, t))
+             for n, idx, t in enumerate_trees(min(max_n, 9))),
+            _samples("tree", 200, CONNECTED, "tree_connected_grundy")(
+                least, max_n, rng))),
     "caterpillar": Family(
-        1, "caterpillars need at least %d vertex",
-        lambda least, max_n, rng: (
-            ({"sample": k, "backbone": s.backbone, "feet": list(s.feet)},
-             g, CONNECTED, partial(solvers.block_connected_winner, g))
-            for k in range(200)
-            for s in [graphs.random_caterpillar_spec(max_n, rng)]
-            for g in [make_caterpillar(s)])),
+        SIZED_FAMILIES["caterpillar"][0],
+        "caterpillars need at least %d vertex",
+        _samples("caterpillar", 200, CONNECTED, "block_connected_winner")),
     "cograph": Family(
-        1, "cographs need at least %d vertex",
-        lambda least, max_n, rng: (
-            ({"sample": k, "leaves": g.n}, g, FREE,
-             partial(solvers.cograph_free_winner, g))
-            for k in range(200)
-            for g in [make_cograph(graphs.random_cotree(max_n, rng))])),
+        SIZED_FAMILIES["cograph"][0], "cographs need at least %d vertex",
+        _samples("cograph", 200, FREE, "cograph_free_winner")),
     "star": _each_size("star", "stars need at least %d leaves", FREE,
                        "star_free_winner", key="t"),
     "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
@@ -193,22 +198,12 @@ FAMILIES = {
     "chordal-lemma": Family(
         SIZED_FAMILIES["chordal"][0],
         "biconnected chordal graphs need at least %d vertices",
-        lambda least, max_n, rng: (
-            ({"sample": k, "n": n, "edges": g.edges()}, g, None,
-             partial(_lemma_breaks, g))
-            for k in range(100)
-            for n in [rng.randint(least, max_n)]
-            for g in [graphs.random_biconnected_chordal(n, rng)])),
+        _samples("chordal", 100, None, _lemma_breaks)),
     # chordal graphs with cut vertices, whose blocks the lemma closes
     "chordal-connected": Family(
         SIZED_FAMILIES["glued-chordal"][0],
         "chordal graphs need at least %d vertex",
-        lambda least, max_n, rng: (
-            ({"sample": k, "n": n, "edges": g.edges()}, g, CONNECTED,
-             partial(solvers.block_connected_winner, g))
-            for k in range(200)
-            for n in [rng.randint(least, max_n)]
-            for g in [graphs.random_chordal(n, rng)])),
+        _samples("glued-chordal", 200, CONNECTED, "block_connected_winner")),
 }
 
 

@@ -6,17 +6,17 @@ import random
 import sys
 import time
 
-from p3game import (Cotree, Player, Variant, Verdict, apply_move,
+from p3game import (Player, Variant, Verdict, apply_move,
                     block_connected_winner, clique_free_winner,
                     cograph_free_winner, connected_cycle_grundy,
                     connected_path_grundy, decide, free_cycle_winner,
                     free_path_grundy, grundy, hull, is_p3_closed,
-                    ladder_connected_winner, make_caterpillar, make_clique,
-                    make_cograph, make_cycle, make_ladder, make_path,
-                    make_star, nim_sum, random_caterpillar_spec,
-                    random_chordal, random_cotree, random_gnp, random_tree,
-                    star_free_winner, start_position, tree_connected_grundy)
-from p3game.graphs import JOIN, UNION, Graph, cotree_leaves, validate_cotree
+                    ladder_connected_winner, make_clique, make_cycle,
+                    make_ladder, make_path, make_star, nim_sum,
+                    random_caterpillar, random_chordal, random_cograph,
+                    random_gnp, random_tree, star_free_winner,
+                    start_position, tree_connected_grundy)
+from p3game.graphs import Graph
 from p3game.verify import enumerate_trees, run_family
 
 
@@ -128,10 +128,9 @@ def test_caterpillar_sweep():
     t0 = time.monotonic()
     rng = random.Random(99)
     for _ in range(200):
-        spec = random_caterpillar_spec(14, rng)
-        g = make_caterpillar(spec)
+        g = random_caterpillar(rng.randint(1, 14), rng)
         assert block_connected_winner(g) == \
-            decide(g, Variant.CONNECTED), spec
+            decide(g, Variant.CONNECTED), g.edges()
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
@@ -153,28 +152,40 @@ def test_cograph_sweep():
     t0 = time.monotonic()
     rng = random.Random(1010)
     for _ in range(200):
-        g = make_cograph(random_cotree(12, rng))
+        g = random_cograph(rng.randint(1, 12), rng)
         assert cograph_free_winner(g) == decide(g, Variant.FREE), g.edges()
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
 def _threshold(n):
     """Threshold graph whose odd vertices are joined to every earlier
-    vertex: its cotree alternates union and join n - 1 levels deep."""
+    vertex: its unions and joins nest n - 1 levels deep."""
     return Graph(n, [(u, v) for v in range(1, n) if v % 2 for u in range(v)])
 
 
-def test_make_cograph_of_a_cotree_deeper_than_the_recursion_limit():
-    # the alternating cotree of _threshold(n) is n - 1 levels deep; the
-    # cotree helpers walk it from their own stacks
+class _PeelingRandom:
+    """Stands in for random.Random in random_cograph: keeps the vertex
+    order, starts with a join, and cuts every group into all but its
+    last vertex and that vertex, so the groups nest n - 1 deep."""
+
+    def shuffle(self, order):
+        pass
+
+    def choice(self, seq):
+        return seq[1]
+
+    def randint(self, a, b):
+        return 2
+
+    def sample(self, population, k):
+        return [population[-1]]
+
+
+def test_random_cograph_deeper_than_the_recursion_limit():
+    # the generator walks the nested groups from its own stack
     n = 1100
-    assert n > sys.getrecursionlimit()
-    cotree = 0
-    for v in range(1, n):
-        cotree = Cotree(JOIN if v % 2 else UNION, (cotree, v))
-    assert validate_cotree(cotree) == n
-    assert cotree_leaves(cotree) == list(range(n))
-    assert make_cograph(cotree) == _threshold(n)
+    assert n > sys.getrecursionlimit() and n % 2 == 0
+    assert random_cograph(n, _PeelingRandom()) == _threshold(n)
 
 
 def test_cograph_solver_on_threshold_graphs():

@@ -3,6 +3,7 @@ tables and diagnostics on stderr), the append-only verdict cache, graph
 generation, and interactive play backed by the engine."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -13,15 +14,15 @@ import sys
 
 import pytest
 
-from p3game import (CaterpillarSpec, Cotree, Player, TranspositionTable,
-                    Variant, Verdict, apply_move, best_move, decide,
-                    emit_cotree, emit_graph, graph_digest, grundy,
-                    legal_moves, make_caterpillar, make_clique, make_cograph,
-                    make_cycle, make_ladder, make_path, parse_graph,
-                    random_biconnected_chordal, random_tree, start_position)
+from p3game import (Player, TranspositionTable, Variant, Verdict,
+                    apply_move, best_move, decide, emit_graph, graph_digest,
+                    grundy, legal_moves, make_cycle, make_ladder, make_path,
+                    parse_graph, random_biconnected_chordal,
+                    random_caterpillar, random_cograph, random_tree,
+                    start_position)
 from p3game import cli, solvers, verify
 from p3game.cli import CacheCorruptionError, ResultCache, main
-from p3game.graphs import JOIN, bits, random_gnp
+from p3game.graphs import bits, random_gnp
 from p3game.verify import FAMILIES, run_family
 
 from helpers import connected_atlas_graphs
@@ -444,6 +445,24 @@ def test_every_family_sweep_passes_at_small_size():
         assert report.instances == counts[family], family
 
 
+def test_sampled_families_draw_pinned_graphs():
+    # every instance of the sampled sweeps at seed 0, at the sizes the
+    # benchmark sweeps them; a generator change that moves any draw
+    # changes what verify checks, and this digest
+    sizes = {"tree": 9, "caterpillar": 11, "cograph": 9,
+             "chordal-lemma": 16, "chordal-connected": 16}
+    digest = hashlib.sha256()
+    count = 0
+    for family, max_n in sizes.items():
+        least, _, instances = FAMILIES[family]
+        for _, g, _, _ in instances(least, max_n, random.Random(0)):
+            digest.update(emit_graph(g))
+            count += 1
+    assert count == 95 + 200 + 200 + 200 + 100 + 200
+    assert digest.hexdigest() == \
+        "166c170a4ea2856090c6a3c4a5a337ae872650a41d4b3b01ec92d50fcf19bc80"
+
+
 @pytest.mark.parametrize("family,max_n,message", [
     ("path-free", 0, "paths need at least 1 vertex"),
     ("path-connected", 0, "paths need at least 1 vertex"),
@@ -488,11 +507,11 @@ WRONG_ANSWERS = [
     ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
      [{"n"}]),
     ("tree", 6, (solvers, "tree_connected_grundy"), _one_more,
-     [{"class"}, {"sample", "n"}]),
+     [{"class"}, {"sample", "n", "edges"}]),
     ("caterpillar", 7, (solvers, "block_connected_winner"),
-     _other_winner, [{"sample", "backbone", "feet"}]),
+     _other_winner, [{"sample", "n", "edges"}]),
     ("cograph", 6, (solvers, "cograph_free_winner"), _other_winner,
-     [{"sample", "leaves"}]),
+     [{"sample", "n", "edges"}]),
     ("star", 5, (solvers, "star_free_winner"), _other_winner, [{"t"}]),
     ("clique", 5, (solvers, "clique_free_winner"), _other_winner, [{"n"}]),
     # a hull that never reaches the last vertex breaks the lemma everywhere
@@ -688,38 +707,19 @@ def test_gen_ladder_to_file(tmp_path):
 
 
 def test_gen_caterpillar_to_stdout():
-    code, out, _ = run_cli(["gen", "--family", "caterpillar",
-                            "--feet", "0,1,0", "-o", "-"])
+    code, out, _ = run_cli(["gen", "--family", "caterpillar", "--n", "9",
+                            "--seed", "3", "-o", "-"])
     assert code == 0
     assert out.endswith("\n")
     g = parse_graph(out.encode())
-    assert g == make_caterpillar(CaterpillarSpec(3, (0, 1, 0)))
+    assert g == random_caterpillar(9, random.Random(3))
 
 
-def test_gen_cograph_from_cotree_file(tmp_path):
-    cotree = Cotree(JOIN, (0, 1, 2))
-    cotree_path = tmp_path / "t.json"
-    cotree_path.write_bytes(emit_cotree(cotree))
-    code, out, _ = run_cli(["gen", "--family", "cograph",
-                            "--cotree", str(cotree_path), "-o", "-"])
+def test_gen_cograph_is_seeded():
+    code, out, _ = run_cli(["gen", "--family", "cograph", "--n", "9",
+                            "--seed", "3", "-o", "-"])
     assert code == 0
-    assert parse_graph(out.encode()) == make_clique(3)
-    assert parse_graph(out.encode()) == make_cograph(cotree)
-
-
-def test_gen_cograph_from_a_deeply_nested_cotree_is_a_usage_error(tmp_path):
-    # a valid threshold cotree whose unions and joins alternate for 519
-    # levels, nested in JSON past what the decoder accepts
-    text = "519"
-    for v in reversed(range(519)):
-        text = '{"children":[%d,%s],"op":"%s"}' % (
-            v, text, "join" if v % 2 else "union")
-    cotree_path = tmp_path / "t.json"
-    cotree_path.write_text(text)
-    code, out, err = run_cli(["gen", "--family", "cograph",
-                              "--cotree", str(cotree_path), "-o", "-"])
-    assert code == 2 and out == ""
-    assert err == "error: malformed JSON in cotree: nested too deeply\n"
+    assert parse_graph(out.encode()) == random_cograph(9, random.Random(3))
 
 
 def test_gen_tree_is_seeded_and_deterministic():
@@ -748,14 +748,13 @@ def test_gen_star_with_no_leaves_is_a_single_vertex():
 @pytest.mark.parametrize("argv, fragment", [
     (["gen", "--family", "cycle", "--n", "2", "-o", "-"], "needs --n >= 3"),
     (["gen", "--family", "path", "-o", "-"], "needs --n >= 1"),
-    (["gen", "--family", "caterpillar", "-o", "-"], "needs --feet"),
-    (["gen", "--family", "caterpillar", "--feet", "a,b", "-o", "-"],
-     "comma-separated list of integers"),
-    (["gen", "--family", "caterpillar", "--feet", "0,1", "--n", "3",
-      "-o", "-"], "disagrees"),
-    (["gen", "--family", "cograph", "-o", "-"], "needs --cotree"),
-    (["gen", "--family", "cograph", "--cotree", "/nonexistent", "-o", "-"],
-     "cannot read cotree file"),
+    (["gen", "--family", "caterpillar", "-o", "-"], "needs --n >= 1"),
+    (["gen", "--family", "cograph", "--n", "0", "-o", "-"], "needs --n >= 1"),
+    # caterpillars and cographs are sized families, drawn from --n alone
+    (["gen", "--family", "caterpillar", "--feet", "0,1,0", "-o", "-"],
+     "unrecognized arguments: --feet"),
+    (["gen", "--family", "cograph", "--cotree", "t.json", "-o", "-"],
+     "unrecognized arguments: --cotree"),
 ])
 def test_gen_parameter_errors(argv, fragment):
     code, out, err = run_cli(argv)

@@ -23,6 +23,6 @@ def test_family_tour_runs(capsys):
     agree = [line for line in lines
              if line.endswith("same verdict as the engine? True")]
     assert [line.split(":")[0] for line in agree] == [
-        "caterpillar CaterpillarSpec(backbone=5, feet=(0, 2, 1, 0, 0))",
+        "caterpillar with feet (0, 2, 1, 0, 0)",
         "random chordal graph on 14 vertices"]
     assert "ladder n=6 connected: first wins, value 1, best opening 0" in lines

@@ -13,7 +13,6 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     hull, is_p3_closed, legal_moves, make_clique, make_cycle,
                     make_ladder, make_path, make_star, mex, nim_sum,
                     random_gnp, random_tree, start_position)
-from p3game.graphs import popcount
 
 from helpers import atlas_graphs, connected_atlas_graphs
 from reference import child_masks, reference_decide, reference_grundy
@@ -54,8 +53,10 @@ def test_nim_sum_cases():
 def test_verdict_consistency_enforced():
     Verdict(Player.FIRST, 2, 0)
     Verdict(Player.SECOND, 0, None)
-    Verdict(Player.FIRST, None, None)   # winner-only solver
-    Verdict(Player.FIRST, None, 3)      # winner plus a known good move
+    with pytest.raises(ValueError):
+        Verdict(Player.FIRST, None, None)  # every verdict carries a value
+    with pytest.raises(ValueError):
+        Verdict(Player.FIRST, None, 3)
     with pytest.raises(ValueError):
         Verdict(Player.FIRST, 0, None)
     with pytest.raises(ValueError):
@@ -251,7 +252,7 @@ def test_cycle_search_never_builds_an_arc_missing_one_vertex():
             grundy(start_position(g, variant), table)
             stored = table.entries[variant]
             assert stored
-            assert all(popcount(comp) != 1 for comp in stored)
+            assert all(comp.bit_count() != 1 for comp in stored)
 
 
 # =====================================================================
@@ -329,3 +330,15 @@ def test_best_move_spot_checks():
     # from a lost position, falls back to the lowest legal move
     lost = start_position(make_path(2), Variant.FREE)
     assert best_move(lost) == 0
+
+
+def test_best_move_rejects_foreign_table():
+    # values memoized for P4 would steer the move on the 3-leaf star,
+    # whose masks name other vertex sets
+    t = TranspositionTable(make_path(4))
+    grundy(start_position(make_path(4), Variant.FREE), t)
+    with pytest.raises(ValueError, match="different graph"):
+        best_move(start_position(make_star(3), Variant.FREE), t)
+    # an equal graph built separately shares the table
+    assert best_move(start_position(make_path(4), Variant.FREE), t) == \
+        best_move(start_position(make_path(4), Variant.FREE))

@@ -7,15 +7,13 @@ import random
 import networkx as nx
 import pytest
 
-from p3game import (CaterpillarSpec, Cotree, Graph, GraphFormatError,
-                    bits, components, emit_cotree, emit_graph, graph_digest,
-                    induced_subgraph, is_tree, make_caterpillar, make_clique,
-                    make_cograph, make_cycle, make_ladder, make_path,
-                    make_star, mask_of, parse_cotree, parse_graph,
-                    random_biconnected_chordal, random_caterpillar_spec,
-                    random_chordal, random_cotree, random_gnp, random_tree)
-from p3game.graphs import (JOIN, UNION, cotree_leaves, is_connected, popcount,
-                           validate_cotree)
+from p3game import (Graph, GraphFormatError, bits, components, emit_graph,
+                    graph_digest, induced_subgraph, is_tree, make_caterpillar,
+                    make_clique, make_cycle, make_ladder, make_path,
+                    make_star, mask_of, parse_graph,
+                    random_biconnected_chordal, random_caterpillar,
+                    random_chordal, random_cograph, random_gnp, random_tree)
+from p3game.graphs import SIZED_FAMILIES, is_connected
 
 from helpers import check_graph_invariants, graph_to_nx, has_induced_p4
 
@@ -31,7 +29,7 @@ def test_bits_mask_roundtrip():
         ids = list(bits(mask))
         assert ids == sorted(ids)
         assert mask_of(ids) == mask
-        assert popcount(mask) == len(ids) == bin(mask).count("1")
+        assert mask.bit_count() == len(ids) == bin(mask).count("1")
     assert list(bits(0)) == []
     assert mask_of([]) == 0
 
@@ -132,7 +130,7 @@ def test_induced_subgraph_random_consistency():
         sub, old_ids = induced_subgraph(g, mask)
         check_graph_invariants(sub)
         for new_u, old_u in enumerate(old_ids):
-            assert sub.degree(new_u) == popcount(g.adj[old_u] & mask)
+            assert sub.degree(new_u) == (g.adj[old_u] & mask).bit_count()
 
 
 def test_is_tree():
@@ -193,97 +191,58 @@ def test_ladder_shape_up_to_100_rungs():
 
 def test_caterpillar_with_no_feet_is_a_path():
     for b in range(1, 13):
-        spec = CaterpillarSpec(b, (0,) * b)
-        assert make_caterpillar(spec) == make_path(b)
+        assert make_caterpillar((0,) * b) == make_path(b)
 
 
 def test_caterpillar_numbering_and_shape():
-    spec = CaterpillarSpec(3, (0, 1, 0))
-    g = make_caterpillar(spec)
+    g = make_caterpillar((0, 1, 0))
     assert g.n == 4
     assert g.edges() == [(0, 1), (1, 2), (1, 3)]
     assert nx.is_isomorphic(graph_to_nx(g), graph_to_nx(make_star(3)))
     # feet grouped by backbone vertex, backbone first
-    spec = CaterpillarSpec(2, (2, 1))
-    g = make_caterpillar(spec)
+    g = make_caterpillar([2, 1])
     assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 4)]
+    assert make_caterpillar((1, 0, 2)).n == 6
 
 
 def test_caterpillar_spec_validation():
-    with pytest.raises(ValueError):
-        CaterpillarSpec(0, ())
-    with pytest.raises(ValueError):
-        CaterpillarSpec(2, (1,))
-    with pytest.raises(ValueError):
-        CaterpillarSpec(2, (1, -1))
-    assert CaterpillarSpec(3, (1, 0, 2)).total_vertices == 6
+    with pytest.raises(ValueError, match="at least one vertex"):
+        make_caterpillar(())
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_caterpillar((2, 1, -1))
 
 
 # =====================================================================
-# cotrees and cographs
+# cographs
 # =====================================================================
 
-def test_cotree_validation_rules():
-    validate_cotree(0)  # a bare leaf is a valid cotree
-    validate_cotree(Cotree(JOIN, (0, 1)))
-    with pytest.raises(GraphFormatError, match="at least two children"):
-        validate_cotree(Cotree(JOIN, (0,)))
-    with pytest.raises(GraphFormatError, match="merged"):
-        validate_cotree(Cotree(JOIN, (Cotree(JOIN, (0, 1)), 2)))
-    with pytest.raises(GraphFormatError, match="op"):
-        validate_cotree(Cotree("meet", (0, 1)))
-    with pytest.raises(GraphFormatError, match="0..n-1"):
-        validate_cotree(Cotree(JOIN, (0, 2)))
-    with pytest.raises(GraphFormatError, match="0..n-1"):
-        validate_cotree(Cotree(JOIN, (0, 0)))
-    with pytest.raises(GraphFormatError, match="leaf"):
-        validate_cotree(Cotree(JOIN, (0, True)))
+def _cograph_by_definition(n, rng):
+    """random_cograph(n, rng) by the definition, recursively: the same
+    draws, and a join adds every edge across two of its groups."""
+    order = list(range(n))
+    rng.shuffle(order)
+
+    def build(pool, join):
+        if len(pool) == 1:
+            return []
+        k = rng.randint(2, len(pool))
+        cuts = [0, *sorted(rng.sample(range(1, len(pool)), k - 1)), len(pool)]
+        groups = [pool[a:b] for a, b in zip(cuts, cuts[1:])]
+        edges = [e for grp in groups for e in build(grp, not join)]
+        if join:
+            edges += [(u, v) for i, left in enumerate(groups)
+                      for right in groups[i + 1:] for u in left for v in right]
+        return edges
+
+    return Graph(n, build(order, rng.choice((False, True))))
 
 
-def test_cotree_roundtrip():
-    rng = random.Random(4)
-    for _ in range(60):
-        t = random_cotree(10, rng)
-        assert parse_cotree(emit_cotree(t)) == t
-    with pytest.raises(GraphFormatError, match="malformed JSON"):
-        parse_cotree(b"[")
-    with pytest.raises(GraphFormatError, match="exactly the keys"):
-        parse_cotree(b'{"op": "join"}')
-
-
-def test_make_cograph_realizations():
-    # join of bare leaves is the clique
-    assert make_cograph(Cotree(JOIN, (0, 1, 2, 3))) == make_clique(4)
-    # union of bare leaves is the empty graph
-    assert make_cograph(Cotree(UNION, (0, 1, 2))) == Graph(3, [])
-    # join of a leaf with a union of two leaves is the star K_{1,2}
-    g = make_cograph(Cotree(JOIN, (0, Cotree(UNION, (1, 2)))))
-    assert g.edges() == [(0, 1), (0, 2)]
-    assert make_cograph(0) == Graph(1, [])
-
-
-def _cograph_by_edges(node):
-    """(vertex set, edges) of a cotree, by the definition: a join adds
-    every pair across two of its children."""
-    if isinstance(node, int):
-        return [node], []
-    sides = [_cograph_by_edges(child) for child in node.children]
-    edges = [e for _, side_edges in sides for e in side_edges]
-    if node.op == JOIN:
-        for i, (left, _) in enumerate(sides):
-            for right, _ in sides[i + 1:]:
-                edges += [(min(u, v), max(u, v)) for u in left for v in right]
-    return [v for side, _ in sides for v in side], edges
-
-
-def test_make_cograph_matches_the_cotree_definition():
-    rng = random.Random(7)
-    for _ in range(100):
-        cotree = random_cotree(14, rng)
-        vertices, edges = _cograph_by_edges(cotree)
-        g = make_cograph(cotree)
+def test_random_cograph_matches_the_definition():
+    for seed in range(100):
+        n = 1 + seed % 14
+        g = random_cograph(n, random.Random(seed))
         check_graph_invariants(g)
-        assert g == Graph(len(vertices), edges)
+        assert g == _cograph_by_definition(n, random.Random(seed))
 
 
 def test_cographs_have_no_induced_p4():
@@ -291,7 +250,7 @@ def test_cographs_have_no_induced_p4():
     assert has_induced_p4(make_path(4))
     rng = random.Random(5)
     for _ in range(30):
-        assert not has_induced_p4(make_cograph(random_cotree(12, rng)))
+        assert not has_induced_p4(random_cograph(rng.randint(1, 12), rng))
 
 
 # =====================================================================
@@ -354,20 +313,40 @@ def test_random_tree_valid_and_deterministic():
             assert len(seen) > 1  # the sampler actually varies
 
 
-def test_random_caterpillar_spec_bounds_and_determinism():
+def test_random_caterpillar_valid_and_deterministic():
     for seed in range(30):
-        spec = random_caterpillar_spec(14, random.Random(seed))
-        assert 1 <= spec.total_vertices <= 14
-        assert spec == random_caterpillar_spec(14, random.Random(seed))
+        n = 1 + seed % 14
+        g = random_caterpillar(n, random.Random(seed))
+        assert g.n == n and is_tree(g)
+        # removing the leaves leaves a path (or nothing)
+        spine = g.full_mask & ~mask_of(v for v in range(n)
+                                       if g.degree(v) <= 1)
+        body, _ = induced_subgraph(g, spine)
+        assert body.n == 0 or (is_tree(body) and max(
+            body.degree(v) for v in range(body.n)) <= 2)
+        assert g == random_caterpillar(n, random.Random(seed))
 
 
-def test_random_cotree_canonical_and_deterministic():
-    for seed in range(30):
-        t = random_cotree(12, random.Random(seed))
-        n = validate_cotree(t)
-        assert 1 <= n <= 12
-        assert sorted(cotree_leaves(t)) == list(range(n))
-        assert t == random_cotree(12, random.Random(seed))
+def test_random_cograph_deterministic_and_varied():
+    for n in (1, 2, 5, 12):
+        seen = set()
+        for seed in range(10):
+            g = random_cograph(n, random.Random(seed))
+            assert g.n == n
+            assert g == random_cograph(n, random.Random(seed))
+            seen.add(g)
+        if n >= 5:
+            assert len(seen) > 1  # the sampler actually varies
+
+
+def test_every_sized_family_builds_from_its_minimum_and_rejects_below():
+    # gen and verify check sizes against these minimums, and each
+    # builder refuses a smaller size on its own
+    for family, (least, build) in SIZED_FAMILIES.items():
+        for size in (least, least + 1):
+            check_graph_invariants(build(size, random.Random(0)))
+        with pytest.raises(ValueError):
+            build(least - 1, random.Random(0))
 
 
 def test_random_biconnected_chordal_properties():

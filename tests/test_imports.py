@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never
 uses, and no private module-level helper outlives its callers.  The
 package's ``__init__`` is exempt from the import check: its imports are
-its exports."""
+its exports, and ``__all__`` lists exactly those."""
 
 import ast
 from collections import Counter
@@ -70,3 +70,26 @@ def test_the_check_sees_an_unreferenced_private_helper():
 def test_every_private_helper_has_a_caller():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def imported_public_names(source: str) -> list[str]:
+    """The public names a module imports from its own package."""
+    return [a.asname or a.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names if not (a.asname or a.name).startswith("_")]
+
+
+def test_the_check_sees_the_package_imports():
+    source = ("from __future__ import annotations\nimport os\n"
+              "from .a import b, _c\nfrom .d import (e as f)\n")
+    assert imported_public_names(source) == ["b", "f"]
+
+
+def test_all_lists_exactly_the_imported_names():
+    source = (PACKAGE / "__init__.py").read_text()
+    names = imported_public_names(source)
+    assert len(names) == len(set(names))
+    assert sorted(p3game.__all__) == sorted(names)
+    exported = {}
+    exec("from p3game import *", exported)  # raises on a name that is gone
+    assert set(names) <= set(exported)

@@ -7,19 +7,19 @@ import random
 import networkx as nx
 import pytest
 
-from p3game import (CaterpillarSpec, Cotree, Player, Position, Variant,
-                    Verdict, block_connected_winner, clique_free_winner,
-                    cograph_free_values, cograph_free_winner,
+from p3game import (Player, Position, Variant, Verdict,
+                    block_connected_winner, clique_free_winner,
+                    cograph_free_values, cograph_free_winner, components,
                     connected_block_values, connected_cycle_arc_values,
                     connected_cycle_grundy, connected_path_f,
-                    connected_path_grundy, cotree_leaves, decide,
-                    free_cycle_winner, free_path_grundy,
-                    free_path_grundy_table, grundy, hull, induced_subgraph,
-                    ladder_connected_winner, make_caterpillar, make_cograph,
-                    make_cycle, make_ladder, make_path, mask_of, mex,
-                    nim_sum, random_cotree, random_tree,
-                    star_free_winner, start_position, tree_connected_grundy)
-from p3game.graphs import JOIN, UNION, Graph
+                    connected_path_grundy, decide, free_cycle_winner,
+                    free_path_grundy, free_path_grundy_table, grundy, hull,
+                    induced_subgraph, ladder_connected_winner,
+                    make_caterpillar, make_clique, make_cycle, make_ladder,
+                    make_path, mask_of, mex, nim_sum, random_caterpillar,
+                    random_cograph, random_tree, star_free_winner,
+                    start_position, tree_connected_grundy)
+from p3game.graphs import Graph
 
 from helpers import atlas_graphs, graph_to_nx, has_induced_p4
 from reference import free_cycle_by_reduction, reference_decide
@@ -274,27 +274,25 @@ def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
 
 def test_caterpillar_of_a_path_matches_path_solver():
     for b in range(1, 21):
-        g = make_caterpillar(CaterpillarSpec(b, (0,) * b))
+        g = make_caterpillar((0,) * b)
         assert block_connected_winner(g).grundy == connected_path_grundy(b)
 
 
 def test_caterpillar_star_example_matches_tree_solver():
-    tree = make_caterpillar(CaterpillarSpec(3, (0, 1, 0)))
+    tree = make_caterpillar((0, 1, 0))
     v = block_connected_winner(tree)
     assert v.grundy == tree_connected_grundy(tree)
 
 
 def test_caterpillar_worked_example_against_engine():
-    g = make_caterpillar(CaterpillarSpec(4, (1, 0, 0, 1)))
+    g = make_caterpillar((1, 0, 0, 1))
     assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
 
 
 def test_caterpillar_witness_is_a_winning_move():
     rng = random.Random(32)
-    from p3game.graphs import random_caterpillar_spec
     for _ in range(60):
-        spec = random_caterpillar_spec(12, rng)
-        g = make_caterpillar(spec)
+        g = random_caterpillar(rng.randint(1, 12), rng)
         v = block_connected_winner(g)
         if v.winner is Player.FIRST:
             pos = Position(g, hull(g, 1 << v.witness), Variant.CONNECTED)
@@ -307,7 +305,7 @@ def test_caterpillar_witness_is_a_winning_move():
 
 def test_cograph_clique_rule_agreement():
     for n in range(2, 11):
-        v = cograph_free_winner(make_cograph(Cotree(JOIN, tuple(range(n)))))
+        v = cograph_free_winner(make_clique(n))
         assert v == Verdict(Player.SECOND, 0, None)
     assert cograph_free_winner(Graph(1, [])) == Verdict(Player.FIRST, 1, 0)
     with pytest.raises(ValueError, match="empty graph"):
@@ -315,8 +313,7 @@ def test_cograph_clique_rule_agreement():
 
 
 def test_cograph_union_of_two_edges():
-    g = make_cograph(Cotree(UNION, (Cotree(JOIN, (0, 1)),
-                                    Cotree(JOIN, (2, 3)))))
+    g = Graph(4, [(0, 1), (2, 3)])
     # each edge is worth 0, so every opening leaves 1 ^ 0
     assert cograph_free_values(g) == [1, 1, 1, 1]
     assert cograph_free_winner(g).winner is Player.SECOND
@@ -326,9 +323,7 @@ def test_cograph_universal_vertex_parity_example():
     # join of a single vertex with three disjoint edges: after taking
     # the universal vertex, each remaining edge is one forced move, so
     # the reply position is worth the parity of three, value 1
-    edges = Cotree(UNION, tuple(Cotree(JOIN, (2 * i + 1, 2 * i + 2))
-                                for i in range(3)))
-    g = make_cograph(Cotree(JOIN, (0, edges)))
+    g = Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4), (5, 6)])
     assert cograph_free_values(g) == [1, 2, 2, 2, 2, 2, 2]
     v = cograph_free_winner(g)
     assert v == Verdict(Player.SECOND, 0, None)
@@ -339,8 +334,7 @@ def test_cograph_paw_regression():
     # paw: triangle with a pendant vertex attached through the join; a
     # one-vertex far side cannot relay the cascade back, so taking the
     # universal vertex leaves two forced moves, value 0, first win
-    paw = make_cograph(Cotree(JOIN, (Cotree(UNION, (0, Cotree(JOIN, (1, 2)))),
-                                     3)))
+    paw = Graph(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
     moves = cograph_free_values(paw)
     assert moves[3] == 0
     assert mex(moves) == 1
@@ -351,8 +345,7 @@ def test_cograph_wide_union_under_a_universal_vertex_regression():
     # six pieces under the union, one of them an edge; playing the lone
     # join vertex leaves one forced move per far component rather than
     # absorbing them outright
-    g = make_cograph(Cotree(JOIN, (Cotree(UNION, (Cotree(JOIN, (3, 5)),
-                                                  6, 7, 4, 2, 0)), 1)))
+    g = Graph(8, [(1, v) for v in (0, 2, 3, 4, 5, 6, 7)] + [(3, 5)])
     assert cograph_free_values(g)[1] == 0
     v = cograph_free_winner(g)
     assert v == Verdict(Player.FIRST, 1, 1)
@@ -363,7 +356,7 @@ def test_cograph_move_values_mex_to_grundy():
     # each opening value is the engine's value of the position it leaves
     rng = random.Random(33)
     for _ in range(50):
-        g = make_cograph(random_cotree(9, rng))
+        g = random_cograph(rng.randint(1, 9), rng)
         values = cograph_free_values(g)
         assert values == [grundy(Position(g, hull(g, 1 << x), Variant.FREE))
                           for x in range(g.n)]
@@ -374,14 +367,14 @@ def test_cograph_union_value_is_nim_sum_of_children():
     rng = random.Random(34)
     seen_unions = 0
     while seen_unions < 20:
-        t = random_cotree(10, rng)
-        if not (isinstance(t, Cotree) and t.op == UNION):
+        g = random_cograph(rng.randint(1, 10), rng)
+        parts = components(g)
+        if len(parts) < 2:
             continue
         seen_unions += 1
-        g = make_cograph(t)
         expect = 0
-        for child in t.children:
-            part, _ = induced_subgraph(g, mask_of(cotree_leaves(child)))
+        for comp in parts:
+            part, _ = induced_subgraph(g, comp)
             expect ^= mex(cograph_free_values(part))
         assert mex(cograph_free_values(g)) == expect
 
@@ -389,7 +382,7 @@ def test_cograph_union_value_is_nim_sum_of_children():
 def test_cograph_solver_matches_engine_on_random_cotrees():
     rng = random.Random(35)
     for _ in range(40):
-        g = make_cograph(random_cotree(10, rng))
+        g = random_cograph(rng.randint(1, 10), rng)
         assert cograph_free_winner(g) == decide(g, Variant.FREE)
 
 
