@@ -37,29 +37,62 @@ class CacheCorruptionError(RuntimeError):
 # first JSON value, so trailing data is caught by comparing offsets
 _decode_record = json.JSONDecoder().raw_decode
 
+# (bytes, entries, line count) of the longest newline-terminated head of
+# the cache file the last load validated.  Entries and errors depend on
+# a file's bytes alone, so a file that starts with these bytes needs
+# only its remainder decoded, whichever directory it sits in.
+_validated = (b"", {}, 0)
+
 
 class ResultCache:
     """Append-only store of verdicts, one JSON object per line, keyed by
     (graph content hash, variant).  An existing entry is never replaced;
     attempting to record a different verdict for the same key raises, and
-    so does a line that is not a complete record."""
+    so does a line that is not a complete record.
+
+    Loading decodes only the lines past the head the previous load in
+    this process validated (see _validated), so a reload after an append
+    costs one read of the file plus one decode per new line.  Verdicts
+    returned by get are shared with later loads: do not mutate them."""
 
     FILENAME = "results.jsonl"
 
     def __init__(self, directory: str):
+        global _validated
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, self.FILENAME)
         self._entries: dict[tuple[str, str], dict] = {}
+        # put starts a new line when the file ends inside one
+        self._unterminated = False
         try:
-            # undecodable bytes become U+FFFD and fail as non-JSON below
-            with open(self.path, "r", encoding="utf-8",
-                      errors="replace") as fh:
-                text = fh.read()
+            with open(self.path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return
-        # text mode has already turned \r\n and \r into \n; splitlines
-        # would also split on U+2028 and form feeds and shift line numbers
-        for number, line in enumerate(text.split("\n"), 1):
+        self._unterminated = data[-1:] not in (b"", b"\n", b"\r")
+        head, entries, lines = _validated
+        if data.startswith(head):
+            self._entries = dict(entries)
+        else:
+            head, lines = b"", 0
+        # the cut follows a \n byte: it ends a line, a \r before it is
+        # in the head, and no UTF-8 sequence spans it
+        cut = data.rfind(b"\n") + 1
+        if cut > len(head):
+            lines = self._validate(data[len(head):cut], lines)
+            _validated = (data[:cut], dict(self._entries), lines)
+        self._validate(data[cut:], lines)
+
+    def _validate(self, data: bytes, lines: int) -> int:
+        """Add the records of ``data``, whose first line is line
+        ``lines + 1`` of the file, and return the number of its last
+        line.  Raises CacheCorruptionError naming the first bad line."""
+        # undecodable bytes become U+FFFD and fail as non-JSON below;
+        # \r\n and lone \r end lines as in text mode, and only these:
+        # splitlines would also split on U+2028 and form feeds
+        text = data.decode("utf-8", "replace")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        for number, line in enumerate(text.split("\n"), lines + 1):
             line = line.strip()
             if not line:
                 continue
@@ -81,6 +114,7 @@ class ResultCache:
                 raise CacheCorruptionError(
                     "conflicting cache lines for %r" % (key,))
             self._entries[key] = verdict
+        return lines + text.count("\n")
 
     def get(self, digest: str, variant: Variant):
         return self._entries.get((digest, variant.value))
@@ -96,8 +130,11 @@ class ResultCache:
         self._entries[key] = verdict
         record = {"graph": digest, "variant": variant.value,
                   "verdict": verdict}
+        line = json.dumps(record, sort_keys=True) + "\n"
+        if self._unterminated:
+            line, self._unterminated = "\n" + line, False
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(line)
 
     def __len__(self):
         return len(self._entries)
@@ -347,6 +384,11 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=stderr)
+        return 3
+    except (MemoryError, OverflowError) as exc:
+        # a graph whose "n" is too large to allocate its rows for
+        print("resource limit: %s" % (str(exc) or "out of memory"),
+              file=stderr)
         return 3
 
 

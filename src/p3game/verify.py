@@ -140,17 +140,71 @@ def _samples(family, count, variant, solver):
     return instances
 
 
-def enumerate_trees(max_n: int):
-    """All isomorphism classes of trees with 1..max_n vertices, as Graphs
-    (canonical representatives; requires max_n <= 9 at reasonable cost)."""
-    import networkx as nx
+def _next_rooted(levels, p=None):
+    """Beyer–Hedetniemi successor: the rooted tree after ``levels`` in
+    decreasing order of level sequences, found by changing position p
+    (by default the last one deeper than level 1), or None after the
+    star.  A level sequence lists each vertex's depth in preorder."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
 
+
+def _first_subtree(levels):
+    """(first subtree of the root, the rest of the tree), each as a
+    level sequence rooted at depth 0."""
+    m = levels.index(1, 2) if 1 in levels[2:] else len(levels)
+    return [d - 1 for d in levels[1:m]], [0] + levels[m:]
+
+
+def _free_tree_levels(n: int):
+    """Level sequences of the free trees with n >= 2 vertices, one per
+    isomorphism class (Wright, Richmond, Odlyzko & McKay 1986, "Constant
+    time generation of free trees").  Each tree is rooted at a centre,
+    with (height, size, level sequence) of the root's first subtree at
+    most that of the rest of the tree; a rooted tree that breaks this
+    jumps ahead to the next one that keeps it."""
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        left, rest = _first_subtree(levels)
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            p = len(left)
+            jump = _next_rooted(levels, p)
+            if levels[p] > 2:
+                height = max(_first_subtree(jump)[0])
+                jump[-height - 1:] = range(1, height + 2)
+            levels = jump
+        yield levels
+        levels = _next_rooted(levels)
+
+
+def enumerate_trees(max_n: int):
+    """All isomorphism classes of trees with 1..max_n vertices, as
+    (n, index, Graph) in a fixed order; vertex i of a class is its i-th
+    vertex in preorder from a centre.  There are 1, 1, 1, 2, 3, 6, 11,
+    23 and 47 classes of 1 to 9 vertices."""
     out = []
     if max_n >= 1:
         out.append((1, 0, Graph(1, [])))
     for n in range(2, max_n + 1):
-        for idx, t in enumerate(nx.nonisomorphic_trees(n)):
-            out.append((n, idx, Graph(n, list(t.edges()))))
+        for idx, levels in enumerate(_free_tree_levels(n)):
+            last = [0] * n  # last[d]: the latest vertex at depth d
+            edges = []
+            for v, d in enumerate(levels):
+                if d:
+                    edges.append((last[d - 1], v))
+                last[d] = v
+            out.append((n, idx, Graph(n, edges)))
     return out
 
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 from p3game import (Player, TranspositionTable, Variant, Verdict,
@@ -23,9 +24,9 @@ from p3game import (Player, TranspositionTable, Variant, Verdict,
 from p3game import cli, solvers, verify
 from p3game.cli import CacheCorruptionError, ResultCache, main
 from p3game.graphs import bits, random_gnp
-from p3game.verify import FAMILIES, run_family
+from p3game.verify import FAMILIES, enumerate_trees, run_family
 
-from helpers import connected_atlas_graphs
+from helpers import connected_atlas_graphs, graph_to_nx
 
 
 def run_cli(argv, stdin_text=""):
@@ -99,6 +100,24 @@ def test_solve_empty_graph_is_a_usage_error(tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: cannot decide the game on an empty graph\n"
+
+
+@pytest.mark.parametrize("n", [2 ** 61, 2 ** 64], ids=["no-memory", "no-index"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--variant", "free"],
+    ["play", "--variant", "free", "--human", "first"],
+])
+def test_graph_too_large_to_allocate_is_a_resource_limit(tmp_path, n,
+                                                          command):
+    # both sizes fail before anything is allocated: 2**61 rows exceed any
+    # memory, and 2**64 does not fit a list index
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": %d, "edges": []}' % n)
+    code, out, err = run_cli(command + ["--graph", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
@@ -376,6 +395,116 @@ def test_cache_soundness_on_a_random_sample(tmp_path):
         assert json.loads(cold) == fresh
 
 
+def test_put_after_a_last_line_without_newline_starts_a_new_line(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    g = make_cycle(6)
+    verdict = decide(g, Variant.FREE).to_json_dict()
+    record = json.dumps({"graph": graph_digest(g), "variant": "free",
+                         "verdict": verdict}, sort_keys=True)
+    (cache_dir / "results.jsonl").write_text(record)
+    for h in (make_path(5), make_cycle(5), make_path(5), make_cycle(5)):
+        code, out, err = run_cli(["solve", "--graph", write_graph(tmp_path, h),
+                                  "--variant", "free",
+                                  "--cache", str(cache_dir)])
+        assert (code, err) == (0, "")
+    lines = (cache_dir / "results.jsonl").read_text().split("\n")
+    assert lines[0] == record and lines[-1] == ""
+    assert len(lines) == 4
+
+
+def _load(cache_dir):
+    """The entries of a ResultCache over cache_dir, or its error text."""
+    try:
+        return dict(ResultCache(str(cache_dir))._entries)
+    except CacheCorruptionError as exc:
+        return str(exc)
+
+
+def _cold_load(cache_dir, monkeypatch):
+    """_load with no earlier load remembered."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_validated", (b"", {}, 0))
+        return _load(cache_dir)
+
+
+def _cache_lines(count, start=0):
+    return [json.dumps({"graph": "%064x" % i, "variant": "free",
+                        "verdict": {"winner": "first", "grundy": i % 3 + 1,
+                                    "witness": i % 5}}) + "\n"
+            for i in range(start, start + count)]
+
+
+def _rewrite_line(lines, i, text):
+    return lines[:i] + [text + "\n"] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("change", [
+    "corrupt-earlier-line", "conflicting-earlier-line", "truncated",
+    "shorter-different-file", "deleted", "appended", "crlf-appended",
+    "last-line-unterminated", "corrupt-appended-line",
+    "conflicting-appended-line"])
+def test_warm_cache_load_equals_a_cold_one(tmp_path, monkeypatch, change):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = cache_dir / "results.jsonl"
+    lines = _cache_lines(20)
+    path.write_text("".join(lines))
+    assert len(_load(cache_dir)) == 20  # remembered from here on
+    conflict = json.loads(lines[4])
+    conflict["verdict"] = {"winner": "second", "grundy": 0, "witness": None}
+    data = {
+        "corrupt-earlier-line": "".join(_rewrite_line(lines, 7, "{\"graph\"")),
+        "conflicting-earlier-line": "".join(
+            _rewrite_line(lines, 15, json.dumps(conflict))),
+        "truncated": "".join(lines)[:1000],
+        "shorter-different-file": "".join(_cache_lines(5, start=50)),
+        "appended": "".join(lines + _cache_lines(3, start=20)),
+        "crlf-appended": "".join(lines) + "\r\n".join(
+            l.rstrip("\n") for l in _cache_lines(3, start=20)) + "\r",
+        "last-line-unterminated": "".join(lines + _cache_lines(1, start=20))
+        .rstrip("\n") + "\n\n" + lines[0][:-1],
+        "corrupt-appended-line": "".join(lines) + "\n[1, 2]\n",
+        "conflicting-appended-line": "".join(lines) + json.dumps(conflict),
+    }.get(change)
+    if data is None:
+        path.unlink()
+    else:
+        path.write_text(data)
+    warm = _load(cache_dir)
+    assert warm == _cold_load(cache_dir, monkeypatch)
+    expected = {"corrupt-earlier-line": "line 8 is not a cache record",
+                "conflicting-earlier-line": "conflicting cache lines",
+                "truncated": "is not a cache record",
+                "corrupt-appended-line": "line 22 is not a cache record",
+                "conflicting-appended-line": "conflicting cache lines"
+                }.get(change)
+    if expected:
+        assert expected in warm
+    else:
+        assert isinstance(warm, dict)
+    # and a load after that one, with this file remembered, agrees too
+    assert _load(cache_dir) == warm
+
+
+def test_reload_decodes_only_the_lines_appended_since(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "results.jsonl").write_text("".join(_cache_lines(100)))
+    decoded = []
+    decode = cli._decode_record
+    monkeypatch.setattr(cli, "_decode_record",
+                        lambda line: decoded.append(line) or decode(line))
+    assert len(ResultCache(str(cache_dir))) == 100
+    decoded.clear()
+    cache = ResultCache(str(cache_dir))
+    assert len(cache) == 100 and decoded == []
+    cache.put("ab", Variant.FREE,
+              {"winner": "second", "grundy": 0, "witness": None})
+    assert len(ResultCache(str(cache_dir))) == 101
+    assert len(decoded) == 1
+
+
 # =====================================================================
 # verify
 # =====================================================================
@@ -407,6 +536,35 @@ def test_verify_ladder_family_passes():
     assert code == 0
     report = json.loads(out)
     assert report["passed"] and report["instances"] == 7
+
+
+def test_tree_enumeration_matches_networkx():
+    trees = enumerate_trees(12)
+    counts = [sum(1 for n, _, _ in trees if n == size)
+              for size in range(1, 13)]
+    assert counts == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    assert [(n, idx) for n, idx, _ in trees] == [
+        (size, idx) for size, count in enumerate(counts, 1)
+        for idx in range(count)]
+    for size in range(1, 10):
+        ours = [graph_to_nx(t) for n, _, t in trees if n == size]
+        assert all(nx.is_tree(t) for t in ours)
+        for theirs in nx.nonisomorphic_trees(size):
+            assert sum(nx.is_isomorphic(t, theirs) for t in ours) == 1
+
+
+def test_tree_sweep_runs_without_networkx():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import sys\n"
+              "from p3game.cli import main\n"
+              "code = main(['verify', '--family', 'tree', '--max-n', '9'])\n"
+              "print(code, 'networkx' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 def test_verify_tree_below_its_minimum_size_names_it():
