@@ -44,12 +44,11 @@ from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      grundy, mex, nim_sum)
 from .solvers import (block_connected_winner, clique_free_winner,
                       cograph_free_values, cograph_free_winner,
-                      connected_block_values, connected_cycle_arc_values,
-                      connected_cycle_grundy, connected_path_f,
-                      connected_path_grundy, free_cycle_winner,
-                      free_path_grundy, free_path_grundy_table,
-                      ladder_connected_winner, star_free_winner,
-                      tree_connected_grundy)
+                      connected_block_values, connected_cycle_grundy,
+                      connected_path_f, connected_path_grundy,
+                      free_cycle_winner, free_path_grundy,
+                      free_path_grundy_table, ladder_connected_winner,
+                      star_free_winner, tree_connected_grundy)
 from .verify import FAMILIES, VerifyReport, run_family
 
 __version__ = "0.1.0"
@@ -72,7 +71,7 @@ __all__ = [
     "DEFAULT_BUDGET", "mex", "nim_sum", "grundy", "decide", "best_move",
     # solvers
     "connected_path_f", "connected_path_grundy",
-    "connected_cycle_grundy", "connected_cycle_arc_values",
+    "connected_cycle_grundy",
     "free_path_grundy_table", "free_path_grundy", "free_cycle_winner",
     "ladder_connected_winner", "star_free_winner", "clique_free_winner",
     "connected_block_values", "block_connected_winner",

@@ -21,8 +21,8 @@ import sys
 
 from .closure import (IllegalMoveError, Position, Variant, apply_move,
                       legal_moves, start_position)
-from .engine import (DEFAULT_BUDGET, ResourceLimitError, TranspositionTable,
-                     best_move, decide)
+from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
+                     TranspositionTable, Verdict, best_move, decide)
 from .graphs import (SIZED_FAMILIES, GraphFormatError, bits, emit_graph,
                      graph_digest, parse_graph)
 from .verify import FAMILIES, run_family
@@ -104,7 +104,8 @@ class ResultCache:
                 verdict = obj["verdict"]
                 prior = self._entries.get(key)  # key must hash
                 # solve prints these; check them here, not there
-                verdict["winner"], verdict["grundy"], verdict["witness"]
+                Verdict(Player(verdict["winner"]), verdict["grundy"],
+                        verdict["witness"])
             except (ValueError, LookupError, TypeError,
                     RecursionError) as exc:
                 raise CacheCorruptionError(

@@ -68,6 +68,11 @@ def nim_sum(values: Iterable[int]) -> int:
     return reduce(xor, values, 0)
 
 
+def _is_count(x) -> bool:
+    """x is a nonnegative int (a bool is not a count)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 class Player(enum.Enum):
     FIRST = "first"
     SECOND = "second"
@@ -87,12 +92,15 @@ class Verdict:
     witness: Optional[int]
 
     def __post_init__(self):
-        if not isinstance(self.grundy, int) or self.grundy < 0:
+        if not _is_count(self.grundy):
             raise ValueError("grundy value must be a nonnegative integer")
         if (self.winner is Player.FIRST) != (self.grundy != 0):
             raise ValueError("winner and grundy value disagree")
-        if self.witness is not None and self.winner is not Player.FIRST:
-            raise ValueError("only a winning first player has a witness move")
+        if (self.witness is not None) != (self.winner is Player.FIRST):
+            raise ValueError("a witness move is present exactly when the "
+                             "first player wins")
+        if self.witness is not None and not _is_count(self.witness):
+            raise ValueError("witness must be a nonnegative integer")
 
     def to_json_dict(self) -> dict:
         return {"winner": self.winner.value,
@@ -214,6 +222,16 @@ def _component_value(g: Graph, comp: int, variant: Variant,
     return value
 
 
+def _winning_move(g: Graph, labeled: int, variant: Variant,
+                  table: TranspositionTable) -> Optional[int]:
+    """The lowest legal move from ``labeled`` to a child worth 0, or
+    None."""
+    for x in bits(legal_moves_raw(g, labeled, variant)):
+        if _position_value(g, hull(g, labeled | 1 << x), variant, table) == 0:
+            return x
+    return None
+
+
 def decide(g: Graph, variant: Variant,
            budget: Optional[int] = None) -> Verdict:
     """Solve the start position: winner, Grundy value, and the
@@ -222,29 +240,16 @@ def decide(g: Graph, variant: Variant,
         raise ValueError("cannot decide the game on an empty graph")
     table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
     value = _position_value(g, 0, variant, table)
-    witness = None
-    if value != 0:
-        for x in bits(legal_moves_raw(g, 0, variant)):
-            if _position_value(g, hull(g, 1 << x), variant, table) == 0:
-                witness = x
-                break
-        assert witness is not None, "nonzero position must have a 0-child"
-    winner = Player.FIRST if value != 0 else Player.SECOND
-    return Verdict(winner, value, witness)
+    if value == 0:
+        return Verdict(Player.SECOND, 0, None)
+    return Verdict(Player.FIRST, value, _winning_move(g, 0, variant, table))
 
 
 def best_move(p: Position, table: Optional[TranspositionTable] = None) -> Optional[int]:
     """A move to a Grundy-0 child if one exists, else the lowest-numbered
     legal move, else None (no legal move)."""
     table = _table_for(p, table)
-    moves = legal_moves_raw(p.graph, p.labeled, p.variant)
-    if moves == 0:
-        return None
-    fallback = None
-    for x in bits(moves):
-        if fallback is None:
-            fallback = x
-        child = hull(p.graph, p.labeled | (1 << x))
-        if _position_value(p.graph, child, p.variant, table) == 0:
-            return x
-    return fallback
+    x = _winning_move(p.graph, p.labeled, p.variant, table)
+    if x is None:
+        return next(bits(legal_moves_raw(p.graph, p.labeled, p.variant)), None)
+    return x

@@ -88,36 +88,13 @@ def connected_cycle_grundy(n: int) -> int:
     Every first move is equivalent and leaves an arc playground of one
     vertex, so the start value is mex of that single arc value, whose
     closed form by residue of n is 0, 2, 1 for n = 2, 1, 0 mod 3.  The
-    downward arc recurrence behind the closed form is kept in
-    ``connected_cycle_arc_values`` and the equality is a test property.
+    downward arc recurrence behind the closed form is checked against it
+    in ``tests/test_solvers.py::test_connected_cycle_arc_recurrence``.
     """
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     f1 = {2: 0, 0: 1, 1: 2}[n % 3]
     return mex((f1,))
-
-
-def connected_cycle_arc_values(n: int) -> dict[int, int]:
-    """Grundy values f(k) of arc playgrounds of k vertices on C_n.
-
-    Computed top-down from f(n) = 0.  An arc of n-1 vertices is never a
-    position (no reachable labeled set misses exactly one vertex), so no
-    value exists for k = n-1: with three unlabeled vertices left, the
-    middle move closes the whole cycle, which is why f(n-3) draws on
-    f(n) rather than f(n-1).
-    """
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
-    f = {n: 0}
-    if n - 2 >= 1:
-        f[n - 2] = 1
-    for k in range(n - 3, 0, -1):
-        unlabeled = n - k
-        if unlabeled == 3:
-            f[k] = mex((f[k + 1], f[n]))
-        else:
-            f[k] = mex((f[k + 1], f[k + 2]))
-    return f
 
 
 # =====================================================================

@@ -3,13 +3,15 @@ engine on every instance small enough to afford.
 
 Every family is one entry of the FAMILIES table: its smallest size, the
 error for a smaller one, and its instances, each paired with the call
-that makes the solver's claim.  run_family makes each claim, compares
-it with the engine and returns a VerifyReport listing any disagreement;
-an instance whose solver or engine raises is a disagreement too.
-Reports are deterministic for a given seed: instances are generated by
-a seeded RNG and compared in instance order.  Elapsed time is kept out of the JSON
-projection so identical runs stay byte-identical; it appears only in the
-human-readable table.
+that makes the solver's claim.  run_family makes each claim, runs one
+engine search (decide) per instance that claims a verdict or a value,
+and returns a VerifyReport listing any disagreement; an instance whose
+solver or engine raises is a disagreement too.  A solver's Verdict must
+equal the engine's field for field, witness included: both name the
+lowest opening worth 0.  Reports are deterministic for a given seed:
+instances are generated by a seeded RNG and compared in instance order.
+Elapsed time is kept out of the JSON projection so identical runs stay
+byte-identical; it appears only in the human-readable table.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import solvers
-from .closure import (IllegalMoveError, Variant, apply_move, hull,
-                      start_position)
-from .engine import ResourceLimitError, Verdict, decide, grundy
+from .closure import Variant, hull
+from .engine import ResourceLimitError, Verdict, decide
 from .graphs import SIZED_FAMILIES, Graph, bits
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
@@ -48,54 +49,26 @@ class VerifyReport:
                 "passed": self.passed}
 
     def human_table(self) -> str:
-        header = "%-16s %10s %11s %7s %9s" % (
-            "family", "instances", "mismatches", "result", "elapsed")
-        row = "%-16s %10d %11d %7s %8.2fs" % (
-            self.family, self.instances, len(self.mismatches),
+        width = max(map(len, FAMILIES))
+        header = "%-*s %10s %11s %7s %9s" % (
+            width, "family", "instances", "mismatches", "result", "elapsed")
+        row = "%-*s %10d %11d %7s %8.2fs" % (
+            width, self.family, self.instances, len(self.mismatches),
             "PASS" if self.passed else "FAIL", self.elapsed)
         return header + "\n" + row
 
 
-def _verdict_fields(v):
-    """Comparable projection of a Verdict: winner and value."""
-    return {"winner": v.winner.value, "grundy": v.grundy}
-
-
-def _witness_child_value(g, variant, witness, budget):
-    """The engine's value of the position the witness opening leads to,
-    or "illegal" when the witness is not a legal opening."""
-    try:
-        child = apply_move(start_position(g, variant), witness)
-    except IllegalMoveError:
-        return "illegal"
-    return grundy(child, budget=budget)
-
-
-def _verdict_row(solver_v, g, variant, budget):
-    """(solver, oracle) projections of a solver's Verdict and the
-    engine's: winner and value.  A witness is a claim too: the engine
-    must value the child it leads to at 0; when it does not, both sides
-    carry the witness and that child value."""
-    sv = _verdict_fields(solver_v)
-    ov = _verdict_fields(decide(g, variant, budget=budget))
-    witness = solver_v.witness
-    if witness is not None:
-        child = _witness_child_value(g, variant, witness, budget)
-        if child != 0:
-            sv = {"verdict": sv, "witness": witness, "child": 0}
-            ov = {"verdict": ov, "witness": witness, "child": child}
-    return sv, ov
-
-
 def _row(claim, g, variant, budget):
-    """(solver, oracle) sides of one instance.  An int claim is a Grundy
-    value, checked against the engine's; a Verdict goes through
-    _verdict_row; a list holds counterexamples, of which none are due."""
-    if isinstance(claim, Verdict):
-        return _verdict_row(claim, g, variant, budget)
+    """(solver, oracle) sides of one instance.  A list holds
+    counterexamples, of which none are due.  Otherwise the engine decides
+    the instance once: a Verdict claim must equal its verdict, winner,
+    value and witness alike, and an int claim its Grundy value."""
     if isinstance(claim, list):
         return claim, []
-    return claim, grundy(start_position(g, variant), budget=budget)
+    oracle = decide(g, variant, budget=budget)
+    if isinstance(claim, Verdict):
+        return claim.to_json_dict(), oracle.to_json_dict()
+    return claim, oracle.grundy
 
 
 # ---------------------------------------------------------------------
@@ -231,9 +204,9 @@ FAMILIES = {
         SIZED_FAMILIES["tree"][0], "trees need at least %d vertex",
         lambda least, max_n, rng: itertools.chain(
             (({"class": [n, idx]}, t, CONNECTED,
-              partial(solvers.tree_connected_grundy, t))
+              partial(solvers.block_connected_winner, t))
              for n, idx, t in enumerate_trees(min(max_n, 9))),
-            _samples("tree", 200, CONNECTED, "tree_connected_grundy")(
+            _samples("tree", 200, CONNECTED, "block_connected_winner")(
                 least, max_n, rng))),
     "caterpillar": Family(
         SIZED_FAMILIES["caterpillar"][0],

@@ -1,7 +1,9 @@
 """The plain whole-graph search and the rescan hull: the oracles the
 engine's decomposition and the word-parallel hull are checked against.
 Also the uniform fenced-run route to the free cycle game, which the
-solver's strategy shortcuts are checked against.
+solver's strategy shortcuts are checked against, and the downward arc
+recurrence that the connected cycle solver's closed form is checked
+against.
 
 The search memoizes whole labeled sets, one dict per (graph, variant),
 and knows nothing about components.  It builds child positions with
@@ -74,3 +76,26 @@ def free_cycle_by_reduction(n):
     if value != 0:
         return Verdict(Player.FIRST, value, 0)
     return Verdict(Player.SECOND, 0, None)
+
+
+def connected_cycle_arc_values(n: int) -> dict[int, int]:
+    """Grundy values f(k) of arc playgrounds of k vertices on C_n.
+
+    Computed top-down from f(n) = 0.  An arc of n-1 vertices is never a
+    position (no reachable labeled set misses exactly one vertex), so no
+    value exists for k = n-1: with three unlabeled vertices left, the
+    middle move closes the whole cycle, which is why f(n-3) draws on
+    f(n) rather than f(n-1).
+    """
+    if n < 3:
+        raise ValueError("cycle needs at least three vertices")
+    f = {n: 0}
+    if n - 2 >= 1:
+        f[n - 2] = 1
+    for k in range(n - 3, 0, -1):
+        unlabeled = n - k
+        if unlabeled == 3:
+            f[k] = mex((f[k + 1], f[n]))
+        else:
+            f[k] = mex((f[k + 1], f[k + 2]))
+    return f

@@ -304,6 +304,21 @@ def test_cache_line_missing_a_field_is_a_parse_error(tmp_path, record):
     assert "line 2 is not a cache record" in err
 
 
+@pytest.mark.parametrize("verdict", [
+    {"grundy": -1, "winner": "third", "witness": "x"},
+    {"grundy": 0, "winner": "first", "witness": 0},
+    {"grundy": 0, "winner": "second", "witness": 4},
+], ids=["unknown-winner", "first-at-zero", "second-with-witness"])
+def test_cache_line_with_an_impossible_verdict_is_a_parse_error(tmp_path,
+                                                                verdict):
+    g = make_path(3)
+    record = {"graph": graph_digest(g), "variant": "free",
+              "verdict": verdict}
+    code, out, err = _solve_with_cache_lines(tmp_path, [json.dumps(record)])
+    assert code == 2 and out == ""
+    assert "line 2 is not a cache record: ValueError" in err
+
+
 def test_two_records_on_one_line_are_a_parse_error(tmp_path):
     record = json.dumps({"graph": "ab", "variant": "free",
                          "verdict": {"winner": "second", "grundy": 0,
@@ -567,6 +582,16 @@ def test_tree_sweep_runs_without_networkx():
     assert proc.stdout == "0 False\n", proc.stderr
 
 
+def test_verify_table_columns_line_up_for_every_family():
+    for family in FAMILIES:
+        header, row = verify.VerifyReport(family, 1).human_table().split("\n")
+        # the family column is left-aligned, the others right-aligned
+        ends = [[m.end() for m in re.finditer(r"\S+", line)][1:]
+                for line in (header, row)]
+        assert row.startswith(family + " ")
+        assert ends[0] == ends[1], family
+
+
 def test_verify_tree_below_its_minimum_size_names_it():
     code, out, err = run_cli(["verify", "--family", "tree", "--max-n", "0"])
     assert code == 2
@@ -646,7 +671,7 @@ def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
 def _other_winner(verdict, *_):
     if verdict.winner is Player.FIRST:
         return Verdict(Player.SECOND, 0, None)
-    return Verdict(Player.FIRST, 1, None)
+    return Verdict(Player.FIRST, 1, 0)
 
 
 def _one_more(value, *_):
@@ -664,7 +689,7 @@ WRONG_ANSWERS = [
      [{"n"}]),
     ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
      [{"n"}]),
-    ("tree", 6, (solvers, "tree_connected_grundy"), _one_more,
+    ("tree", 6, (solvers, "block_connected_winner"), _other_winner,
      [{"class"}, {"sample", "n", "edges"}]),
     ("caterpillar", 7, (solvers, "block_connected_winner"),
      _other_winner, [{"sample", "n", "edges"}]),
@@ -698,6 +723,7 @@ def test_verify_catches_a_wrong_answer_in_every_family(
 
 WITNESS_SOLVERS = [("cycle-free", "free_cycle_winner", 9),
                    ("ladder", "ladder_connected_winner", 6),
+                   ("tree", "block_connected_winner", 6),
                    ("star", "star_free_winner", 4),
                    ("clique", "clique_free_winner", 3),
                    ("caterpillar", "block_connected_winner", 7),
@@ -710,21 +736,23 @@ WITNESS_SOLVERS = [("cycle-free", "free_cycle_winner", 9),
 def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
         monkeypatch, family, solver, max_n):
     original = getattr(solvers, solver)
+    wins = []
 
     def far_witness(*args):
         verdict = original(*args)
         if verdict.witness is None:
             return verdict
+        wins.append(verdict)
         return dataclasses.replace(verdict, witness=10 ** 6)
 
     monkeypatch.setattr(solvers, solver, far_witness)
     report = run_family(family, max_n)
-    assert report.mismatches
-    for m in report.mismatches:
-        assert m["solver"]["witness"] == m["oracle"]["witness"] == 10 ** 6
-        assert m["oracle"]["child"] == "illegal"
-        # the winner or value claim itself still agrees
-        assert m["solver"]["verdict"] == m["oracle"]["verdict"]
+    # every first-player win, and only those, is flagged
+    assert wins and len(report.mismatches) == len(wins)
+    for m, verdict in zip(report.mismatches, wins):
+        assert m["solver"] == dict(verdict.to_json_dict(), witness=10 ** 6)
+        # the winner and value claims still agree; the witness does not
+        assert m["oracle"] == verdict.to_json_dict()
 
 
 def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
@@ -765,8 +793,8 @@ def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):
     assert report["instances"] == 7
     assert [m["instance"]["n"] for m in report["mismatches"]] == [3, 6]
     for m in report["mismatches"]:
-        assert m["solver"]["child"] == 0
-        assert m["oracle"]["child"] not in (0, "illegal")
+        assert m["solver"] == {"winner": "first", "grundy": 1, "witness": 1}
+        assert m["oracle"] == {"winner": "first", "grundy": 1, "witness": 0}
 
 
 # =====================================================================

@@ -63,6 +63,10 @@ def test_verdict_consistency_enforced():
         Verdict(Player.SECOND, 1, None)
     with pytest.raises(ValueError):
         Verdict(Player.SECOND, 0, 2)
+    # a first-player win names its winning opening, a vertex id
+    for witness in (None, -1, "x", 1.0, True):
+        with pytest.raises(ValueError):
+            Verdict(Player.FIRST, 1, witness)
     assert Verdict(Player.FIRST, 1, 0).to_json_dict() == {
         "winner": "first", "grundy": 1, "witness": 0}
 
@@ -278,6 +282,16 @@ def test_every_opening_matches_the_whole_graph_search_on_the_atlas():
                 assert grundy(child, table) == \
                     reference_grundy(g, child.labeled, variant, memo), \
                     (g.n, g.edges(), variant, x)
+
+
+def test_decide_witness_is_the_best_move_on_the_atlas():
+    # decide and best_move share one scan for a winning move
+    for g in atlas_graphs(7):
+        for variant in Variant:
+            v = decide(g, variant)
+            if v.winner is Player.FIRST:
+                assert v.witness == best_move(start_position(g, variant)), \
+                    (g.n, g.edges(), variant)
 
 
 def test_decide_matches_the_whole_graph_search_on_random_graphs():

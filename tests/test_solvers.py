@@ -10,19 +10,20 @@ import pytest
 from p3game import (Player, Position, Variant, Verdict,
                     block_connected_winner, clique_free_winner,
                     cograph_free_values, cograph_free_winner, components,
-                    connected_block_values, connected_cycle_arc_values,
-                    connected_cycle_grundy, connected_path_f,
-                    connected_path_grundy, decide, free_cycle_winner,
-                    free_path_grundy, free_path_grundy_table, grundy, hull,
-                    induced_subgraph, ladder_connected_winner,
-                    make_caterpillar, make_clique, make_cycle, make_ladder,
-                    make_path, mask_of, mex, nim_sum, random_caterpillar,
-                    random_cograph, random_tree, star_free_winner,
-                    start_position, tree_connected_grundy)
+                    connected_block_values, connected_cycle_grundy,
+                    connected_path_f, connected_path_grundy, decide,
+                    free_cycle_winner, free_path_grundy,
+                    free_path_grundy_table, grundy, hull, induced_subgraph,
+                    ladder_connected_winner, make_caterpillar, make_clique,
+                    make_cycle, make_ladder, make_path, mask_of, mex,
+                    nim_sum, random_caterpillar, random_cograph,
+                    random_tree, star_free_winner, start_position,
+                    tree_connected_grundy)
 from p3game.graphs import Graph
 
 from helpers import atlas_graphs, graph_to_nx, has_induced_p4
-from reference import free_cycle_by_reduction, reference_decide
+from reference import (connected_cycle_arc_values, free_cycle_by_reduction,
+                       reference_decide)
 
 
 # =====================================================================
