@@ -1,4 +1,4 @@
-"""A tour of the solved graph families: each closed form next to the
+"""A tour of the solved graph families: each family solver next to the
 exhaustive engine on sizes small enough to check live.
 
 Run:  python3 demos/family_tour.py
@@ -7,10 +7,10 @@ Run:  python3 demos/family_tour.py
 import random
 
 from p3game import (Variant, block_connected_winner, cograph_free_winner,
-                    connected_cycle_grundy, connected_path_grundy, decide,
-                    free_cycle_winner, free_path_grundy,
-                    ladder_connected_winner, make_caterpillar, make_ladder,
-                    random_chordal, random_cograph, star_free_winner)
+                    connected_cycle_grundy, decide, free_cycle_winner,
+                    free_path_grundy, ladder_connected_winner,
+                    make_caterpillar, make_ladder, make_path, make_star,
+                    random_chordal, random_cograph)
 
 
 def banner(title):
@@ -22,13 +22,15 @@ def banner(title):
 def main():
     banner("paths")
     print("n:         ", " ".join("%2d" % n for n in range(1, 13)))
-    print("connected: ", " ".join("%2d" % connected_path_grundy(n)
-                                  for n in range(1, 13)))
+    print("connected: ", " ".join(
+        "%2d" % block_connected_winner(make_path(n)).grundy
+        for n in range(1, 13)))
     print("free:      ", " ".join("%2d" % free_path_grundy(n)
                                   for n in range(1, 13)))
     print("connected: first wins every path except n = 2, with value 2")
-    print("exactly when n = 2 (mod 3); the free values come from a")
-    print("fenced-run table with no known closed form.")
+    print("exactly when n = 2 (mod 3), from the block solver that also")
+    print("solves trees; the free values come from a fenced-run table")
+    print("with no known closed form.")
 
     banner("cycles")
     print("n:         ", " ".join("%2d" % n for n in range(3, 13)))
@@ -41,7 +43,8 @@ def main():
     print("fenced-run table, with sporadic first wins (n = 5, 13, 21, ...).")
 
     banner("stars and ladders")
-    wins = [star_free_winner(t).winner.value for t in range(0, 7)]
+    wins = [cograph_free_winner(make_star(t)).winner.value
+            for t in range(0, 7)]
     print("star with t feet, free game, t = 0..6:", " ".join(wins))
     wins = [ladder_connected_winner(n).winner.value for n in range(1, 8)]
     print("ladder with n rungs, connected game, n = 1..7:", " ".join(wins))

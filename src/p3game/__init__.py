@@ -17,10 +17,11 @@ Layout:
 * :mod:`p3game.engine` is the exhaustive Sprague-Grundy engine: exact
   values by memoized search, the ground truth everything else is
   checked against.
-* :mod:`p3game.solvers` holds the per-family closed forms and
-  polynomial-time dynamic programs (paths, cycles, ladders, stars,
-  cliques, cographs, and one block-cut-tree recurrence for trees,
-  caterpillars and chordal graphs).
+* :mod:`p3game.solvers` holds two structural solvers, one
+  block-cut-tree recurrence for the connected game (paths, trees,
+  caterpillars and chordal graphs) and one for the free game on
+  cographs (stars and cliques among them), plus closed forms for
+  cycles and ladders and a table of fenced runs for free paths.
 * :mod:`p3game.verify` sweeps each solver against the engine.
 * :mod:`p3game.cli` is the command-line harness (solve, verify, gen,
   play).
@@ -42,13 +43,11 @@ from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
                      grundy, mex, nim_sum)
-from .solvers import (block_connected_winner, clique_free_winner,
-                      cograph_free_values, cograph_free_winner,
-                      connected_block_values, connected_cycle_grundy,
-                      connected_path_f, connected_path_grundy,
-                      free_cycle_winner, free_path_grundy,
-                      free_path_grundy_table, ladder_connected_winner,
-                      star_free_winner, tree_connected_grundy)
+from .solvers import (block_connected_winner, cograph_free_values,
+                      cograph_free_winner, connected_block_values,
+                      connected_cycle_grundy, free_cycle_winner,
+                      free_path_grundy, free_path_grundy_table,
+                      ladder_connected_winner, tree_connected_grundy)
 from .verify import FAMILIES, VerifyReport, run_family
 
 __version__ = "0.1.0"
@@ -70,10 +69,9 @@ __all__ = [
     "Player", "Verdict", "TranspositionTable", "ResourceLimitError",
     "DEFAULT_BUDGET", "mex", "nim_sum", "grundy", "decide", "best_move",
     # solvers
-    "connected_path_f", "connected_path_grundy",
     "connected_cycle_grundy",
     "free_path_grundy_table", "free_path_grundy", "free_cycle_winner",
-    "ladder_connected_winner", "star_free_winner", "clique_free_winner",
+    "ladder_connected_winner",
     "connected_block_values", "block_connected_winner",
     "tree_connected_grundy",
     "cograph_free_values", "cograph_free_winner",

@@ -189,7 +189,17 @@ def cmd_solve(args, stdout, stderr) -> int:
         verdict = decide(g, variant, budget=budget)
         verdict_dict = verdict.to_json_dict()
         if cache is not None:
-            cache.put(digest, variant, verdict_dict)
+            try:
+                cache.put(digest, variant, verdict_dict)
+            except OSError as exc:
+                raise GraphFormatError(
+                    "cannot write cache file %s: %s" % (cache.path, exc))
+    elif (verdict_dict["witness"] or 0) >= g.n:
+        # the openings are exactly the vertices, in both variants; a
+        # second-player win has no witness and passes as 0
+        raise CacheCorruptionError(
+            "%s holds witness %d for graph %s, which has %d vertices"
+            % (cache.path, verdict_dict["witness"], digest, g.n))
 
     if args.mode == "winner":
         payload = {"winner": verdict_dict["winner"],

@@ -7,11 +7,17 @@ a family admits two derivation routes (a closed form and a recurrence,
 or a strategy argument and a reduction), both are kept: one is the
 implementation, the other lives in the test suite as a cross-check.
 
+Two structural solvers take a Graph and answer whole classes: the
+block solver (connected game on trees, paths among them, and chordal
+graphs) and the cograph solver (free game, stars and cliques among
+them).  Closed forms and a table of fenced runs cover what neither
+reaches: cycles, ladders and the free game on paths.
+
 Value conventions used throughout:
 
 * ``f``-style values are Grundy values of partially labeled boards
-  (a path with one end labeled, an arc playground on a cycle, a run of
-  unlabeled vertices with bordered ends).
+  (an arc playground on a cycle, a run of unlabeled vertices with
+  bordered ends).
 * A set of h interchangeable pendant moves contributes h mod 2 to a
   nim-sum: each pendant is a single-move subgame of value 1.
 """
@@ -34,48 +40,6 @@ def _opening_verdict(g: Graph, opening_values) -> Verdict:
     if value == 0:
         return Verdict(Player.SECOND, 0, None)
     return Verdict(Player.FIRST, value, values.index(0))
-
-
-# =====================================================================
-# Connected variant: paths
-# =====================================================================
-
-def connected_path_f(n: int) -> int:
-    """Grundy value of a path on n vertices with one endpoint labeled.
-
-    Recurrence f(n) = mex{f(n-1), f(n-2)} with f(1) = 0, f(2) = 1: the
-    mover either extends the labeled block by one, or jumps to distance
-    two and the closure absorbs the skipped vertex.  The closed form
-    (0, 1, 2 for n = 1, 2, 0 mod 3) is asserted in tests, not assumed.
-    """
-    return _connected_path_fs(n)[n]
-
-
-def _connected_path_fs(n: int) -> list[int]:
-    """[f(0), ..., f(n)] of ``connected_path_f``, in O(n); f(0) = 0 is
-    padding, not a position."""
-    if n < 1:
-        raise ValueError("path playground needs at least one vertex")
-    f = [0, 0, 1][:n + 1]
-    for k in range(3, n + 1):
-        f.append(mex((f[k - 1], f[k - 2])))
-    return f
-
-
-def connected_path_grundy(n: int) -> int:
-    """Grundy value of the start position on P_n, connected variant.
-
-    First move at an endpoint leaves f(n); a move at the (i+1)-th vertex
-    splits the path into end-labeled pieces of i+1 and n-i vertices,
-    whose values combine by nim-sum.
-    """
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
-    f = _connected_path_fs(n)
-    outcomes = {f[n]}
-    for i in range(1, n - 1):
-        outcomes.add(f[n - i] ^ f[i + 1])
-    return mex(outcomes)
 
 
 # =====================================================================
@@ -168,7 +132,7 @@ def free_cycle_winner(n: int) -> Verdict:
 
 
 # =====================================================================
-# Ladders, stars, cliques
+# Connected variant: ladders
 # =====================================================================
 
 def ladder_connected_winner(n: int) -> Verdict:
@@ -187,33 +151,6 @@ def ladder_connected_winner(n: int) -> Verdict:
     if n < 1:
         raise ValueError("ladder needs at least one rung")
     if n % 3 == 0:
-        return Verdict(Player.FIRST, 1, 0)
-    return Verdict(Player.SECOND, 0, None)
-
-
-def star_free_winner(t: int) -> Verdict:
-    """Free game on the star with t leaves: first player wins iff t is
-    even, by taking the center (t = 0 is the one-vertex graph).
-
-    Value bookkeeping: with the center labeled, the leaves are t
-    independent single moves, so the center-first value is t mod 2; a
-    leaf-first position is worth mex{(t-1) mod 2, t mod 2} = 2 for
-    t >= 2.  The start value is therefore 1 when t is even, 0 when odd.
-    """
-    if t < 0:
-        raise ValueError("leaf count must be nonnegative")
-    if t % 2 == 0:
-        return Verdict(Player.FIRST, 1, 0)
-    return Verdict(Player.SECOND, 0, None)
-
-
-def clique_free_winner(n: int) -> Verdict:
-    """Free game on K_n: the second move always closes the whole clique,
-    so every first move is worth 1 and the second player wins for
-    n >= 2; K_1 is a single winning move."""
-    if n < 1:
-        raise ValueError("clique needs at least one vertex")
-    if n == 1:
         return Verdict(Player.FIRST, 1, 0)
     return Verdict(Player.SECOND, 0, None)
 

@@ -86,30 +86,30 @@ class Family(NamedTuple):
     instances: Callable
 
 
-def _each_size(family, too_small, variant, solver, key="n"):
+def _each_size(family, too_small, variant, claim, key="n"):
     """A sweep with one instance per size of a sized family, claimed by
-    solvers.<solver>(size)."""
+    claim(size, graph)."""
     smallest, build = SIZED_FAMILIES[family]
-    return Family(smallest, too_small, lambda least, max_n, rng: (
-        ({key: n}, build(n, rng), variant,
-         partial(getattr(solvers, solver), n))
-        for n in range(least, max_n + 1)))
+
+    def instances(least, max_n, rng):
+        for n in range(least, max_n + 1):
+            g = build(n, rng)
+            yield {key: n}, g, variant, partial(claim, n, g)
+    return Family(smallest, too_small, instances)
 
 
-def _samples(family, count, variant, solver):
+def _samples(family, count, variant, claim):
     """instances(least, max_n, rng) of a sweep over ``count`` random
-    graphs of a sized family, each of a size drawn from least..max_n,
-    claimed by solvers.<solver>(graph), or by solver(graph) when it is a
-    function."""
+    graphs of a sized family, each of a size drawn from least..max_n and
+    claimed by claim(size, graph)."""
     build = SIZED_FAMILIES[family][1]
 
     def instances(least, max_n, rng):
-        claim = getattr(solvers, solver) if isinstance(solver, str) else solver
         for k in range(count):
             n = rng.randint(least, max_n)
             g = build(n, rng)
             yield ({"sample": k, "n": n, "edges": g.edges()}, g, variant,
-                   partial(claim, g))
+                   partial(claim, n, g))
     return instances
 
 
@@ -188,49 +188,61 @@ def _lemma_breaks(g):
             if y > x and hull(g, (1 << x) | (1 << y)) != g.full_mask]
 
 
+# A family's claim is claim(size, graph).  Each claim names its
+# solver as solvers.<name> inside its body, so the solver is looked up
+# when the claim is made and a patched solver is the one checked.
+
+def _block(n, g):
+    return solvers.block_connected_winner(g)
+
+
+def _cograph(n, g):
+    return solvers.cograph_free_winner(g)
+
+
 FAMILIES = {
     "path-free": _each_size("path", "paths need at least %d vertex", FREE,
-                            "free_path_grundy"),
+                            lambda n, g: solvers.free_path_grundy(n)),
     "path-connected": _each_size("path", "paths need at least %d vertex",
-                                 CONNECTED, "connected_path_grundy"),
+                                 CONNECTED, _block),
     "cycle-free": _each_size("cycle", "cycles need at least %d vertices",
-                             FREE, "free_cycle_winner"),
-    "cycle-connected": _each_size("cycle", "cycles need at least %d vertices",
-                                  CONNECTED, "connected_cycle_grundy"),
+                             FREE, lambda n, g: solvers.free_cycle_winner(n)),
+    "cycle-connected": _each_size(
+        "cycle", "cycles need at least %d vertices", CONNECTED,
+        lambda n, g: solvers.connected_cycle_grundy(n)),
     "ladder": _each_size("ladder", "ladders need at least %d rung",
-                         CONNECTED, "ladder_connected_winner"),
+                         CONNECTED,
+                         lambda n, g: solvers.ladder_connected_winner(n)),
     # every isomorphism class up to 9 vertices, then 200 random trees
     "tree": Family(
         SIZED_FAMILIES["tree"][0], "trees need at least %d vertex",
         lambda least, max_n, rng: itertools.chain(
-            (({"class": [n, idx]}, t, CONNECTED,
-              partial(solvers.block_connected_winner, t))
+            (({"class": [n, idx]}, t, CONNECTED, partial(_block, n, t))
              for n, idx, t in enumerate_trees(min(max_n, 9))),
-            _samples("tree", 200, CONNECTED, "block_connected_winner")(
-                least, max_n, rng))),
+            _samples("tree", 200, CONNECTED, _block)(least, max_n, rng))),
     "caterpillar": Family(
         SIZED_FAMILIES["caterpillar"][0],
         "caterpillars need at least %d vertex",
-        _samples("caterpillar", 200, CONNECTED, "block_connected_winner")),
+        _samples("caterpillar", 200, CONNECTED, _block)),
     "cograph": Family(
         SIZED_FAMILIES["cograph"][0], "cographs need at least %d vertex",
-        _samples("cograph", 200, FREE, "cograph_free_winner")),
+        _samples("cograph", 200, FREE, _cograph)),
     "star": _each_size("star", "stars need at least %d leaves", FREE,
-                       "star_free_winner", key="t"),
+                       _cograph, key="t"),
     "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
-                         "clique_free_winner"),
+                         _cograph),
     # On a chordal graph with no cut vertex, the hull of any two vertices
     # at distance <= 2 is the whole vertex set.  The claim lists the
     # pairs of a sampled graph that break it.
     "chordal-lemma": Family(
         SIZED_FAMILIES["chordal"][0],
         "biconnected chordal graphs need at least %d vertices",
-        _samples("chordal", 100, None, _lemma_breaks)),
+        _samples("chordal", 100, None, lambda n, g: _lemma_breaks(g))),
     # chordal graphs with cut vertices, whose blocks the lemma closes
     "chordal-connected": Family(
         SIZED_FAMILIES["glued-chordal"][0],
         "chordal graphs need at least %d vertex",
-        _samples("glued-chordal", 200, CONNECTED, "block_connected_winner")),
+        _samples("glued-chordal", 200, CONNECTED, _block)),
 }
 
 

@@ -3,6 +3,7 @@ tables and diagnostics on stderr), the append-only verdict cache, graph
 generation, and interactive play backed by the engine."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -317,6 +318,56 @@ def test_cache_line_with_an_impossible_verdict_is_a_parse_error(tmp_path,
     code, out, err = _solve_with_cache_lines(tmp_path, [json.dumps(record)])
     assert code == 2 and out == ""
     assert "line 2 is not a cache record: ValueError" in err
+
+
+@pytest.mark.parametrize("witness", [3, 99])
+def test_cached_witness_that_is_not_a_vertex_is_refused(tmp_path, witness):
+    # every vertex of P3 opens the game, and nothing else does; the
+    # value 7 is wrong too, but only a search could tell
+    record = {"graph": graph_digest(make_path(3)), "variant": "free",
+              "verdict": {"winner": "first", "grundy": 7,
+                          "witness": witness}}
+    code, out, err = _solve_with_cache_lines(tmp_path, [json.dumps(record)])
+    assert code == 2 and out == ""
+    assert err == "error: %s holds witness %d for graph %s, which has 3 " \
+        "vertices\n" % (tmp_path / "cache" / "results.jsonl", witness,
+                        record["graph"])
+
+
+class _FullDisk:
+    """A file open for appending on a full disk."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["open", "write"])
+def test_cache_that_cannot_be_appended_to_is_a_usage_error(tmp_path,
+                                                           monkeypatch,
+                                                           failing):
+    # chmod cannot stop root from writing, so the failure is patched in
+    path = write_graph(tmp_path, make_path(3))
+    cache_dir = tmp_path / "cache"
+
+    def appending_fails(file, mode="r", *args, **kwargs):
+        if "a" not in mode:
+            return open(file, mode, *args, **kwargs)
+        if failing == "open":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return _FullDisk()
+
+    monkeypatch.setattr(cli, "open", appending_fails, raising=False)
+    code, out, err = run_cli(["solve", "--graph", path, "--variant", "free",
+                              "--cache", str(cache_dir)])
+    assert code == 2 and out == ""
+    assert err == "error: cannot write cache file %s: [Errno %d] %s\n" % (
+        cache_dir / "results.jsonl", errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def test_two_records_on_one_line_are_a_parse_error(tmp_path):
@@ -682,8 +733,8 @@ def _one_more(value, *_):
 # and the call's arguments, descriptor key sets of the family's instances
 WRONG_ANSWERS = [
     ("path-free", 6, (solvers, "free_path_grundy"), _one_more, [{"n"}]),
-    ("path-connected", 6, (solvers, "connected_path_grundy"), _one_more,
-     [{"n"}]),
+    ("path-connected", 6, (solvers, "block_connected_winner"),
+     _other_winner, [{"n"}]),
     ("cycle-free", 6, (solvers, "free_cycle_winner"), _other_winner, [{"n"}]),
     ("cycle-connected", 6, (solvers, "connected_cycle_grundy"), _one_more,
      [{"n"}]),
@@ -695,8 +746,8 @@ WRONG_ANSWERS = [
      _other_winner, [{"sample", "n", "edges"}]),
     ("cograph", 6, (solvers, "cograph_free_winner"), _other_winner,
      [{"sample", "n", "edges"}]),
-    ("star", 5, (solvers, "star_free_winner"), _other_winner, [{"t"}]),
-    ("clique", 5, (solvers, "clique_free_winner"), _other_winner, [{"n"}]),
+    ("star", 5, (solvers, "cograph_free_winner"), _other_winner, [{"t"}]),
+    ("clique", 5, (solvers, "cograph_free_winner"), _other_winner, [{"n"}]),
     # a hull that never reaches the last vertex breaks the lemma everywhere
     ("chordal-lemma", 6, (verify, "hull"),
      lambda h, g, a: h & ~(1 << (g.n - 1)), [{"sample", "n", "edges"}]),
@@ -721,14 +772,25 @@ def test_verify_catches_a_wrong_answer_in_every_family(
         {frozenset(k) for k in keys}
 
 
-WITNESS_SOLVERS = [("cycle-free", "free_cycle_winner", 9),
+WITNESS_SOLVERS = [("path-connected", "block_connected_winner", 6),
+                   ("cycle-free", "free_cycle_winner", 9),
                    ("ladder", "ladder_connected_winner", 6),
                    ("tree", "block_connected_winner", 6),
-                   ("star", "star_free_winner", 4),
-                   ("clique", "clique_free_winner", 3),
+                   ("star", "cograph_free_winner", 4),
+                   ("clique", "cograph_free_winner", 3),
                    ("caterpillar", "block_connected_winner", 7),
                    ("cograph", "cograph_free_winner", 6),
                    ("chordal-connected", "block_connected_winner", 9)]
+
+
+def test_witness_solvers_are_the_families_that_claim_verdicts():
+    # a family whose claims carry a witness must face the check below
+    claims_verdicts = set()
+    for family, (least, _, instances) in FAMILIES.items():
+        _, _, _, claim = next(instances(least, least + 3, random.Random(0)))
+        if isinstance(claim(), Verdict):
+            claims_verdicts.add(family)
+    assert claims_verdicts == {f for f, _, _ in WITNESS_SOLVERS}
 
 
 @pytest.mark.parametrize("family,solver,max_n", WITNESS_SOLVERS,

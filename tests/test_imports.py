@@ -1,9 +1,12 @@
 """Source hygiene: no module of the package imports a name it never
-uses, and no private module-level helper outlives its callers.  The
-package's ``__init__`` is exempt from the import check: its imports are
-its exports, and ``__all__`` lists exactly those."""
+uses, no private module-level helper outlives its callers, and the
+README names no function that is gone.  The package's ``__init__`` is
+exempt from the import check: its imports are its exports, and
+``__all__`` lists exactly those."""
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -93,3 +96,34 @@ def test_all_lists_exactly_the_imported_names():
     exported = {}
     exec("from p3game import *", exported)  # raises on a name that is gone
     assert set(names) <= set(exported)
+
+
+def readme_names(text: str) -> set[str]:
+    """The lowercase identifiers that open an inline code span of a
+    Markdown text, outside fenced blocks, and contain ``_`` or open a
+    call: the spans that name a function or a constant."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        m = re.match(r"([a-z_][a-z0-9_]*)(\()?", span)
+        if m and ("_" in m.group(1) or m.group(2)):
+            names.add(m.group(1))
+    return names
+
+
+def test_the_check_sees_the_readme_names():
+    text = ("`mask_of`, `bits`, `main(argv)`, `int.bit_count()`, `--max-n`\n"
+            "`P3_BUDGET`, `tests/test_cli.py` and `old_name`\n"
+            "```python\nfenced_name(1)\n```\n")
+    assert readme_names(text) == {"mask_of", "main", "old_name"}
+
+
+def test_readme_names_only_what_exists():
+    modules = [p3game] + [importlib.import_module("p3game." + p.stem)
+                          for p in sorted(PACKAGE.glob("*.py"))
+                          if p.stem not in ("__init__", "__main__")]
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    names = readme_names(readme.read_text())
+    assert len(names) >= 9
+    assert [name for name in sorted(names)
+            if not any(hasattr(m, name) for m in modules)] == []

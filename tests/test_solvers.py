@@ -8,17 +8,15 @@ import networkx as nx
 import pytest
 
 from p3game import (Player, Position, Variant, Verdict,
-                    block_connected_winner, clique_free_winner,
-                    cograph_free_values, cograph_free_winner, components,
-                    connected_block_values, connected_cycle_grundy,
-                    connected_path_f, connected_path_grundy, decide,
-                    free_cycle_winner, free_path_grundy,
-                    free_path_grundy_table, grundy, hull, induced_subgraph,
-                    ladder_connected_winner, make_caterpillar, make_clique,
-                    make_cycle, make_ladder, make_path, mask_of, mex,
-                    nim_sum, random_caterpillar, random_cograph,
-                    random_tree, star_free_winner, start_position,
-                    tree_connected_grundy)
+                    block_connected_winner, cograph_free_values,
+                    cograph_free_winner, components, connected_block_values,
+                    connected_cycle_grundy, decide, free_cycle_winner,
+                    free_path_grundy, free_path_grundy_table, grundy, hull,
+                    induced_subgraph, ladder_connected_winner,
+                    make_caterpillar, make_clique, make_cycle, make_ladder,
+                    make_path, make_star, mask_of, mex, nim_sum,
+                    random_caterpillar, random_cograph, random_tree,
+                    start_position, tree_connected_grundy)
 from p3game.graphs import Graph
 
 from helpers import atlas_graphs, graph_to_nx, has_induced_p4
@@ -30,26 +28,25 @@ from reference import (connected_cycle_arc_values, free_cycle_by_reduction,
 # connected paths
 # =====================================================================
 
+def connected_path_value(n):
+    """Start value of P_n in the connected game: 2 when n = 2 (mod 3),
+    except 0 at n = 2, and 1 otherwise."""
+    return 0 if n == 2 else 2 if n % 3 == 2 else 1
+
+
 def test_connected_path_frozen_values():
     expected = {1: 1, 2: 0, 3: 1, 4: 1, 5: 2, 6: 1, 7: 1, 8: 2, 9: 1,
                 10: 1, 11: 2, 12: 1}
     for n, g in expected.items():
-        assert connected_path_grundy(n) == g
+        assert block_connected_winner(make_path(n)).grundy == g
 
 
 def test_connected_path_closed_forms_to_1000():
-    for n in range(1, 1001):
-        assert connected_path_f(n) == (n - 1) % 3
-        if n != 2:
-            assert connected_path_grundy(n) == (2 if n % 3 == 2 else 1)
-    assert connected_path_grundy(2) == 0
-
-
-def test_connected_path_rejects_empty():
-    with pytest.raises(ValueError):
-        connected_path_grundy(0)
-    with pytest.raises(ValueError):
-        connected_path_f(0)
+    for n in [*range(1, 61), 998, 999, 1000]:
+        values = connected_block_values(make_path(n))
+        # an endpoint opening leaves a path with one end labeled
+        assert values[0] == (n - 1) % 3
+        assert mex(values) == connected_path_value(n)
 
 
 # =====================================================================
@@ -165,21 +162,18 @@ def test_ladder_winner_formula_symbolically_to_1000():
 
 def test_star_parity_rule():
     for t in range(0, 51):
-        v = star_free_winner(t)
+        v = cograph_free_winner(make_star(t))
         if t % 2 == 0:
             assert v == Verdict(Player.FIRST, 1, 0)  # witness: the center
         else:
             assert v == Verdict(Player.SECOND, 0, None)
-    with pytest.raises(ValueError):
-        star_free_winner(-1)
 
 
 def test_clique_rule():
-    assert clique_free_winner(1) == Verdict(Player.FIRST, 1, 0)
+    assert cograph_free_winner(make_clique(1)) == Verdict(Player.FIRST, 1, 0)
     for n in range(2, 51):
-        assert clique_free_winner(n) == Verdict(Player.SECOND, 0, None)
-    with pytest.raises(ValueError):
-        clique_free_winner(0)
+        assert cograph_free_winner(make_clique(n)) == \
+            Verdict(Player.SECOND, 0, None)
 
 
 # =====================================================================
@@ -189,7 +183,7 @@ def test_clique_rule():
 def test_tree_solver_on_paths_matches_path_solver():
     # far past the default recursion limit: the solver keeps its own stack
     for n in [*range(1, 31), 4998, 4999, 5000]:
-        assert tree_connected_grundy(make_path(n)) == connected_path_grundy(n)
+        assert tree_connected_grundy(make_path(n)) == connected_path_value(n)
 
 
 def test_tree_solver_solves_5000_vertex_trees():
@@ -197,7 +191,7 @@ def test_tree_solver_solves_5000_vertex_trees():
     values = connected_block_values(tree)
     assert tree_connected_grundy(tree) == mex(values)
     # a spider opened at its centre is a sum of legs, each a path with
-    # one end labeled
+    # one end labeled, worth (n - 1) mod 3 on n vertices
     legs = [1 + 97 * k % 199 for k in range(50)]
     edges, n = [], 1
     for length in legs:
@@ -206,7 +200,7 @@ def test_tree_solver_solves_5000_vertex_trees():
     spider = Graph(n, edges)
     assert n > 5000
     assert connected_block_values(spider)[0] == \
-        nim_sum(connected_path_f(length + 1) for length in legs)
+        nim_sum(length % 3 for length in legs)
 
 
 def test_tree_solver_basics():
@@ -276,7 +270,7 @@ def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
 def test_caterpillar_of_a_path_matches_path_solver():
     for b in range(1, 21):
         g = make_caterpillar((0,) * b)
-        assert block_connected_winner(g).grundy == connected_path_grundy(b)
+        assert block_connected_winner(g).grundy == connected_path_value(b)
 
 
 def test_caterpillar_star_example_matches_tree_solver():
@@ -417,8 +411,7 @@ def test_cograph_solver_on_every_atlas_graph():
 def test_path_solvers_match_engine_both_variants():
     for n in range(1, 13):
         g = make_path(n)
-        assert connected_path_grundy(n) == \
-            grundy(start_position(g, Variant.CONNECTED))
+        assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
         assert free_path_grundy(n) == grundy(start_position(g, Variant.FREE))
 
 
