@@ -56,7 +56,14 @@ def is_p3_closed(g: Graph, s: int) -> bool:
 
 
 def hull(g: Graph, a: int, closed: int = 0, ones: int = 0) -> int:
-    """Smallest P3-closed superset of a.
+    """Smallest P3-closed superset of a: the first item of
+    ``hull_and_boundary``."""
+    return hull_and_boundary(g, a, closed, ones)[0]
+
+
+def hull_and_boundary(g: Graph, a: int, closed: int = 0,
+                      ones: int = 0) -> tuple[int, int]:
+    """(hull of a, final ``ones``).
 
     Word-parallel fixpoint over two bitmasks: ``ones`` holds the
     vertices with at least one neighbor among the vertices processed so
@@ -68,7 +75,9 @@ def hull(g: Graph, a: int, closed: int = 0, ones: int = 0) -> int:
     ``ones`` = N(closed) - closed, its boundary.  No vertex outside a
     closed set has two neighbors in it, so the fixpoint starts as if
     closed were already processed, and only a - closed and what it
-    absorbs are.  The result is the hull of a either way.  A call costs
+    absorbs are.  The hull is the hull of a either way, and the final
+    ``ones`` is the given one together with N(hull - closed); with
+    ``closed`` = 0 that is N(hull).  A call costs
     O(|a - closed| + absorbed) big-integer operations and allocates
     nothing per vertex; this sits in the innermost loop of the search
     engine.
@@ -86,7 +95,7 @@ def hull(g: Graph, a: int, closed: int = 0, ones: int = 0) -> int:
             new ^= low
         new = twos & ~inside
         inside |= new
-    return inside
+    return inside, ones
 
 
 # =====================================================================

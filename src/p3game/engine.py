@@ -21,6 +21,18 @@ Expanding C reads C alone: the hull of each child starts from the
 closed set G - C and the boundary of C, and the distance-two rule grows
 from that boundary, so a child costs O(|C|), not O(n).
 
+The same hull splits the child.  Besides H = hull((G - C) + x) it hands
+back ``ones``, C's boundary together with the neighbours of what H took
+from C.  The seeds ``ones & R & ~boundary``, for the rest R = C - H, are
+then exactly the vertices of R next to H's part in C: a boundary vertex
+of C next to that part has a labeled neighbour outside C too, so H
+absorbed it.  C is connected, so every part of R meets a seed, and
+``components`` floods from the lowest seed only until the flood holds
+every seed left.  A split thus floods each of its parts but the last
+whole, and the last only until it holds its seeds, not at all once one
+seed is left; a child that stays one part with a single seed costs no
+flood.
+
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L, and so is the free start (the components of G).
 The connected start is the one position that is not a sum: the opening
@@ -43,7 +55,8 @@ from operator import xor
 from typing import Iterable, Optional
 
 from .graphs import Graph, bits, components
-from .closure import Position, Variant, hull, legal_moves_raw
+from .closure import (Position, Variant, hull, hull_and_boundary,
+                      legal_moves_raw)
 
 #: Default cap on stored components; exceeding it aborts the search
 #: instead of ever returning an approximate answer.
@@ -183,13 +196,16 @@ def _component_value(g: Graph, comp: int, variant: Variant,
     """val(comp), evaluating what is not yet memoized below it from an
     explicit stack of components.  Each expansion scans C once for its
     boundary (the vertices of C with a neighbour outside C, one each),
-    which seeds the legal moves and every child's hull."""
+    which seeds the legal moves and every child's hull; each hull's
+    final ``ones`` seeds the split of its child (module docstring).
+    A child is kept as one stored component when it is one part, else
+    as the list of its parts."""
     memo = table.entries[variant]
     if comp in memo:
         return memo[comp]
     adj, full = g.adj, g.full_mask
     stack = [comp]
-    expanded = {}  # component on the stack -> its children, split in parts
+    expanded = {}  # component on the stack -> (one-part children, splits)
     while stack:
         c = stack[-1]
         children = expanded.pop(c, None)
@@ -205,19 +221,37 @@ def _component_value(g: Graph, comp: int, variant: Variant,
                 if adj[low.bit_length() - 1] & outside:
                     edge |= low
                 scan ^= low
-            rests = {c & ~hull(g, outside | 1 << x, outside, edge)
-                     for x in bits(legal_moves_raw(g, outside, variant, edge))}
-            # only components are stored, so a stored rest is one
-            children = [[rest] if rest in memo else components(g, rest)
-                        for rest in rests]
-            unsolved = [d for parts in children for d in parts
-                        if d not in memo]
+            singles, splits, seen = [], [], set()
+            for x in bits(legal_moves_raw(g, outside, variant, edge)):
+                h, ones = hull_and_boundary(g, outside | 1 << x, outside, edge)
+                rest = c & ~h
+                if rest in seen:
+                    continue
+                seen.add(rest)
+                # only components are stored, so a stored rest is one
+                parts = ([rest] if rest in memo
+                         else components(g, rest, ones & rest & ~edge))
+                if len(parts) == 1:
+                    singles.append(rest)
+                else:
+                    splits.append(parts)
+            unsolved = [d for d in singles if d not in memo]
+            unsolved += [d for parts in splits for d in parts
+                         if d not in memo]
             if unsolved:
-                expanded[c] = children
+                expanded[c] = singles, splits
                 stack += unsolved
                 continue
+        else:
+            singles, splits = children
         stack.pop()
-        value = mex(nim_sum(memo[d] for d in parts) for parts in children)
+        values = [memo[d] for d in singles]
+        for parts in splits:
+            v = 0
+            for d in parts:
+                v ^= memo[d]
+            values.append(v)
+        value = mex(values)
         table.store(c, variant, value)
     return value
 

@@ -156,28 +156,46 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count())
 
 
-def components(g: Graph, within: Optional[int] = None) -> list[int]:
+def components(g: Graph, within: Optional[int] = None,
+               seeds: Optional[int] = None) -> list[int]:
     """Connected components of the subgraph induced by ``within`` (default:
-    all of g) as bitmasks, ordered by smallest member.
+    all of g) as bitmasks, in the order of their lowest seed.
+
+    ``seeds`` (default: ``within``) is a subset of ``within`` that meets
+    every component.  A flood starts from the lowest seed not yet
+    reached and stops as soon as it holds every remaining seed: what is
+    left of ``within`` is then one component, returned whole without
+    further flooding (at once, when a single seed remains).  So fewer
+    seeds cost less, and the default, where every vertex is a seed,
+    floods everything and orders the components by smallest member.
+    Seeds that miss a component make the last one returned a union.
 
     The search engine splits every child position with this, so the
     frontier expansion is inlined rather than built on ``bits``.
     """
     adj = g.adj
     remaining = g.full_mask if within is None else within
+    if seeds is None:
+        seeds = remaining
     comps = []
     while remaining:
-        comp = frontier = remaining & -remaining
-        while frontier:
+        comp = frontier = seeds & -seeds
+        left = remaining ^ comp  # not yet reached by this flood
+        while frontier and seeds & left:
             grow = 0
             while frontier:
                 low = frontier & -frontier
                 grow |= adj[low.bit_length() - 1]
                 frontier ^= low
-            frontier = grow & remaining & ~comp
+            frontier = grow & left
+            left ^= frontier
             comp |= frontier
+        if not seeds & left:
+            comps.append(remaining)
+            break
         comps.append(comp)
-        remaining &= ~comp
+        remaining = left
+        seeds &= left
     return comps
 
 

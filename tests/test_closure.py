@@ -10,7 +10,7 @@ from p3game import (IllegalMoveError, Position, Variant, apply_move, bits,
                     hull, is_p3_closed, legal_moves, make_clique, make_cycle,
                     make_ladder, make_path, make_star, mask_of, random_gnp,
                     start_position)
-from p3game.closure import legal_moves_raw
+from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import atlas_graphs, connected_atlas_graphs
 from reference import hull_by_rescan
@@ -138,7 +138,9 @@ def test_seeded_hull_is_the_hull_on_the_atlas():
     # the engine seeds each child's hull with the closed set it extends
     # and that set's boundary; on every graph of up to six vertices, for
     # every closed set and every vertex outside it, the seeded hull, the
-    # plain hull and the rescan hull agree
+    # plain hull and the rescan hull agree, and the final ones handed
+    # back is that boundary together with the neighbors of what the
+    # hull added to the closed set
     for g in atlas_graphs(6):
         for closed in _closed_sets(g):
             edge = g.neighborhood_of_set(closed) & ~closed
@@ -147,6 +149,21 @@ def test_seeded_hull_is_the_hull_on_the_atlas():
                 expect = hull_by_rescan(g, a)
                 assert hull(g, a, closed, edge) == expect, (g.edges(), a)
                 assert hull(g, a) == expect, (g.edges(), a)
+                h, ones = hull_and_boundary(g, a, closed, edge)
+                assert h == expect, (g.edges(), a)
+                assert ones == edge | g.neighborhood_of_set(h & ~closed)
+
+
+def test_hull_hands_back_its_final_ones():
+    # unseeded, the second item of hull_and_boundary is N(hull) and the
+    # first is the hull (seeded: test_seeded_hull_is_the_hull_on_the_atlas)
+    rng = random.Random(17)
+    for _ in range(200):
+        g = random_gnp(rng.randint(1, 80), rng.choice((0.03, 0.1, 0.3)), rng)
+        a = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+        h, ones = hull_and_boundary(g, a)
+        assert h == hull(g, a) == hull_by_rescan(g, a)
+        assert ones == g.neighborhood_of_set(h)
 
 
 # =====================================================================

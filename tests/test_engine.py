@@ -13,6 +13,7 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     hull, is_p3_closed, legal_moves, make_clique, make_cycle,
                     make_ladder, make_path, make_star, mex, nim_sum,
                     random_gnp, random_tree, start_position)
+from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import atlas_graphs, connected_atlas_graphs
 from reference import child_masks, reference_decide, reference_grundy
@@ -231,6 +232,31 @@ def test_stored_values_reexpand_to_their_mex():
             assert stored[comp] == reference_grundy(g, outside, variant)
 
 
+def test_each_child_is_seeded_from_its_hull_boundary():
+    # the expansion splits a child from the seeds ones & rest & ~edge,
+    # where ones is what its hull hands back and edge is C's boundary;
+    # on every stored component of small graphs, in both variants and
+    # for every legal move, they are exactly the vertices of the rest
+    # next to the hull's part in C, and they meet every part of the rest
+    rng = random.Random(22)
+    graphs = list(atlas_graphs(6))
+    graphs += [random_gnp(rng.randint(8, 12), 0.25, rng) for _ in range(10)]
+    for g in graphs:
+        for variant in Variant:
+            table = TranspositionTable(g)
+            grundy(start_position(g, variant), table)
+            for c in table.entries[variant]:
+                outside = g.full_mask & ~c
+                edge = g.neighborhood_of_set(outside) & c
+                for x in bits(legal_moves_raw(g, outside, variant, edge)):
+                    h, ones = hull_and_boundary(g, outside | 1 << x,
+                                                outside, edge)
+                    rest = c & ~h
+                    seeds = ones & rest & ~edge
+                    assert seeds == g.neighborhood_of_set(c & ~rest) & rest
+                    assert all(part & seeds for part in components(g, rest))
+
+
 def test_the_search_stores_the_same_components():
     # pins which positions the search visits, not only its answers: an
     # optimisation that expands a different set of components fails here
@@ -238,7 +264,9 @@ def test_the_search_stores_the_same_components():
              (random_tree(17, random.Random(0)), Variant.FREE, 643),
              (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2293),
              (make_ladder(24), Variant.CONNECTED, 647),
-             (make_cycle(30), Variant.CONNECTED, 841)]
+             (make_cycle(30), Variant.CONNECTED, 841),
+             (make_ladder(30), Variant.CONNECTED, 989),
+             (make_path(600), Variant.CONNECTED, 1199)]
     for g, variant, stored in cases:
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)

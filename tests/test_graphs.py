@@ -15,7 +15,8 @@ from p3game import (Graph, GraphFormatError, bits, components, emit_graph,
                     random_chordal, random_cograph, random_gnp, random_tree)
 from p3game.graphs import SIZED_FAMILIES, is_connected
 
-from helpers import check_graph_invariants, graph_to_nx, has_induced_p4
+from helpers import (atlas_graphs, check_graph_invariants, graph_to_nx,
+                     has_induced_p4)
 
 
 # =====================================================================
@@ -111,6 +112,42 @@ def test_components_and_connectivity():
     assert is_connected(make_cycle(6))
     assert is_connected(Graph(1, []))
     assert is_connected(Graph(0, []))
+
+
+def _parts_by_networkx(g, within):
+    """Components of g[within] from networkx, ordered by smallest member."""
+    h = graph_to_nx(g).subgraph(bits(within))
+    return sorted((mask_of(part) for part in nx.connected_components(h)),
+                  key=lambda part: part & -part)
+
+
+def test_seeded_components_split_like_the_plain_flood():
+    # on every graph of up to seven vertices and on random G(n, p)
+    # graphs, for random vertex sets: unseeded, components lists the
+    # parts ordered by smallest member; seeded with any set that meets
+    # every part, it finds the same parts, ordered by lowest seed
+    rng = random.Random(13)
+    graphs = list(atlas_graphs(7))
+    graphs += [random_gnp(rng.randint(8, 40),
+                          rng.choice((0.03, 0.08, 0.15, 0.3)), rng)
+               for _ in range(300)]
+    for g in graphs:
+        for _ in range(3):
+            within = rng.getrandbits(g.n) if g.n else 0
+            expect = _parts_by_networkx(g, within)
+            assert components(g, within) == expect
+            assert components(g, within, within) == expect
+            for extra in (0, within & rng.getrandbits(g.n or 1)):
+                seeds = extra
+                for part in expect:
+                    seeds |= 1 << rng.choice(list(bits(part)))
+                got = components(g, within, seeds)
+                assert sorted(got) == sorted(expect), (g.edges(), within)
+                lowest_seed = [part & seeds & -(part & seeds) for part in got]
+                assert lowest_seed == sorted(lowest_seed)
+    g = random_gnp(30, 0.1, rng)
+    assert components(g) == components(g, g.full_mask) \
+        == _parts_by_networkx(g, g.full_mask)
 
 
 def test_induced_subgraph_maps_vertices():
