@@ -12,8 +12,9 @@ Layout:
 
 * :mod:`p3game.graphs` builds and serializes graphs (paths, cycles,
   stars, cliques, ladders, caterpillars, plus seeded random families).
-* :mod:`p3game.closure` computes P3-hulls, tests closedness, and
-  enumerates legal moves for both variants.
+* :mod:`p3game.closure` computes P3-hulls (a set is closed exactly
+  when it is its own hull) and enumerates legal moves for both
+  variants.
 * :mod:`p3game.engine` is the exhaustive Sprague-Grundy engine: exact
   values by memoized search, the ground truth everything else is
   checked against.
@@ -39,7 +40,7 @@ from .graphs import (Graph, GraphFormatError, bits, components, emit_graph,
                      random_biconnected_chordal, random_caterpillar,
                      random_chordal, random_cograph, random_gnp, random_tree)
 from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
-                      is_p3_closed, legal_moves, start_position)
+                      legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
                      grundy, mex, nim_sum)
@@ -63,7 +64,7 @@ __all__ = [
     "random_biconnected_chordal", "random_chordal", "random_gnp",
     # closure
     "Variant", "Position", "IllegalMoveError",
-    "is_p3_closed", "hull", "legal_moves", "apply_move",
+    "hull", "legal_moves", "apply_move",
     "start_position",
     # engine
     "Player", "Verdict", "TranspositionTable", "ResourceLimitError",

@@ -1,16 +1,17 @@
-"""P3-closedness, hull computation, and move legality for both game
-variants.
+"""P3-hulls and move legality for both game variants.
 
 A vertex set S is P3-closed when no vertex outside S has two or more
 neighbors inside S.  The hull of A is the smallest P3-closed superset of
 A, obtained by repeatedly absorbing any vertex with two labeled
-neighbors.  ``hull`` finds all such vertices of a round at once, as a
-bitmask built from the adjacency rows of the vertices absorbed so far,
-so it costs a few big-integer operations per vertex of the hull
-(per vertex outside a closed set the caller already holds).  The
-hull operator is a closure operator: extensive, monotone,
-idempotent, and with an empty hull for the empty set; closed sets are
-also closed under intersection.  Tests exercise all of these properties.
+neighbors, so S is closed exactly when ``hull(g, S) == S``; that is
+the one closedness test.  ``hull`` finds all such vertices of a round
+at once, as a bitmask built from the adjacency rows of the vertices
+absorbed so far, so it costs a few big-integer operations per vertex
+of the hull (per vertex outside a closed set the caller already
+holds, through ``hull_and_boundary``).  The hull operator is a
+closure operator: extensive, monotone, idempotent, and with an empty
+hull for the empty set; closed sets are also closed under
+intersection.  Tests exercise all of these properties.
 
 Game rules: players alternately label an unlabeled vertex, after which
 the labeled set is replaced by its hull.  In the Free variant any
@@ -29,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, bits, components
+from .graphs import Graph, components
 
 
 class Variant(enum.Enum):
@@ -43,22 +44,13 @@ class IllegalMoveError(ValueError):
 
 
 # =====================================================================
-# Closedness and hulls
+# Hulls
 # =====================================================================
 
-def is_p3_closed(g: Graph, s: int) -> bool:
-    """True iff no vertex outside s has >= 2 neighbors inside s."""
-    outside = g.full_mask & ~s
-    for x in bits(outside):
-        if (g.adj[x] & s).bit_count() >= 2:
-            return False
-    return True
-
-
-def hull(g: Graph, a: int, closed: int = 0, ones: int = 0) -> int:
+def hull(g: Graph, a: int) -> int:
     """Smallest P3-closed superset of a: the first item of
     ``hull_and_boundary``."""
-    return hull_and_boundary(g, a, closed, ones)[0]
+    return hull_and_boundary(g, a)[0]
 
 
 def hull_and_boundary(g: Graph, a: int, closed: int = 0,
@@ -119,15 +111,11 @@ class Position:
         g, lab = self.graph, self.labeled
         if lab & ~g.full_mask:
             raise ValueError("labeled set contains ids outside the graph")
-        if not is_p3_closed(g, lab):
+        if hull(g, lab) != lab:
             raise ValueError("labeled set is not P3-closed")
         if self.variant is Variant.CONNECTED and lab:
             if len(components(g, lab)) != 1:
                 raise ValueError("labeled set must induce a connected subgraph")
-
-    @property
-    def is_over(self) -> bool:
-        return legal_moves(self) == 0
 
 
 def start_position(g: Graph, variant: Variant) -> Position:

@@ -141,9 +141,6 @@ class TranspositionTable:
         self.entries: dict[Variant, dict[int, int]] = {v: {} for v in Variant}
         self.size = 0  # entries of both variants, kept by store
 
-    def lookup(self, component: int, variant: Variant) -> Optional[int]:
-        return self.entries[variant].get(component)
-
     def store(self, component: int, variant: Variant, value: int) -> None:
         entries = self.entries[variant]
         prior = entries.get(component)
@@ -163,21 +160,22 @@ class TranspositionTable:
         return self.size
 
 
-def _table_for(p: Position, table: Optional[TranspositionTable],
-               budget: Optional[int] = None) -> TranspositionTable:
+def _table_for(p: Position,
+               table: Optional[TranspositionTable]) -> TranspositionTable:
     """``table`` once checked to belong to p's graph, or a new table."""
     if table is None:
-        return TranspositionTable(
-            p.graph, DEFAULT_BUDGET if budget is None else budget)
+        return TranspositionTable(p.graph)
     if table.graph is not p.graph and table.graph != p.graph:
         raise ValueError("transposition table belongs to a different graph")
     return table
 
 
-def grundy(p: Position, table: Optional[TranspositionTable] = None,
-           budget: Optional[int] = None) -> int:
-    """Exact Grundy value of a position."""
-    table = _table_for(p, table, budget)
+def grundy(p: Position, table: Optional[TranspositionTable] = None) -> int:
+    """Exact Grundy value of a position.  The search budget comes with
+    the table: pass ``TranspositionTable(p.graph, budget)`` to cap it;
+    without a table the search gets a fresh one with
+    ``DEFAULT_BUDGET``."""
+    table = _table_for(p, table)
     return _position_value(p.graph, p.labeled, p.variant, table)
 
 

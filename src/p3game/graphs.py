@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import hashlib
 import random
+from bisect import insort
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -66,17 +67,15 @@ class Graph:
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative, got %d" % n)
         rows = [0] * n
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphFormatError(
                     "vertex id out of range: edge (%r, %r) with n=%d" % (u, v, n))
             if u == v:
                 raise GraphFormatError("self-loop at vertex %d" % u)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphFormatError("duplicate edge (%d, %d)" % key)
-            seen.add(key)
+            if rows[u] >> v & 1:
+                raise GraphFormatError("duplicate edge (%d, %d)"
+                                       % ((u, v) if u < v else (v, u)))
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.n = n
@@ -112,15 +111,6 @@ class Graph:
             for k in bits(higher):
                 out.append((u, u + 1 + k))
         return out
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def complement(self) -> "Graph":
         """The graph on the same vertices whose edges are this graph's
@@ -199,10 +189,6 @@ def components(g: Graph, within: Optional[int] = None,
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
-
-
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     """Subgraph induced by ``mask``.
 
@@ -220,7 +206,7 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
 
 
 def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.edge_count() == g.n - 1 and is_connected(g)
+    return g.n >= 1 and g.edge_count() == g.n - 1 and len(components(g)) == 1
 
 
 # =====================================================================
@@ -351,19 +337,14 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = sorted(v for v in range(n) if degree[v] == 1)
+    leaves = [v for v in range(n) if degree[v] == 1]  # ascending
     for v in seq:
         leaf = leaves.pop(0)
         edges.append((min(leaf, v), max(leaf, v)))
         degree[v] -= 1
         if degree[v] == 1:
-            # insert keeping the leaf pool sorted, for determinism
-            lo = 0
-            while lo < len(leaves) and leaves[lo] < v:
-                lo += 1
-            leaves.insert(lo, v)
-    u, v = leaves
-    edges.append((min(u, v), max(u, v)))
+            insort(leaves, v)  # the pool stays sorted, for determinism
+    edges.append(tuple(leaves))
     return Graph(n, edges)
 
 

@@ -1,9 +1,9 @@
-"""The plain whole-graph search and the rescan hull: the oracles the
-engine's decomposition and the word-parallel hull are checked against.
-Also the uniform fenced-run route to the free cycle game, which the
-solver's strategy shortcuts are checked against, and the downward arc
-recurrence that the connected cycle solver's closed form is checked
-against.
+"""The plain whole-graph search, the rescan hull and closedness by
+definition: the oracles the engine's decomposition and the
+word-parallel hull are checked against.  Also the uniform fenced-run
+route to the free cycle game, which the solver's strategy shortcuts
+are checked against, and the downward arc recurrence that the
+connected cycle solver's closed form is checked against.
 
 The search memoizes whole labeled sets, one dict per (graph, variant),
 and knows nothing about components.  It builds child positions with
@@ -12,8 +12,17 @@ engine beyond the legal-move rule in p3game.closure.  It recurses once
 per move, which is fine for the small graphs it is used on.
 """
 
-from p3game import Player, Verdict, bits, free_path_grundy_table, mex
+from p3game import Graph, Player, Verdict, bits, free_path_grundy_table, mex
 from p3game.closure import legal_moves_raw
+
+
+def is_p3_closed(g: Graph, s: int) -> bool:
+    """True iff no vertex outside s has >= 2 neighbors inside s."""
+    outside = g.full_mask & ~s
+    for x in bits(outside):
+        if (g.adj[x] & s).bit_count() >= 2:
+            return False
+    return True
 
 
 def hull_by_rescan(g, a, order=None):

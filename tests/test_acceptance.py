@@ -9,14 +9,15 @@ import time
 from p3game import (Player, Variant, Verdict, apply_move,
                     block_connected_winner, cograph_free_winner,
                     connected_cycle_grundy, decide, free_cycle_winner,
-                    free_path_grundy, grundy, hull, is_p3_closed,
-                    ladder_connected_winner, make_clique, make_cycle,
-                    make_ladder, make_path, make_star, nim_sum,
-                    random_caterpillar, random_chordal, random_cograph,
-                    random_gnp, random_tree, start_position,
+                    free_path_grundy, grundy, hull, ladder_connected_winner,
+                    make_clique, make_cycle, make_ladder, make_path,
+                    make_star, nim_sum, random_caterpillar, random_chordal,
+                    random_cograph, random_gnp, random_tree, start_position,
                     tree_connected_grundy)
 from p3game.graphs import Graph
 from p3game.verify import enumerate_trees, run_family
+
+from reference import is_p3_closed
 
 
 def _union(parts):

@@ -7,13 +7,12 @@ import random
 import pytest
 
 from p3game import (IllegalMoveError, Position, Variant, apply_move, bits,
-                    hull, is_p3_closed, legal_moves, make_clique, make_cycle,
-                    make_ladder, make_path, make_star, mask_of, random_gnp,
-                    start_position)
+                    hull, legal_moves, make_clique, make_cycle, make_ladder,
+                    make_path, make_star, mask_of, random_gnp, start_position)
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import atlas_graphs, connected_atlas_graphs
-from reference import hull_by_rescan
+from reference import hull_by_rescan, is_p3_closed
 
 
 # =====================================================================
@@ -147,7 +146,6 @@ def test_seeded_hull_is_the_hull_on_the_atlas():
             for x in bits(g.full_mask & ~closed):
                 a = closed | 1 << x
                 expect = hull_by_rescan(g, a)
-                assert hull(g, a, closed, edge) == expect, (g.edges(), a)
                 assert hull(g, a) == expect, (g.edges(), a)
                 h, ones = hull_and_boundary(g, a, closed, edge)
                 assert h == expect, (g.edges(), a)
@@ -178,6 +176,19 @@ def test_position_validates_closedness():
         Position(p4, 1 << 7, Variant.FREE)
 
 
+def test_position_rejects_exactly_the_sets_that_are_not_closed():
+    # Position checks closedness as hull(g, S) == S; on every graph of
+    # up to six vertices it must refuse exactly the sets the definition
+    # calls not closed
+    for g in atlas_graphs(6):
+        for s in range(1 << g.n):
+            if is_p3_closed(g, s):
+                assert Position(g, s, Variant.FREE).labeled == s
+            else:
+                with pytest.raises(ValueError, match="not P3-closed"):
+                    Position(g, s, Variant.FREE)
+
+
 def test_position_validates_connectivity_for_connected_variant():
     p4 = make_path(4)
     Position(p4, mask_of([0, 3]), Variant.FREE)  # fine in the free game
@@ -190,8 +201,8 @@ def test_position_validates_connectivity_for_connected_variant():
 def test_start_position_and_game_over():
     g = make_path(3)
     p = start_position(g, Variant.FREE)
-    assert p.labeled == 0 and not p.is_over
-    assert Position(g, g.full_mask, Variant.FREE).is_over
+    assert p.labeled == 0 and legal_moves(p)
+    assert legal_moves(Position(g, g.full_mask, Variant.FREE)) == 0
 
 
 # =====================================================================

@@ -10,13 +10,14 @@ import pytest
 from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     ResourceLimitError, TranspositionTable, Variant, Verdict,
                     apply_move, best_move, bits, components, decide, grundy,
-                    hull, is_p3_closed, legal_moves, make_clique, make_cycle,
-                    make_ladder, make_path, make_star, mex, nim_sum,
-                    random_gnp, random_tree, start_position)
+                    hull, legal_moves, make_clique, make_cycle, make_ladder,
+                    make_path, make_star, mex, nim_sum, random_gnp,
+                    random_tree, start_position)
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import atlas_graphs, connected_atlas_graphs
-from reference import child_masks, reference_decide, reference_grundy
+from reference import (child_masks, is_p3_closed, reference_decide,
+                       reference_grundy)
 
 
 # =====================================================================
@@ -167,7 +168,7 @@ def test_nonpositive_budget_is_rejected_not_defaulted(budget):
     with pytest.raises(ValueError, match="budget must be positive"):
         decide(make_path(3), Variant.FREE, budget=budget)
     with pytest.raises(ValueError, match="budget must be positive"):
-        grundy(position, budget=budget)
+        grundy(position, TranspositionTable(position.graph, budget))
 
 
 def test_budget_exhaustion_raises():

@@ -13,7 +13,7 @@ from p3game import (Graph, GraphFormatError, bits, components, emit_graph,
                     make_star, mask_of, parse_graph,
                     random_biconnected_chordal, random_caterpillar,
                     random_chordal, random_cograph, random_gnp, random_tree)
-from p3game.graphs import SIZED_FAMILIES, is_connected
+from p3game.graphs import SIZED_FAMILIES
 
 from helpers import (atlas_graphs, check_graph_invariants, graph_to_nx,
                      has_induced_p4)
@@ -50,10 +50,11 @@ def test_graph_rejects_self_loop():
 
 
 def test_graph_rejects_duplicate_edge():
-    with pytest.raises(GraphFormatError, match="duplicate edge"):
-        Graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(GraphFormatError, match="duplicate edge"):
-        Graph(3, [(0, 1), (0, 1)])
+    # the message names the sorted pair, whichever way round it came
+    for edges in ([(0, 1), (1, 0)], [(1, 0), (0, 1)], [(0, 1), (0, 1)]):
+        with pytest.raises(GraphFormatError) as info:
+            Graph(3, edges)
+        assert str(info.value) == "duplicate edge (0, 1)"
 
 
 def test_graph_rejects_negative_vertex_count():
@@ -71,7 +72,7 @@ def test_edges_sorted_and_counted():
         assert all(u < v for u, v in es)
         assert len(es) == g.edge_count()
         for u, v in es:
-            assert g.has_edge(u, v) and g.has_edge(v, u)
+            assert g.adj[u] >> v & 1 and g.adj[v] >> u & 1
 
 
 def test_equality_ignores_edge_order_not_structure():
@@ -98,7 +99,7 @@ def test_complement_swaps_edges_and_non_edges():
         check_graph_invariants(co)
         assert co == Graph(n, [(u, v) for u in range(n)
                                for v in range(u + 1, n)
-                               if not g.has_edge(u, v)])
+                               if not g.adj[u] >> v & 1])
         assert co.complement() == g
         assert hash(co.complement()) == hash(g)
     assert make_clique(6).complement() == Graph(6, [])
@@ -108,10 +109,9 @@ def test_components_and_connectivity():
     g = Graph(5, [(0, 1), (1, 2)])  # P_3 plus two isolated vertices
     comps = components(g)
     assert comps == [mask_of([0, 1, 2]), mask_of([3]), mask_of([4])]
-    assert not is_connected(g)
-    assert is_connected(make_cycle(6))
-    assert is_connected(Graph(1, []))
-    assert is_connected(Graph(0, []))
+    assert components(make_cycle(6)) == [make_cycle(6).full_mask]
+    assert components(Graph(1, [])) == [1]
+    assert components(Graph(0, [])) == []
 
 
 def _parts_by_networkx(g, within):
@@ -167,7 +167,8 @@ def test_induced_subgraph_random_consistency():
         sub, old_ids = induced_subgraph(g, mask)
         check_graph_invariants(sub)
         for new_u, old_u in enumerate(old_ids):
-            assert sub.degree(new_u) == (g.adj[old_u] & mask).bit_count()
+            assert (sub.adj[new_u].bit_count()
+                    == (g.adj[old_u] & mask).bit_count())
 
 
 def test_is_tree():
@@ -191,11 +192,11 @@ def test_path_cycle_star_clique_shapes():
     for n in range(3, 12):
         c = make_cycle(n)
         assert (c.n, c.edge_count()) == (n, n)
-        assert all(c.degree(v) == 2 for v in range(n))
+        assert all(row.bit_count() == 2 for row in c.adj)
     for t in range(0, 12):
         s = make_star(t)
         assert (s.n, s.edge_count()) == (t + 1, t)
-        assert s.degree(0) == t
+        assert s.adj[0].bit_count() == t
     for n in range(1, 10):
         k = make_clique(n)
         assert (k.n, k.edge_count()) == (n, n * (n - 1) // 2)
@@ -221,9 +222,9 @@ def test_ladder_shape_up_to_100_rungs():
         assert g.edge_count() == 3 * n - 2
         check_graph_invariants(g)
         for i in range(n):
-            assert g.has_edge(i, n + i)  # rung
+            assert g.adj[i] >> (n + i) & 1  # rung
         for i in range(n - 1):
-            assert g.has_edge(i, i + 1) and g.has_edge(n + i, n + i + 1)
+            assert g.adj[i] >> (i + 1) & 1 and g.adj[n + i] >> (n + i + 1) & 1
 
 
 def test_caterpillar_with_no_feet_is_a_path():
@@ -357,10 +358,10 @@ def test_random_caterpillar_valid_and_deterministic():
         assert g.n == n and is_tree(g)
         # removing the leaves leaves a path (or nothing)
         spine = g.full_mask & ~mask_of(v for v in range(n)
-                                       if g.degree(v) <= 1)
+                                       if g.adj[v].bit_count() <= 1)
         body, _ = induced_subgraph(g, spine)
         assert body.n == 0 or (is_tree(body) and max(
-            body.degree(v) for v in range(body.n)) <= 2)
+            row.bit_count() for row in body.adj) <= 2)
         assert g == random_caterpillar(n, random.Random(seed))
 
 

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never
-uses, no private module-level helper outlives its callers, and the
-README names no function that is gone.  The package's ``__init__`` is
-exempt from the import check: its imports are its exports, and
-``__all__`` lists exactly those."""
+uses, no private module-level helper outlives its callers, no public
+function, class or method exists only for the tests, and the README
+names no function that is gone.  The package's ``__init__`` is exempt
+from the import and public-name checks: its imports are its exports,
+and ``__all__`` lists exactly those."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import p3game
 
 PACKAGE = Path(p3game.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,6 +77,80 @@ def test_every_private_helper_has_a_caller():
     assert unreferenced_privates(sources) == []
 
 
+def _public_definitions(tree):
+    """(label, name, node) of each public module-level function or
+    class of a module, and of each public method of its classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield "%s.%s" % (node.name, item.name), item.name, item
+
+
+def _inline_code(text: str) -> list[str]:
+    """The inline code spans of a Markdown text, outside fenced blocks."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    return re.findall(r"`([^`]+)`", text)
+
+
+def unreferenced_publics(package: dict[str, str], readers: list[str],
+                         readme: str) -> list[str]:
+    """module:name (module:Class.method) of each public module-level
+    function or class of ``package`` (module name -> source), and each
+    public method, that nothing outside its own body refers to.  A
+    reference is a bare or attribute name in a package module or in
+    one of the ``readers`` (other Python sources that use the package),
+    or an identifier in the inline code of ``readme``.
+
+    Names are matched as identifiers, not resolved: any other binding
+    of the same identifier counts as a reference, so ``Graph.degree``
+    would escape through a local variable named ``degree``.  A name
+    reached only by a string, such as ``getattr(obj, "name")``, counts
+    as unreferenced."""
+    trees = {name: ast.parse(text) for name, text in package.items()}
+    everywhere = sum((_names(t) for t in trees.values()), Counter())
+    everywhere += sum((_names(ast.parse(text)) for text in readers),
+                      Counter())
+    for span in _inline_code(readme):
+        everywhere.update(re.findall(r"[A-Za-z_]\w*", span))
+    return ["%s:%s" % (module, label)
+            for module, tree in trees.items()
+            for label, name, node in _public_definitions(tree)
+            if everywhere[name] == _names(node)[name]]
+
+
+def test_the_check_sees_an_unreferenced_public_name():
+    package = {"a": "def used():\n    pass\n\n"
+                    "def recursive(n):\n    return recursive(n - 1)\n\n"
+                    "def _private():\n    pass\n\n"
+                    "class Box:\n"
+                    "    def get(self):\n        return self.get\n\n"
+                    "    def put(self):\n        pass\n\n"
+                    "    def __len__(self):\n        return 0\n",
+               "b": "import a\na.used()\n"}
+    assert unreferenced_publics(package, [], "") == \
+        ["a:recursive", "a:Box", "a:Box.get", "a:Box.put"]
+    readme = ("`recursive(n)` and `Box.get`\n"
+              "```python\nBox().put()\n```\n")
+    assert unreferenced_publics(package, [], readme) == ["a:Box.put"]
+    assert unreferenced_publics(package, ["a.Box().put()\n"], readme) == []
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    readers = [p.read_text() for d in ("bench", "demos")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(package) >= 7 and len(readers) >= 2
+    readme = (ROOT / "README.md").read_text()
+    assert unreferenced_publics(package, readers, readme) == []
+
+
 def imported_public_names(source: str) -> list[str]:
     """The public names a module imports from its own package."""
     return [a.asname or a.name for node in ast.parse(source).body
@@ -102,9 +178,8 @@ def readme_names(text: str) -> set[str]:
     """The lowercase identifiers that open an inline code span of a
     Markdown text, outside fenced blocks, and contain ``_`` or open a
     call: the spans that name a function or a constant."""
-    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
     names = set()
-    for span in re.findall(r"`([^`]+)`", text):
+    for span in _inline_code(text):
         m = re.match(r"([a-z_][a-z0-9_]*)(\()?", span)
         if m and ("_" in m.group(1) or m.group(2)):
             names.add(m.group(1))
@@ -122,8 +197,7 @@ def test_readme_names_only_what_exists():
     modules = [p3game] + [importlib.import_module("p3game." + p.stem)
                           for p in sorted(PACKAGE.glob("*.py"))
                           if p.stem not in ("__init__", "__main__")]
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    names = readme_names(readme.read_text())
+    names = readme_names((ROOT / "README.md").read_text())
     assert len(names) >= 9
     assert [name for name in sorted(names)
             if not any(hasattr(m, name) for m in modules)] == []
