@@ -7,8 +7,8 @@ Run:  python3 demos/family_tour.py
 import random
 
 from p3game import (Variant, block_connected_winner, cograph_free_winner,
-                    connected_cycle_grundy, decide, free_cycle_winner,
-                    free_path_grundy, ladder_connected_winner,
+                    connected_cycle_winner, decide, free_cycle_winner,
+                    free_path_winner, ladder_connected_winner,
                     make_caterpillar, make_ladder, make_path, make_star,
                     random_chordal, random_cograph)
 
@@ -25,7 +25,7 @@ def main():
     print("connected: ", " ".join(
         "%2d" % block_connected_winner(make_path(n)).grundy
         for n in range(1, 13)))
-    print("free:      ", " ".join("%2d" % free_path_grundy(n)
+    print("free:      ", " ".join("%2d" % free_path_winner(n).grundy
                                   for n in range(1, 13)))
     print("connected: first wins every path except n = 2, with value 2")
     print("exactly when n = 2 (mod 3), from the block solver that also")
@@ -34,7 +34,7 @@ def main():
 
     banner("cycles")
     print("n:         ", " ".join("%2d" % n for n in range(3, 13)))
-    print("connected: ", " ".join("%2d" % connected_cycle_grundy(n)
+    print("connected: ", " ".join("%2d" % connected_cycle_winner(n).grundy
                                   for n in range(3, 13)))
     print("free:      ", " ".join("%2d" % free_cycle_winner(n).grundy
                                   for n in range(3, 13)))

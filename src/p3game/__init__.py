@@ -46,9 +46,10 @@ from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      grundy, mex, nim_sum)
 from .solvers import (block_connected_winner, cograph_free_values,
                       cograph_free_winner, connected_block_values,
-                      connected_cycle_grundy, free_cycle_winner,
-                      free_path_grundy, free_path_grundy_table,
-                      ladder_connected_winner, tree_connected_grundy)
+                      connected_cycle_grundy, connected_cycle_winner,
+                      free_cycle_winner, free_path_grundy_table,
+                      free_path_winner, ladder_connected_winner,
+                      tree_connected_grundy)
 from .verify import FAMILIES, VerifyReport, run_family
 
 __version__ = "0.1.0"
@@ -70,8 +71,8 @@ __all__ = [
     "Player", "Verdict", "TranspositionTable", "ResourceLimitError",
     "DEFAULT_BUDGET", "mex", "nim_sum", "grundy", "decide", "best_move",
     # solvers
-    "connected_cycle_grundy",
-    "free_path_grundy_table", "free_path_grundy", "free_cycle_winner",
+    "connected_cycle_winner", "connected_cycle_grundy",
+    "free_path_grundy_table", "free_path_winner", "free_cycle_winner",
     "ladder_connected_winner",
     "connected_block_values", "block_connected_winner",
     "tree_connected_grundy",

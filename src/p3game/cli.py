@@ -52,8 +52,9 @@ class ResultCache:
 
     Loading decodes only the lines past the head the previous load in
     this process validated (see _validated), so a reload after an append
-    costs one read of the file plus one decode per new line.  Verdicts
-    returned by get are shared with later loads: do not mutate them."""
+    costs one read of the file plus one decode per new line.  Entries
+    are frozen Verdicts, shared with later loads.  A record's verdict
+    has exactly the keys winner, grundy and witness."""
 
     FILENAME = "results.jsonl"
 
@@ -61,7 +62,7 @@ class ResultCache:
         global _validated
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, self.FILENAME)
-        self._entries: dict[tuple[str, str], dict] = {}
+        self._entries: dict[tuple[str, str], Verdict] = {}
         # put starts a new line when the file ends inside one
         self._unterminated = False
         try:
@@ -101,11 +102,13 @@ class ResultCache:
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
                 key = (obj["graph"], obj["variant"])
-                verdict = obj["verdict"]
+                fields = obj["verdict"]
                 prior = self._entries.get(key)  # key must hash
                 # solve prints these; check them here, not there
-                Verdict(Player(verdict["winner"]), verdict["grundy"],
-                        verdict["witness"])
+                verdict = Verdict(Player(fields["winner"]), fields["grundy"],
+                                  fields["witness"])
+                if len(fields) != 3:  # else unequal lines, equal verdicts
+                    raise ValueError("verdict has an extra key")
             except (ValueError, LookupError, TypeError,
                     RecursionError) as exc:
                 raise CacheCorruptionError(
@@ -120,7 +123,7 @@ class ResultCache:
     def get(self, digest: str, variant: Variant):
         return self._entries.get((digest, variant.value))
 
-    def put(self, digest: str, variant: Variant, verdict: dict) -> None:
+    def put(self, digest: str, variant: Variant, verdict: Verdict) -> None:
         key = (digest, variant.value)
         prior = self._entries.get(key)
         if prior is not None:
@@ -130,7 +133,7 @@ class ResultCache:
             return
         self._entries[key] = verdict
         record = {"graph": digest, "variant": variant.value,
-                  "verdict": verdict}
+                  "verdict": verdict.to_json_dict()}
         line = json.dumps(record, sort_keys=True) + "\n"
         if self._unterminated:
             line, self._unterminated = "\n" + line, False
@@ -184,30 +187,25 @@ def cmd_solve(args, stdout, stderr) -> int:
     digest = graph_digest(g)
 
     # explicit None test: an empty cache is falsy through __len__
-    verdict_dict = cache.get(digest, variant) if cache is not None else None
-    if verdict_dict is None:
+    verdict = cache.get(digest, variant) if cache is not None else None
+    if verdict is None:
         verdict = decide(g, variant, budget=budget)
-        verdict_dict = verdict.to_json_dict()
         if cache is not None:
             try:
-                cache.put(digest, variant, verdict_dict)
+                cache.put(digest, variant, verdict)
             except OSError as exc:
                 raise GraphFormatError(
                     "cannot write cache file %s: %s" % (cache.path, exc))
-    elif (verdict_dict["witness"] or 0) >= g.n:
+    elif (verdict.witness or 0) >= g.n:
         # the openings are exactly the vertices, in both variants; a
         # second-player win has no witness and passes as 0
         raise CacheCorruptionError(
             "%s holds witness %d for graph %s, which has %d vertices"
-            % (cache.path, verdict_dict["witness"], digest, g.n))
+            % (cache.path, verdict.witness, digest, g.n))
 
+    payload = verdict.to_json_dict()
     if args.mode == "winner":
-        payload = {"winner": verdict_dict["winner"],
-                   "witness": verdict_dict["witness"]}
-    else:
-        payload = {"winner": verdict_dict["winner"],
-                   "grundy": verdict_dict["grundy"],
-                   "witness": verdict_dict["witness"]}
+        del payload["grundy"]
     print(json.dumps(payload, sort_keys=True), file=stdout)
     return 0
 
@@ -387,17 +385,12 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         if args.command == "play":
             return cmd_play(args, stdout, stderr, stdin)
         return cmd_gen(args, stdout, stderr)
-    except GraphFormatError as exc:
+    except (GraphFormatError, CacheCorruptionError) as exc:
         print("error: %s" % exc, file=stderr)
         return 2
-    except CacheCorruptionError as exc:
-        print("error: %s" % exc, file=stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print("resource limit: %s" % exc, file=stderr)
-        return 3
-    except (MemoryError, OverflowError) as exc:
-        # a graph whose "n" is too large to allocate its rows for
+    except (ResourceLimitError, MemoryError, OverflowError) as exc:
+        # the last two: a graph whose "n" is too large to allocate its
+        # rows for, whose error may carry no message
         print("resource limit: %s" % (str(exc) or "out of memory"),
               file=stderr)
         return 3

@@ -11,7 +11,9 @@ Two structural solvers take a Graph and answer whole classes: the
 block solver (connected game on trees, paths among them, and chordal
 graphs) and the cograph solver (free game, stars and cliques among
 them).  Closed forms and a table of fenced runs cover what neither
-reaches: cycles, ladders and the free game on paths.
+reaches: cycles, ladders and the free game on paths.  Every solver
+answers with a Verdict, and all but the ladder's form it from the
+values after each opening (``_opening_verdict``).
 
 Value conventions used throughout:
 
@@ -29,13 +31,12 @@ from .engine import Player, Verdict, mex, nim_sum
 from .graphs import Graph, bits, components, is_tree
 
 
-def _opening_verdict(g: Graph, opening_values) -> Verdict:
-    """Verdict of the game on g from ``opening_values(g)``, the value
-    after each opening by vertex: their mex, with the lowest opening
-    worth 0 as the witness."""
-    if g.n < 1:
+def _opening_verdict(values: list[int]) -> Verdict:
+    """Verdict of a game from ``values``, the value after each opening
+    by vertex: their mex, with the lowest opening worth 0 as the
+    witness."""
+    if not values:
         raise ValueError("cannot decide the game on an empty graph")
-    values = opening_values(g)
     value = mex(values)
     if value == 0:
         return Verdict(Player.SECOND, 0, None)
@@ -46,8 +47,8 @@ def _opening_verdict(g: Graph, opening_values) -> Verdict:
 # Connected variant: cycles
 # =====================================================================
 
-def connected_cycle_grundy(n: int) -> int:
-    """Grundy value of the start position on C_n, connected variant.
+def connected_cycle_winner(n: int) -> Verdict:
+    """Connected game on C_n.
 
     Every first move is equivalent and leaves an arc playground of one
     vertex, so the start value is mex of that single arc value, whose
@@ -57,8 +58,12 @@ def connected_cycle_grundy(n: int) -> int:
     """
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    f1 = {2: 0, 0: 1, 1: 2}[n % 3]
-    return mex((f1,))
+    return _opening_verdict([{2: 0, 0: 1, 1: 2}[n % 3]] * n)
+
+
+def connected_cycle_grundy(n: int) -> int:
+    """``connected_cycle_winner(n).grundy``, read by bench/workloads.py."""
+    return connected_cycle_winner(n).grundy
 
 
 # =====================================================================
@@ -68,24 +73,19 @@ def connected_cycle_grundy(n: int) -> int:
 def free_path_grundy_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
     """Grundy values of bordered runs for the free game on paths.
 
-    A state is a run of k unlabeled consecutive path vertices, plus two
-    flags telling whether each end of the run is fenced by a labeled
-    vertex.  A move at offset j splits the run into (j-1, left-flag,
-    True) and (k-j, True, right-flag); pieces combine by nim-sum.  A
-    piece of length 1 fenced on both sides is absorbed by the closure
-    the moment it forms, so its value is fixed at 0 and is never
-    expanded.  Work is O(n_max^2); larger tables extend smaller ones
-    without changing existing entries.
+    A state is a run of k >= 0 unlabeled consecutive path vertices,
+    plus two flags telling whether each end of the run is fenced by a
+    labeled vertex; an empty run is worth 0.  A move at offset j splits
+    the run into (j-1, left-flag, True) and (k-j, True, right-flag);
+    pieces combine by nim-sum.  A piece of length 1 fenced on both sides
+    is absorbed by the closure the moment it forms, so its value is
+    fixed at 0 and is never expanded.  Work is O(n_max^2); larger tables
+    extend smaller ones without changing existing entries.
     """
     if n_max < 1:
         raise ValueError("table needs at least one run length")
-    table: dict[tuple[int, bool, bool], int] = {}
-
-    def piece(k, left, right):
-        if k == 0:
-            return 0
-        return table[(k, left, right)]
-
+    table = {(0, left, right): 0 for left in (False, True)
+             for right in (False, True)}
     for k in range(1, n_max + 1):
         for left in (False, True):
             for right in (False, True):
@@ -95,18 +95,22 @@ def free_path_grundy_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
                     continue
                 outcomes = set()
                 for j in range(1, k + 1):
-                    outcomes.add(piece(j - 1, left, True)
-                                 ^ piece(k - j, True, right))
+                    outcomes.add(table[(j - 1, left, True)]
+                                 ^ table[(k - j, True, right)])
                 table[(k, left, right)] = mex(outcomes)
     return table
 
 
-def free_path_grundy(n: int) -> int:
-    """Grundy value of the start position on P_n, free variant (an
-    unfenced run of n vertices)."""
+def free_path_winner(n: int) -> Verdict:
+    """Free game on P_n.  An opening at vertex j leaves a run of j
+    vertices fenced on its right and a run of n - 1 - j fenced on its
+    left, whose table values add by nim-sum."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return free_path_grundy_table(n)[(n, False, False)]
+    table = free_path_grundy_table(n)
+    return _opening_verdict([table[(j, False, True)]
+                             ^ table[(n - 1 - j, True, False)]
+                             for j in range(n)])
 
 
 def free_cycle_winner(n: int) -> Verdict:
@@ -125,10 +129,7 @@ def free_cycle_winner(n: int) -> Verdict:
     if n % 2 == 0 or n == 3:
         return Verdict(Player.SECOND, 0, None)
     arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
-    value = mex((arc,))
-    if value != 0:
-        return Verdict(Player.FIRST, value, 0)
-    return Verdict(Player.SECOND, 0, None)
+    return _opening_verdict([arc] * n)
 
 
 # =====================================================================
@@ -232,7 +233,7 @@ def block_connected_winner(g: Graph) -> Verdict:
     """Connected game on a graph whose blocks each close from any one of
     their edges (see ``connected_block_values``), with the lowest
     opening worth 0 as the witness."""
-    return _opening_verdict(g, connected_block_values)
+    return _opening_verdict(connected_block_values(g))
 
 
 def tree_connected_grundy(tree: Graph) -> int:
@@ -337,4 +338,4 @@ def cograph_free_values(g: Graph) -> list[int]:
 def cograph_free_winner(g: Graph) -> Verdict:
     """Free game on a cograph (see ``cograph_free_values``), with the
     lowest opening worth 0 as the witness."""
-    return _opening_verdict(g, cograph_free_values)
+    return _opening_verdict(cograph_free_values(g))

@@ -3,15 +3,16 @@ engine on every instance small enough to afford.
 
 Every family is one entry of the FAMILIES table: its smallest size, the
 error for a smaller one, and its instances, each paired with the call
-that makes the solver's claim.  run_family makes each claim, runs one
-engine search (decide) per instance that claims a verdict or a value,
-and returns a VerifyReport listing any disagreement; an instance whose
-solver or engine raises is a disagreement too.  A solver's Verdict must
-equal the engine's field for field, witness included: both name the
-lowest opening worth 0.  Reports are deterministic for a given seed:
-instances are generated by a seeded RNG and compared in instance order.
-Elapsed time is kept out of the JSON projection so identical runs stay
-byte-identical; it appears only in the human-readable table.
+that makes the solver's claim: a Verdict, or in chordal-lemma a list
+of counterexamples.  run_family makes each claim, runs one engine
+search (decide) per Verdict claim, and returns a VerifyReport listing
+any disagreement; an instance whose solver or engine raises is a
+disagreement too.  A solver's Verdict must equal the engine's field for
+field, witness included: both name the lowest opening worth 0.  Reports
+are deterministic for a given seed: instances are generated by a seeded
+RNG and compared in instance order.  Elapsed time is kept out of the
+JSON projection so identical runs stay byte-identical; it appears only
+in the human-readable table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import solvers
 from .closure import Variant, hull
-from .engine import ResourceLimitError, Verdict, decide
+from .engine import ResourceLimitError, decide
 from .graphs import SIZED_FAMILIES, Graph, bits
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
@@ -60,15 +61,13 @@ class VerifyReport:
 
 def _row(claim, g, variant, budget):
     """(solver, oracle) sides of one instance.  A list holds
-    counterexamples, of which none are due.  Otherwise the engine decides
-    the instance once: a Verdict claim must equal its verdict, winner,
-    value and witness alike, and an int claim its Grundy value."""
+    counterexamples, of which none are due.  Otherwise the claim is a
+    Verdict, and the engine decides the instance once: the two must
+    agree in winner, value and witness alike."""
     if isinstance(claim, list):
         return claim, []
     oracle = decide(g, variant, budget=budget)
-    if isinstance(claim, Verdict):
-        return claim.to_json_dict(), oracle.to_json_dict()
-    return claim, oracle.grundy
+    return claim.to_json_dict(), oracle.to_json_dict()
 
 
 # ---------------------------------------------------------------------
@@ -113,15 +112,13 @@ def _samples(family, count, variant, claim):
     return instances
 
 
-def _next_rooted(levels, p=None):
+def _next_rooted(levels):
     """Beyer–Hedetniemi successor: the rooted tree after ``levels`` in
-    decreasing order of level sequences, found by changing position p
-    (by default the last one deeper than level 1), or None after the
-    star.  A level sequence lists each vertex's depth in preorder."""
-    if p is None:
-        p = len(levels) - 1
-        while levels[p] == 1:
-            p -= 1
+    decreasing order of level sequences, or None after the star.  A
+    level sequence lists each vertex's depth in preorder."""
+    p = len(levels) - 1
+    while levels[p] == 1:
+        p -= 1
     if p == 0:
         return None
     q = p - 1
@@ -142,22 +139,17 @@ def _first_subtree(levels):
 
 def _free_tree_levels(n: int):
     """Level sequences of the free trees with n >= 2 vertices, one per
-    isomorphism class (Wright, Richmond, Odlyzko & McKay 1986, "Constant
-    time generation of free trees").  Each tree is rooted at a centre,
-    with (height, size, level sequence) of the root's first subtree at
-    most that of the rest of the tree; a rooted tree that breaks this
-    jumps ahead to the next one that keeps it."""
+    isomorphism class, in the order of Wright, Richmond, Odlyzko & McKay
+    1986, "Constant time generation of free trees": the rooted trees
+    from the path rooted at its centre down to the star whose root's
+    first subtree has (height, size, level sequence) at most that of the
+    rest of the tree.  Their generator jumps over the others; this one
+    filters them out."""
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         left, rest = _first_subtree(levels)
-        if (max(left), len(left), left) > (max(rest), len(rest), rest):
-            p = len(left)
-            jump = _next_rooted(levels, p)
-            if levels[p] > 2:
-                height = max(_first_subtree(jump)[0])
-                jump[-height - 1:] = range(1, height + 2)
-            levels = jump
-        yield levels
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            yield levels
         levels = _next_rooted(levels)
 
 
@@ -202,14 +194,14 @@ def _cograph(n, g):
 
 FAMILIES = {
     "path-free": _each_size("path", "paths need at least %d vertex", FREE,
-                            lambda n, g: solvers.free_path_grundy(n)),
+                            lambda n, g: solvers.free_path_winner(n)),
     "path-connected": _each_size("path", "paths need at least %d vertex",
                                  CONNECTED, _block),
     "cycle-free": _each_size("cycle", "cycles need at least %d vertices",
                              FREE, lambda n, g: solvers.free_cycle_winner(n)),
     "cycle-connected": _each_size(
         "cycle", "cycles need at least %d vertices", CONNECTED,
-        lambda n, g: solvers.connected_cycle_grundy(n)),
+        lambda n, g: solvers.connected_cycle_winner(n)),
     "ladder": _each_size("ladder", "ladders need at least %d rung",
                          CONNECTED,
                          lambda n, g: solvers.ladder_connected_winner(n)),

@@ -305,6 +305,17 @@ def test_cache_line_missing_a_field_is_a_parse_error(tmp_path, record):
     assert "line 2 is not a cache record" in err
 
 
+def test_cached_verdict_with_an_extra_key_is_a_parse_error(tmp_path):
+    # the key is not a Verdict field, so two lines that differ only in
+    # it would hold equal verdicts; such a line is corrupt instead
+    g = make_path(3)
+    verdict = dict(decide(g, Variant.FREE).to_json_dict(), note="hand edit")
+    record = {"graph": graph_digest(g), "variant": "free", "verdict": verdict}
+    code, out, err = _solve_with_cache_lines(tmp_path, [json.dumps(record)])
+    assert code == 2 and out == ""
+    assert "line 2 is not a cache record: ValueError" in err
+
+
 @pytest.mark.parametrize("verdict", [
     {"grundy": -1, "winner": "third", "witness": "x"},
     {"grundy": 0, "winner": "first", "witness": 0},
@@ -416,11 +427,12 @@ def test_cache_skips_blank_lines_and_starts_empty_without_a_file(tmp_path):
     assert len(cache) == 0
     assert cache.get("ab", Variant.FREE) is None
     assert not (cache_dir / "results.jsonl").exists()
-    verdict = {"winner": "second", "grundy": 0, "witness": None}
+    verdict = Verdict(Player.SECOND, 0, None)
+    record = {"winner": "second", "grundy": 0, "witness": None}
     lines = ["", json.dumps({"graph": "ab", "variant": "free",
-                             "verdict": verdict}),
+                             "verdict": record}),
              "   ", "\t", json.dumps({"graph": "ab", "variant": "connected",
-                                     "verdict": verdict}), "", ""]
+                                     "verdict": record}), "", ""]
     (cache_dir / "results.jsonl").write_text("\n".join(lines))
     cache = ResultCache(str(cache_dir))
     assert len(cache) == 2
@@ -429,12 +441,12 @@ def test_cache_skips_blank_lines_and_starts_empty_without_a_file(tmp_path):
 
 def test_cache_refuses_to_overwrite_an_entry(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    verdict = {"winner": "first", "grundy": 2, "witness": 1}
+    verdict = Verdict(Player.FIRST, 2, 1)
     cache.put("deadbeef", Variant.FREE, verdict)
-    cache.put("deadbeef", Variant.FREE, dict(verdict))  # same value: fine
+    cache.put("deadbeef", Variant.FREE,
+              Verdict(Player.FIRST, 2, 1))  # same value: fine
     with pytest.raises(CacheCorruptionError):
-        cache.put("deadbeef", Variant.FREE,
-                  {"winner": "second", "grundy": 0, "witness": None})
+        cache.put("deadbeef", Variant.FREE, Verdict(Player.SECOND, 0, None))
     assert len(cache) == 1
 
 
@@ -565,10 +577,25 @@ def test_reload_decodes_only_the_lines_appended_since(tmp_path, monkeypatch):
     decoded.clear()
     cache = ResultCache(str(cache_dir))
     assert len(cache) == 100 and decoded == []
-    cache.put("ab", Variant.FREE,
-              {"winner": "second", "grundy": 0, "witness": None})
+    cache.put("ab", Variant.FREE, Verdict(Player.SECOND, 0, None))
     assert len(ResultCache(str(cache_dir))) == 101
     assert len(decoded) == 1
+
+
+def test_warm_get_returns_the_frozen_verdict_of_a_cold_load(tmp_path,
+                                                            monkeypatch):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "results.jsonl").write_text("".join(_cache_lines(10)))
+    digest = "%064x" % 7
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_validated", (b"", {}, 0))
+        cold = ResultCache(str(cache_dir)).get(digest, Variant.FREE)
+    ResultCache(str(cache_dir))  # remembered from here on
+    warm = ResultCache(str(cache_dir)).get(digest, Variant.FREE)
+    assert warm == cold == Verdict(Player.FIRST, 7 % 3 + 1, 7 % 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        warm.grundy = 0
 
 
 # =====================================================================
@@ -725,19 +752,15 @@ def _other_winner(verdict, *_):
     return Verdict(Player.FIRST, 1, 0)
 
 
-def _one_more(value, *_):
-    return value + 1
-
-
 # family, max_n, (module, name) to patch, wrong answer from the true one
 # and the call's arguments, descriptor key sets of the family's instances
 WRONG_ANSWERS = [
-    ("path-free", 6, (solvers, "free_path_grundy"), _one_more, [{"n"}]),
+    ("path-free", 6, (solvers, "free_path_winner"), _other_winner, [{"n"}]),
     ("path-connected", 6, (solvers, "block_connected_winner"),
      _other_winner, [{"n"}]),
     ("cycle-free", 6, (solvers, "free_cycle_winner"), _other_winner, [{"n"}]),
-    ("cycle-connected", 6, (solvers, "connected_cycle_grundy"), _one_more,
-     [{"n"}]),
+    ("cycle-connected", 6, (solvers, "connected_cycle_winner"),
+     _other_winner, [{"n"}]),
     ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
      [{"n"}]),
     ("tree", 6, (solvers, "block_connected_winner"), _other_winner,
@@ -772,8 +795,10 @@ def test_verify_catches_a_wrong_answer_in_every_family(
         {frozenset(k) for k in keys}
 
 
-WITNESS_SOLVERS = [("path-connected", "block_connected_winner", 6),
+WITNESS_SOLVERS = [("path-free", "free_path_winner", 9),
+                   ("path-connected", "block_connected_winner", 6),
                    ("cycle-free", "free_cycle_winner", 9),
+                   ("cycle-connected", "connected_cycle_winner", 8),
                    ("ladder", "ladder_connected_winner", 6),
                    ("tree", "block_connected_winner", 6),
                    ("star", "cograph_free_winner", 4),
@@ -819,18 +844,19 @@ def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
 
 def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
     # a solver bug is a failed check (exit 1), not a usage error (exit 2)
+    original = solvers.connected_cycle_winner
+
     def broken(n):
         if n == 5:
             raise ValueError("cycle solver broke")
-        return 0
+        return original(n)
 
-    monkeypatch.setattr(solvers, "connected_cycle_grundy", broken)
+    monkeypatch.setattr(solvers, "connected_cycle_winner", broken)
     code, out, err = run_cli(["verify", "--family", "cycle-connected",
                               "--max-n", "6", "--json"])
     assert code == 1
     report = json.loads(out)
     assert report["instances"] == 4
-    # n = 5 is the one first-player win, so the 0 claims hold elsewhere
     assert report["mismatches"] == [
         {"instance": {"n": 5},
          "solver": {"error": "ValueError: cycle solver broke"},

@@ -10,8 +10,9 @@ import pytest
 from p3game import (Player, Position, Variant, Verdict,
                     block_connected_winner, cograph_free_values,
                     cograph_free_winner, components, connected_block_values,
-                    connected_cycle_grundy, decide, free_cycle_winner,
-                    free_path_grundy, free_path_grundy_table, grundy, hull,
+                    connected_cycle_grundy, connected_cycle_winner, decide,
+                    free_cycle_winner, free_path_grundy_table,
+                    free_path_winner, grundy, hull,
                     induced_subgraph, ladder_connected_winner,
                     make_caterpillar, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mask_of, mex, nim_sum,
@@ -55,7 +56,7 @@ def test_connected_path_closed_forms_to_1000():
 
 def test_connected_cycle_winner_pattern_to_1000():
     for n in range(3, 1001):
-        g = connected_cycle_grundy(n)
+        g = connected_cycle_winner(n).grundy
         assert (g != 0) == (n % 3 == 2)
         assert g == (1 if n % 3 == 2 else 0)
 
@@ -74,12 +75,13 @@ def test_connected_cycle_arc_recurrence():
         for k in range(1, n - 3):
             assert f[k] == mex((f[k + 1], f[k + 2]))
         assert f[1] == {2: 0, 0: 1, 1: 2}[n % 3]
+        assert connected_cycle_winner(n).grundy == mex((f[1],))
         assert connected_cycle_grundy(n) == mex((f[1],))
 
 
 def test_connected_cycle_rejects_small():
     with pytest.raises(ValueError):
-        connected_cycle_grundy(2)
+        connected_cycle_winner(2)
     with pytest.raises(ValueError):
         connected_cycle_arc_values(2)
 
@@ -114,9 +116,9 @@ def test_free_path_table_extends_monotonically():
 def test_free_path_grundy_reads_the_unfenced_run():
     t = free_path_grundy_table(12)
     for n in range(1, 13):
-        assert free_path_grundy(n) == t[(n, False, False)]
+        assert free_path_winner(n).grundy == t[(n, False, False)]
     with pytest.raises(ValueError):
-        free_path_grundy(0)
+        free_path_winner(0)
 
 
 # =====================================================================
@@ -412,7 +414,9 @@ def test_path_solvers_match_engine_both_variants():
     for n in range(1, 13):
         g = make_path(n)
         assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
-        assert free_path_grundy(n) == grundy(start_position(g, Variant.FREE))
+        assert free_path_winner(n).grundy == \
+            grundy(start_position(g, Variant.FREE))
+        assert free_path_winner(n) == decide(g, Variant.FREE)
 
 
 def test_cycle_solvers_match_engine_both_variants():
@@ -420,5 +424,6 @@ def test_cycle_solvers_match_engine_both_variants():
         g = make_cycle(n)
         assert connected_cycle_grundy(n) == \
             grundy(start_position(g, Variant.CONNECTED))
+        assert connected_cycle_winner(n) == decide(g, Variant.CONNECTED)
         ov = decide(g, Variant.FREE)
         assert free_cycle_winner(n) == ov
