@@ -18,20 +18,25 @@ C with everything else labeled:
              over the components D of C - hull((G - C) + x)
 
 Expanding C reads C alone: the hull of each child starts from the
-closed set G - C and the boundary of C, and the distance-two rule grows
-from that boundary, so a child costs O(|C|), not O(n).
+closed set G - C and the boundary of C (its vertices with a neighbour
+outside C), and the distance-two rule grows from that boundary, so a
+child costs O(|C|), not O(n).
 
-The same hull splits the child.  Besides H = hull((G - C) + x) it hands
-back ``ones``, C's boundary together with the neighbours of what H took
-from C.  The seeds ``ones & R & ~boundary``, for the rest R = C - H, are
-then exactly the vertices of R next to H's part in C: a boundary vertex
-of C next to that part has a labeled neighbour outside C too, so H
-absorbed it.  C is connected, so every part of R meets a seed, and
-``components`` floods from the lowest seed only until the flood holds
-every seed left.  A split thus floods each of its parts but the last
-whole, and the last only until it holds its seeds, not at all once one
-seed is left; a child that stays one part with a single seed costs no
-flood.
+The same hull splits the child and hands each part its boundary.
+Besides H = hull((G - C) + x) it hands back ``ones``, C's boundary
+together with the neighbours of what H took from C.  The seeds
+``ones & R & ~boundary``, for the rest R = C - H, are then exactly the
+vertices of R next to H's part in C: a boundary vertex of C next to
+that part has a labeled neighbour outside C too, so H absorbed it.  C
+is connected, so every part of R meets a seed, and ``components``
+floods from the lowest seed only until the flood holds every seed
+left.  A split thus floods each of its parts but the last whole, and
+the last only until it holds its seeds, not at all once one seed is
+left; a child that stays one part with a single seed costs no flood.
+No part D of R touches another part, so ``ones & D`` is D's boundary,
+and D keeps it until it is expanded.  Only the component a search
+starts from has its boundary computed; every other one inherits it
+from the hull that cut it.
 
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L, and so is the free start (the components of G).
@@ -192,53 +197,53 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
 def _component_value(g: Graph, comp: int, variant: Variant,
                      table: TranspositionTable) -> int:
     """val(comp), evaluating what is not yet memoized below it from an
-    explicit stack of components.  Each expansion scans C once for its
-    boundary (the vertices of C with a neighbour outside C, one each),
-    which seeds the legal moves and every child's hull; each hull's
-    final ``ones`` seeds the split of its child (module docstring).
-    A child is kept as one stored component when it is one part, else
-    as the list of its parts."""
+    explicit stack of (component, boundary) pairs.  Only comp's boundary
+    is computed, once per call; each part d of a child inherits
+    ``ones & d`` from the hull that cut it (module docstring).  A
+    boundary seeds the legal moves and every child's hull, and each
+    hull's ``ones`` seeds the split of its child.  A child is kept as
+    one stored component when it is one part, else as the list of its
+    parts."""
     memo = table.entries[variant]
     if comp in memo:
         return memo[comp]
-    adj, full = g.adj, g.full_mask
-    stack = [comp]
+    full = g.full_mask
+    stack = [(comp, g.neighborhood_of_set(full & ~comp) & comp)]
     expanded = {}  # component on the stack -> (one-part children, splits)
     while stack:
-        c = stack[-1]
+        c, edge = stack[-1]
         children = expanded.pop(c, None)
         if children is None:
             if c in memo:
                 stack.pop()  # pushed twice, solved since
                 continue
             outside = full & ~c
-            edge = 0
-            scan = c
-            while scan:
-                low = scan & -scan
-                if adj[low.bit_length() - 1] & outside:
-                    edge |= low
-                scan ^= low
             singles, splits, seen = [], [], set()
-            for x in bits(legal_moves_raw(g, outside, variant, edge)):
-                h, ones = hull_and_boundary(g, outside | 1 << x, outside, edge)
+            new_singles, new_parts = [], []  # unsolved, with boundaries
+            moves = legal_moves_raw(g, outside, variant, edge)
+            while moves:
+                low = moves & -moves
+                moves ^= low
+                h, ones = hull_and_boundary(g, outside | low, outside, edge)
                 rest = c & ~h
                 if rest in seen:
                     continue
                 seen.add(rest)
-                # only components are stored, so a stored rest is one
-                parts = ([rest] if rest in memo
-                         else components(g, rest, ones & rest & ~edge))
+                if rest in memo:  # only components are stored
+                    singles.append(rest)
+                    continue
+                parts = components(g, rest, ones & rest & ~edge)
                 if len(parts) == 1:
                     singles.append(rest)
+                    new_singles.append((rest, ones & rest))
                 else:
                     splits.append(parts)
-            unsolved = [d for d in singles if d not in memo]
-            unsolved += [d for parts in splits for d in parts
-                         if d not in memo]
-            if unsolved:
+                    new_parts += [(d, ones & d) for d in parts
+                                  if d not in memo]
+            if new_singles or new_parts:
                 expanded[c] = singles, splits
-                stack += unsolved
+                stack += new_singles
+                stack += new_parts
                 continue
         else:
             singles, splits = children

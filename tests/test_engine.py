@@ -13,6 +13,7 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     hull, legal_moves, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mex, nim_sum, random_gnp,
                     random_tree, start_position)
+from p3game import engine
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import atlas_graphs, connected_atlas_graphs
@@ -235,10 +236,12 @@ def test_stored_values_reexpand_to_their_mex():
 
 def test_each_child_is_seeded_from_its_hull_boundary():
     # the expansion splits a child from the seeds ones & rest & ~edge,
-    # where ones is what its hull hands back and edge is C's boundary;
-    # on every stored component of small graphs, in both variants and
-    # for every legal move, they are exactly the vertices of the rest
-    # next to the hull's part in C, and they meet every part of the rest
+    # where ones is what its hull hands back and edge is C's boundary,
+    # and each part d of the child inherits ones & d as its own
+    # boundary; on every stored component of small graphs, in both
+    # variants and for every legal move, the seeds are exactly the
+    # vertices of the rest next to the hull's part in C, they meet
+    # every part of the rest, and ones & d is N(G - d) & d
     rng = random.Random(22)
     graphs = list(atlas_graphs(6))
     graphs += [random_gnp(rng.randint(8, 12), 0.25, rng) for _ in range(10)]
@@ -255,23 +258,39 @@ def test_each_child_is_seeded_from_its_hull_boundary():
                     rest = c & ~h
                     seeds = ones & rest & ~edge
                     assert seeds == g.neighborhood_of_set(c & ~rest) & rest
-                    assert all(part & seeds for part in components(g, rest))
+                    for d in components(g, rest):
+                        assert d & seeds
+                        assert ones & d == (g.neighborhood_of_set(
+                            g.full_mask & ~d) & d)
 
 
-def test_the_search_stores_the_same_components():
-    # pins which positions the search visits, not only its answers: an
-    # optimisation that expands a different set of components fails here
-    cases = [(make_path(18), Variant.FREE, 155),
-             (random_tree(17, random.Random(0)), Variant.FREE, 643),
-             (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2293),
-             (make_ladder(24), Variant.CONNECTED, 647),
-             (make_cycle(30), Variant.CONNECTED, 841),
-             (make_ladder(30), Variant.CONNECTED, 989),
-             (make_path(600), Variant.CONNECTED, 1199)]
-    for g, variant, stored in cases:
+def test_the_search_stores_the_same_components(monkeypatch):
+    # pins which positions the search visits and how many hulls it
+    # takes, not only its answers: an optimisation that expands a
+    # different set of components, or takes more hulls per expansion,
+    # fails here
+    calls = []
+    take_hull = engine.hull_and_boundary
+
+    def counted(*args):
+        calls.append(None)
+        return take_hull(*args)
+
+    monkeypatch.setattr(engine, "hull_and_boundary", counted)
+    cases = [(make_path(18), Variant.FREE, 155, 1124),
+             (random_tree(17, random.Random(0)), Variant.FREE, 643, 6770),
+             (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2293,
+              33043),
+             (make_ladder(24), Variant.CONNECTED, 647, 8648),
+             (make_cycle(30), Variant.CONNECTED, 841, 3300),
+             (make_ladder(30), Variant.CONNECTED, 989, 15312),
+             (make_path(600), Variant.CONNECTED, 1199, 2994)]
+    for g, variant, stored, hulls in cases:
+        calls.clear()
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
         assert len(table) == len(table.entries[variant]) == stored
+        assert len(calls) == hulls
 
 
 def test_cycle_search_never_builds_an_arc_missing_one_vertex():
