@@ -26,8 +26,6 @@ Value conventions used throughout:
 
 from __future__ import annotations
 
-import threading
-
 from .closure import hull
 from .engine import Player, Verdict, mex, nim_sum
 from .graphs import Graph, bits, components, is_tree
@@ -82,46 +80,25 @@ def free_path_grundy_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
     pieces combine by nim-sum.  A piece of length 1 fenced on both sides
     is absorbed by the closure the moment it forms, so its value is
     fixed at 0 and is never expanded.  Work is O(n_max^2); larger tables
-    extend smaller ones without changing existing entries, which is how
-    the path and cycle solvers share one table (``_RUNS``) that only
-    grows.  Each call here builds a new table.
+    extend smaller ones without changing existing entries.
     """
     if n_max < 1:
         raise ValueError("table needs at least one run length")
-    return _grow_runs({}, n_max)
-
-
-def _grow_runs(runs: dict[tuple[int, bool, bool], int],
-               n_max: int) -> dict[tuple[int, bool, bool], int]:
-    """Extend ``runs``, which holds every run shorter than
-    ``len(runs) // 4``, to every run of at most n_max vertices, and
-    return it.  Entries are added in order of length, each from shorter
-    ones, so none is ever rewritten."""
-    for k in range(len(runs) // 4, n_max + 1):
+    table = {(0, left, right): 0 for left in (False, True)
+             for right in (False, True)}
+    for k in range(1, n_max + 1):
         for left in (False, True):
             for right in (False, True):
                 if k == 1 and left and right:
                     # closure collapses this run; it is the empty position
-                    runs[(k, left, right)] = 0
+                    table[(k, left, right)] = 0
                     continue
                 outcomes = set()
                 for j in range(1, k + 1):
-                    outcomes.add(runs[(j - 1, left, True)]
-                                 ^ runs[(k - j, True, right)])
-                runs[(k, left, right)] = mex(outcomes)
-    return runs
-
-
-#: The run table behind free_path_winner and free_cycle_winner, grown
-#: on demand, so a sweep over sizes builds it once.
-_RUNS: dict[tuple[int, bool, bool], int] = {}
-_RUNS_LOCK = threading.Lock()
-
-
-def _shared_runs(n_max: int) -> dict[tuple[int, bool, bool], int]:
-    """``_RUNS``, grown to every run of at most n_max vertices."""
-    with _RUNS_LOCK:
-        return _grow_runs(_RUNS, n_max)
+                    outcomes.add(table[(j - 1, left, True)]
+                                 ^ table[(k - j, True, right)])
+                table[(k, left, right)] = mex(outcomes)
+    return table
 
 
 def free_path_winner(n: int) -> Verdict:
@@ -130,7 +107,7 @@ def free_path_winner(n: int) -> Verdict:
     left, whose table values add by nim-sum."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    table = _shared_runs(n)
+    table = free_path_grundy_table(n)
     return _opening_verdict([table[(j, False, True)]
                              ^ table[(n - 1 - j, True, False)]
                              for j in range(n)])
@@ -151,7 +128,7 @@ def free_cycle_winner(n: int) -> Verdict:
         raise ValueError("cycle needs at least three vertices")
     if n % 2 == 0 or n == 3:
         return Verdict(Player.SECOND, 0, None)
-    arc = _shared_runs(n - 1)[(n - 1, True, True)]
+    arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
     return _opening_verdict([arc] * n)
 
 

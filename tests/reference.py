@@ -76,15 +76,17 @@ def reference_decide(g, variant):
     return Verdict(Player.FIRST if value else Player.SECOND, value, witness)
 
 
-def free_cycle_by_reduction(n):
-    """Free game on C_n by the fenced-run reduction alone, for every
-    n >= 3: cutting the cycle at the first move leaves a run of n-1
-    vertices fenced on both sides."""
-    arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
-    value = mex((arc,))
-    if value != 0:
-        return Verdict(Player.FIRST, value, 0)
-    return Verdict(Player.SECOND, 0, None)
+def free_cycles_by_reduction(n_max):
+    """Free game on C_n for every 3 <= n <= n_max by the fenced-run
+    reduction alone, read from one run table: cutting the cycle at the
+    first move leaves a run of n-1 vertices fenced on both sides."""
+    runs = free_path_grundy_table(n_max - 1)
+    verdicts = {}
+    for n in range(3, n_max + 1):
+        value = mex((runs[(n - 1, True, True)],))
+        verdicts[n] = (Verdict(Player.FIRST, value, 0) if value
+                       else Verdict(Player.SECOND, 0, None))
+    return verdicts
 
 
 def connected_cycle_arc_values(n: int) -> dict[int, int]:

@@ -3,8 +3,6 @@ recurrences, dual derivation routes against each other, and every solver
 against the exhaustive engine on small instances."""
 
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import networkx as nx
 import pytest
@@ -20,11 +18,10 @@ from p3game import (Player, Position, Variant, Verdict,
                     make_path, make_star, mask_of, mex, nim_sum,
                     random_caterpillar, random_cograph, random_tree,
                     start_position, tree_connected_grundy)
-from p3game import solvers
 from p3game.graphs import Graph
 
 from helpers import atlas_graphs, graph_to_nx, has_induced_p4
-from reference import (connected_cycle_arc_values, free_cycle_by_reduction,
+from reference import (connected_cycle_arc_values, free_cycles_by_reduction,
                        reference_decide)
 
 
@@ -136,59 +133,12 @@ def test_free_cycle_even_and_triangle_are_second_player_wins():
 def test_free_cycle_strategy_route_equals_reduction_route():
     # the strategy shortcut (mirroring on even cycles, the clique rule
     # on the triangle) must agree with the uniform fenced-run reduction
-    for n in range(3, 201):
-        assert free_cycle_winner(n) == free_cycle_by_reduction(n)
+    for n, verdict in free_cycles_by_reduction(300).items():
+        assert free_cycle_winner(n) == verdict, n
 
 
 def test_free_cycle_five_is_a_first_player_win():
     assert free_cycle_winner(5) == Verdict(Player.FIRST, 1, 0)
-
-
-def test_path_and_cycle_winners_match_one_fresh_table():
-    # both winners read one run table that grows with the sizes asked
-    # for; at every size it must give what one fresh table gives, the
-    # cycle by the fenced-run reduction, which holds for every n
-    t = free_path_grundy_table(300)
-
-    def verdict(values):
-        value = mex(values)
-        if value:
-            return Verdict(Player.FIRST, value, values.index(0))
-        return Verdict(Player.SECOND, 0, None)
-
-    for n in range(1, 301):
-        assert free_path_winner(n) == verdict(
-            [t[(j, False, True)] ^ t[(n - 1 - j, True, False)]
-             for j in range(n)]), n
-        if n >= 3:
-            assert free_cycle_winner(n) == verdict(
-                [t[(n - 1, True, True)]] * n), n
-
-
-def test_threads_growing_the_shared_run_table_agree(monkeypatch):
-    # six threads grow one empty shared table at once, in different
-    # size orders, with thread switches forced often; a lost or early
-    # read would give a wrong verdict or a KeyError
-    monkeypatch.setattr(solvers, "_RUNS", {})
-    sizes = list(range(3, 121))
-    expect = {n: (free_path_winner(n), free_cycle_winner(n)) for n in sizes}
-    monkeypatch.setattr(solvers, "_RUNS", {})
-
-    def sweep(seed):
-        order = sizes[:]
-        random.Random(seed).shuffle(order)
-        return all((free_path_winner(n), free_cycle_winner(n)) == expect[n]
-                   for n in order)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(sweep, seed) for seed in range(6)]
-            assert all(f.result(timeout=60) for f in futures)
-    finally:
-        sys.setswitchinterval(interval)
-    assert solvers._RUNS == free_path_grundy_table(120)
 
 
 # =====================================================================
