@@ -38,6 +38,18 @@ and D keeps it until it is expanded.  Only the component a search
 starts from has its boundary computed; every other one inherits it
 from the hull that cut it.
 
+Many moves of C lead to the same child, and a boundary move's hull
+names them.  Let y be a move on C's boundary with hull H, and let E,
+y's run, be the component of y in the boundary vertices H holds.
+Every move x in H that lies in E or next to it has hull H, so the
+expansion skips it.  x in H gives hull(x) inside H.  Every vertex of
+E has a labeled neighbour outside C, so labeling x puts a vertex of
+E into the hull (x itself, or a neighbour of x in E, which gains its
+second labeled neighbour), and from there the hull spreads along E
+to y; so H lies inside hull(x).  The skipped children are ones the
+expansion would have found again; ``seen`` still drops the repeats
+that the rule does not name.
+
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L, and so is the free start (the components of G).
 The connected start is the one position that is not a sum: the opening
@@ -201,14 +213,16 @@ def _component_value(g: Graph, comp: int, variant: Variant,
     is computed, once per call; each part d of a child inherits
     ``ones & d`` from the hull that cut it (module docstring).  A
     boundary seeds the legal moves and every child's hull, and each
-    hull's ``ones`` seeds the split of its child.  A child is kept as
-    one stored component when it is one part, else as the list of its
-    parts."""
+    hull's ``ones`` seeds the split of its child.  After the hull H of
+    a boundary move, the moves in H within one step of that move's run
+    (module docstring) are dropped unexpanded, since each has hull H.
+    A child is kept as one stored component when it is one part, else
+    as the list of its parts."""
     memo = table.entries[variant]
     if comp in memo:
         return memo[comp]
-    full = g.full_mask
-    stack = [(comp, g.neighborhood_of_set(full & ~comp) & comp)]
+    full, adj, nbhd = g.full_mask, g.adj, g.neighborhood_of_set
+    stack = [(comp, nbhd(full & ~comp) & comp)]
     expanded = {}  # component on the stack -> (one-part children, splits)
     while stack:
         c, edge = stack[-1]
@@ -225,6 +239,14 @@ def _component_value(g: Graph, comp: int, variant: Variant,
                 low = moves & -moves
                 moves ^= low
                 h, ones = hull_and_boundary(g, outside | low, outside, edge)
+                if low & edge:  # skip the moves whose hull is h
+                    run, near = h & edge, adj[low.bit_length() - 1]
+                    grow = near & run
+                    while grow:
+                        near |= nbhd(grow)
+                        run ^= grow
+                        grow = near & run
+                    moves &= ~(h & near)
                 rest = c & ~h
                 if rest in seen:
                     continue

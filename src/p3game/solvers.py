@@ -146,7 +146,7 @@ def ladder_connected_winner(n: int) -> Verdict:
     finish the current block on every return visit, so the second
     player always faces a fresh block boundary.  The corner opening is
     reported as the witness.  The engine confirms the value 1 and the
-    corner witness at every multiple of three up to 30 rungs (the
+    corner witness at every multiple of three up to 39 rungs (the
     acceptance sweep); beyond that both are the formula's claim.
     """
     if n < 1:
