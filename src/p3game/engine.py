@@ -200,40 +200,39 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
                     table: TranspositionTable) -> int:
     parts = components(g, g.full_mask & ~labeled)
     if labeled == 0 and variant is Variant.CONNECTED and len(parts) > 1:
-        # not a sum: the opening picks the component that play stays in
-        return mex(_position_value(g, hull(g, 1 << x), variant, table)
-                   for x in bits(legal_moves_raw(g, 0, variant)))
+        # not a sum: the opening picks the component play stays in; any
+        # vertex is a legal opening, and a single vertex is its own hull
+        return mex(_position_value(g, 1 << x, variant, table)
+                   for x in range(g.n))
     return nim_sum(_component_value(g, c, variant, table) for c in parts)
 
 
 def _component_value(g: Graph, comp: int, variant: Variant,
                      table: TranspositionTable) -> int:
     """val(comp), evaluating what is not yet memoized below it from an
-    explicit stack of (component, boundary) pairs.  Only comp's boundary
-    is computed, once per call; each part d of a child inherits
-    ``ones & d`` from the hull that cut it (module docstring).  A
-    boundary seeds the legal moves and every child's hull, and each
+    explicit stack of (component, boundary, children) entries.  Only
+    comp's boundary is computed, once per call; each part d of a child
+    inherits ``ones & d`` from the hull that cut it (module docstring).
+    A boundary seeds the legal moves and every child's hull, and each
     hull's ``ones`` seeds the split of its child.  After the hull H of
     a boundary move, the moves in H within one step of that move's run
     (module docstring) are dropped unexpanded, since each has hull H.
-    A child is kept as one stored component when it is one part, else
-    as the list of its parts."""
+    children is None until the entry is expanded, then the list of its
+    children, each the sequence of its parts.  An expanded entry with
+    unsolved parts goes back on the stack under them, so when it comes
+    up again every part it names is in the memo."""
     memo = table.entries[variant]
     if comp in memo:
         return memo[comp]
     full, adj, nbhd = g.full_mask, g.adj, g.neighborhood_of_set
-    stack = [(comp, nbhd(full & ~comp) & comp)]
-    expanded = {}  # component on the stack -> (one-part children, splits)
+    stack = [(comp, nbhd(full & ~comp) & comp, None)]
     while stack:
-        c, edge = stack[-1]
-        children = expanded.pop(c, None)
+        c, edge, children = stack.pop()
         if children is None:
             if c in memo:
-                stack.pop()  # pushed twice, solved since
-                continue
+                continue  # pushed twice, solved since
             outside = full & ~c
-            singles, splits, seen = [], [], set()
-            new_singles, new_parts = [], []  # unsolved, with boundaries
+            children, new, seen = [], [], set()  # new: unsolved parts
             moves = legal_moves_raw(g, outside, variant, edge)
             while moves:
                 low = moves & -moves
@@ -252,26 +251,17 @@ def _component_value(g: Graph, comp: int, variant: Variant,
                     continue
                 seen.add(rest)
                 if rest in memo:  # only components are stored
-                    singles.append(rest)
+                    children.append((rest,))
                     continue
                 parts = components(g, rest, ones & rest & ~edge)
-                if len(parts) == 1:
-                    singles.append(rest)
-                    new_singles.append((rest, ones & rest))
-                else:
-                    splits.append(parts)
-                    new_parts += [(d, ones & d) for d in parts
-                                  if d not in memo]
-            if new_singles or new_parts:
-                expanded[c] = singles, splits
-                stack += new_singles
-                stack += new_parts
+                children.append(parts)
+                new += [(d, ones & d, None) for d in parts if d not in memo]
+            if new:
+                stack.append((c, edge, children))
+                stack += new
                 continue
-        else:
-            singles, splits = children
-        stack.pop()
-        values = [memo[d] for d in singles]
-        for parts in splits:
+        values = []
+        for parts in children:
             v = 0
             for d in parts:
                 v ^= memo[d]

@@ -297,15 +297,22 @@ def test_the_search_stores_the_same_components(monkeypatch):
     # pins which positions the search visits and how many hulls it
     # takes, not only its answers: an optimisation that expands a
     # different set of components, or takes more hulls per expansion,
-    # fails here
-    calls = []
-    take_hull = engine.hull_and_boundary
+    # fails here.  Each expansion asks once for its legal moves, and a
+    # search from these starts asks nowhere else, so one such call per
+    # stored entry means no component is expanded twice
+    calls, expansions = [], []
+    take_hull, take_moves = engine.hull_and_boundary, engine.legal_moves_raw
 
     def counted(*args):
         calls.append(None)
         return take_hull(*args)
 
+    def counted_moves(*args):
+        expansions.append(None)
+        return take_moves(*args)
+
     monkeypatch.setattr(engine, "hull_and_boundary", counted)
+    monkeypatch.setattr(engine, "legal_moves_raw", counted_moves)
     cases = [(make_path(18), Variant.FREE, 155, 1109),
              (random_tree(17, random.Random(0)), Variant.FREE, 643, 5983),
              (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2293,
@@ -317,10 +324,36 @@ def test_the_search_stores_the_same_components(monkeypatch):
              (make_clique(150), Variant.FREE, 151, 300)]
     for g, variant, stored, hulls in cases:
         calls.clear()
+        expansions.clear()
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
         assert len(table) == len(table.entries[variant]) == stored
+        assert len(expansions) == stored
         assert len(calls) == hulls
+
+
+def test_an_aborted_search_stores_only_final_values():
+    # a budget abort may leave entries behind in the table, and each
+    # must be the value the complete search stores; one entry more
+    # than any abort allowed lets the search finish
+    cases = [(make_path(14), Variant.FREE, 93),
+             (make_ladder(8), Variant.CONNECTED, 87),
+             (random_gnp(14, 0.2, random.Random(3)), Variant.FREE, 242),
+             (make_cycle(16), Variant.CONNECTED, 225)]
+    for g, variant, count in cases:
+        start = start_position(g, variant)
+        complete = TranspositionTable(g)
+        value = grundy(start, complete)
+        assert len(complete) == count
+        final = complete.entries[variant]
+        for budget in range(1, count):
+            table = TranspositionTable(g, budget)
+            with pytest.raises(ResourceLimitError):
+                grundy(start, table)
+            held = table.entries[variant]
+            assert len(held) == budget
+            assert all(final[c] == v for c, v in held.items())
+        assert grundy(start, TranspositionTable(g, count)) == value
 
 
 def test_cycle_search_never_builds_an_arc_missing_one_vertex():
