@@ -19,8 +19,8 @@ import os
 import random
 import sys
 
-from .closure import (IllegalMoveError, Position, Variant, apply_move,
-                      legal_moves, start_position)
+from .closure import (Position, Variant, apply_move, legal_moves,
+                      start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide)
 from .graphs import (SIZED_FAMILIES, GraphFormatError, bits, emit_graph,
@@ -266,7 +266,7 @@ def cmd_play(args, stdout, stderr, stdin) -> int:
             try:
                 choice = int(line.strip())
                 pos = apply_move(pos, choice)
-            except (ValueError, IllegalMoveError):
+            except ValueError:
                 print("illegal move %r; legal moves: %s"
                       % (line.strip(), sorted(bits(moves))), file=stdout)
                 continue

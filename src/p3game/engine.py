@@ -47,8 +47,8 @@ E has a labeled neighbour outside C, so labeling x puts a vertex of
 E into the hull (x itself, or a neighbour of x in E, which gains its
 second labeled neighbour), and from there the hull spreads along E
 to y; so H lies inside hull(x).  The skipped children are ones the
-expansion would have found again; ``seen`` still drops the repeats
-that the rule does not name.
+expansion would have found again; keying the children by the rest
+C - H drops the repeats that the rule does not name.
 
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L, and so is the free start (the components of G).
@@ -217,10 +217,11 @@ def _component_value(g: Graph, comp: int, variant: Variant,
     hull's ``ones`` seeds the split of its child.  After the hull H of
     a boundary move, the moves in H within one step of that move's run
     (module docstring) are dropped unexpanded, since each has hull H.
-    children is None until the entry is expanded, then the list of its
-    children, each the sequence of its parts.  An expanded entry with
-    unsolved parts goes back on the stack under them, so when it comes
-    up again every part it names is in the memo."""
+    children is None until the entry is expanded, then a dict from
+    each distinct rest C - H to the sequence of its parts.  An
+    expanded entry with unsolved parts goes back on the stack under
+    them, so when it comes up again every part it names is in the
+    memo."""
     memo = table.entries[variant]
     if comp in memo:
         return memo[comp]
@@ -232,7 +233,7 @@ def _component_value(g: Graph, comp: int, variant: Variant,
             if c in memo:
                 continue  # pushed twice, solved since
             outside = full & ~c
-            children, new, seen = [], [], set()  # new: unsolved parts
+            children, new = {}, []  # new: unsolved parts
             moves = legal_moves_raw(g, outside, variant, edge)
             while moves:
                 low = moves & -moves
@@ -247,21 +248,20 @@ def _component_value(g: Graph, comp: int, variant: Variant,
                         grow = near & run
                     moves &= ~(h & near)
                 rest = c & ~h
-                if rest in seen:
+                if rest in children:
                     continue
-                seen.add(rest)
                 if rest in memo:  # only components are stored
-                    children.append((rest,))
+                    children[rest] = (rest,)
                     continue
                 parts = components(g, rest, ones & rest & ~edge)
-                children.append(parts)
+                children[rest] = parts
                 new += [(d, ones & d, None) for d in parts if d not in memo]
             if new:
                 stack.append((c, edge, children))
                 stack += new
                 continue
         values = []
-        for parts in children:
+        for parts in children.values():
             v = 0
             for d in parts:
                 v ^= memo[d]

@@ -97,11 +97,10 @@ def _each_size(family, too_small, variant, claim, key="n"):
     return Family(smallest, too_small, instances)
 
 
-def _samples(family, count, variant, claim):
-    """instances(least, max_n, rng) of a sweep over ``count`` random
-    graphs of a sized family, each of a size drawn from least..max_n and
-    claimed by claim(size, graph)."""
-    build = SIZED_FAMILIES[family][1]
+def _samples(family, too_small, count, variant, claim):
+    """A sweep over ``count`` random graphs of a sized family, each of a
+    size drawn from least..max_n and claimed by claim(size, graph)."""
+    smallest, build = SIZED_FAMILIES[family]
 
     def instances(least, max_n, rng):
         for k in range(count):
@@ -109,7 +108,7 @@ def _samples(family, count, variant, claim):
             g = build(n, rng)
             yield ({"sample": k, "n": n, "edges": g.edges()}, g, variant,
                    partial(claim, n, g))
-    return instances
+    return Family(smallest, too_small, instances)
 
 
 def _next_rooted(levels):
@@ -192,6 +191,9 @@ def _cograph(n, g):
     return solvers.cograph_free_winner(g)
 
 
+_TREES = _samples("tree", "trees need at least %d vertex", 200, CONNECTED,
+                  _block)
+
 FAMILIES = {
     "path-free": _each_size("path", "paths need at least %d vertex", FREE,
                             lambda n, g: solvers.free_path_winner(n)),
@@ -206,19 +208,16 @@ FAMILIES = {
                          CONNECTED,
                          lambda n, g: solvers.ladder_connected_winner(n)),
     # every isomorphism class up to 9 vertices, then 200 random trees
-    "tree": Family(
-        SIZED_FAMILIES["tree"][0], "trees need at least %d vertex",
-        lambda least, max_n, rng: itertools.chain(
+    "tree": _TREES._replace(
+        instances=lambda least, max_n, rng: itertools.chain(
             (({"class": [n, idx]}, t, CONNECTED, partial(_block, n, t))
              for n, idx, t in enumerate_trees(min(max_n, 9))),
-            _samples("tree", 200, CONNECTED, _block)(least, max_n, rng))),
-    "caterpillar": Family(
-        SIZED_FAMILIES["caterpillar"][0],
-        "caterpillars need at least %d vertex",
-        _samples("caterpillar", 200, CONNECTED, _block)),
-    "cograph": Family(
-        SIZED_FAMILIES["cograph"][0], "cographs need at least %d vertex",
-        _samples("cograph", 200, FREE, _cograph)),
+            _TREES.instances(least, max_n, rng))),
+    "caterpillar": _samples("caterpillar",
+                            "caterpillars need at least %d vertex", 200,
+                            CONNECTED, _block),
+    "cograph": _samples("cograph", "cographs need at least %d vertex", 200,
+                        FREE, _cograph),
     "star": _each_size("star", "stars need at least %d leaves", FREE,
                        _cograph, key="t"),
     "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
@@ -226,15 +225,13 @@ FAMILIES = {
     # On a chordal graph with no cut vertex, the hull of any two vertices
     # at distance <= 2 is the whole vertex set.  The claim lists the
     # pairs of a sampled graph that break it.
-    "chordal-lemma": Family(
-        SIZED_FAMILIES["chordal"][0],
-        "biconnected chordal graphs need at least %d vertices",
-        _samples("chordal", 100, None, lambda n, g: _lemma_breaks(g))),
+    "chordal-lemma": _samples(
+        "chordal", "biconnected chordal graphs need at least %d vertices",
+        100, None, lambda n, g: _lemma_breaks(g)),
     # chordal graphs with cut vertices, whose blocks the lemma closes
-    "chordal-connected": Family(
-        SIZED_FAMILIES["glued-chordal"][0],
-        "chordal graphs need at least %d vertex",
-        _samples("glued-chordal", 200, CONNECTED, _block)),
+    "chordal-connected": _samples(
+        "glued-chordal", "chordal graphs need at least %d vertex", 200,
+        CONNECTED, _block),
 }
 
 

@@ -1,9 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never
-uses, no private module-level helper outlives its callers, no public
-function, class or method exists only for the tests, and the README
-names no function that is gone.  The package's ``__init__`` is exempt
-from the import and public-name checks: its imports are its exports,
-and ``__all__`` lists exactly those."""
+"""Source hygiene: no module of the package, test or demo imports a
+name it never uses, no private module-level helper outlives its
+callers, no public function, class or method exists only for the
+tests, and the README names no function that is gone.  The package's
+``__init__`` is exempt from the import and public-name checks: its
+imports are its exports, and ``__all__`` lists exactly those."""
 
 import ast
 import importlib
@@ -41,6 +41,15 @@ def test_no_module_imports_an_unused_name():
                      if p.name != "__init__.py")
     assert len(modules) >= 7
     found = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_test_or_demo_imports_an_unused_name():
+    scripts = sorted(p for d in ("tests", "demos")
+                     for p in (ROOT / d).glob("*.py"))
+    assert len(scripts) >= 12
+    found = {"%s/%s" % (p.parent.name, p.name): unused_imports(p.read_text())
+             for p in scripts}
     assert {name: names for name, names in found.items() if names} == {}
 
 

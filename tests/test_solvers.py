@@ -16,8 +16,9 @@ from p3game import (Player, Position, Variant, Verdict,
                     induced_subgraph, ladder_connected_winner,
                     make_caterpillar, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mask_of, mex, nim_sum,
-                    random_caterpillar, random_cograph, random_tree,
-                    start_position, tree_connected_grundy)
+                    random_caterpillar, random_chordal, random_cograph,
+                    random_tree, start_position, tree_connected_grundy)
+from p3game import solvers
 from p3game.graphs import Graph
 
 from helpers import atlas_graphs, graph_to_nx, has_induced_p4
@@ -267,6 +268,27 @@ def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
             connected_block_values(g)
     with pytest.raises(ValueError, match="empty graph"):
         block_connected_winner(Graph(0, []))
+
+
+@pytest.mark.parametrize("g, calls", [
+    (random_tree(200, random.Random(1)), 597),
+    (make_path(50), 147),
+    (random_chordal(200, random.Random(2)), 305),
+    (make_caterpillar([2, 0, 3]), 21),
+])
+def test_block_solver_lists_each_branch_once(monkeypatch, g, calls):
+    """``bits`` runs once per block, to index its vertices, and once per
+    directed branch (c, B), to list what hangs at B's other vertices:
+    the block count plus the sum of the block sizes."""
+    bits, count = solvers.bits, [0]
+
+    def counted(mask):
+        count[0] += 1
+        return bits(mask)
+    monkeypatch.setattr(solvers, "bits", counted)
+    connected_block_values(g)
+    blocks = list(nx.biconnected_components(graph_to_nx(g)))
+    assert count[0] == len(blocks) + sum(map(len, blocks)) == calls
 
 
 def test_caterpillar_of_a_path_matches_path_solver():
