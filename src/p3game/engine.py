@@ -34,8 +34,9 @@ left.  A split thus floods each of its parts but the last whole, and
 the last only until it holds its seeds, not at all once one seed is
 left; a child that stays one part with a single seed costs no flood.
 No part D of R touches another part, so ``ones & D`` is D's boundary,
-and D keeps it until it is expanded.  Only the component a search
-starts from has its boundary computed; every other one inherits it
+and D keeps it until it is expanded.  A position with L nonempty
+computes its edge N(L) - L once, and each component C of G - L takes
+``edge & C`` as its boundary; every part below it inherits its own
 from the hull that cut it.
 
 Many moves of C lead to the same child, and a boundary move's hull
@@ -51,11 +52,11 @@ expansion would have found again; keying the children by the rest
 C - H drops the repeats that the rule does not name.
 
 A position with L nonempty is worth the nim-sum of val(C) over the
-components of G - L, and so is the free start (the components of G).
-The connected start is the one position that is not a sum: the opening
-picks a component and play never leaves it.  On a connected graph it is
-val(G); on a disconnected one it is a mex over every opening and is not
-memoized.
+components of G - L.  The start is worth the mex of the values after
+its openings, in both variants: every vertex is a legal opening and is
+its own hull.  So the start itself is not memoized, and in the
+connected game on a disconnected graph the opening picks the component
+play stays in, with no special case.
 
 Entries are keyed by (component bitmask, variant) per graph; there is no
 isomorphism-based canonicalization.  Correctness first: symmetry
@@ -132,6 +133,18 @@ class Verdict:
         if self.witness is not None and not _is_count(self.witness):
             raise ValueError("witness must be a nonnegative integer")
 
+    @classmethod
+    def from_openings(cls, values: list[int]) -> "Verdict":
+        """Verdict of a game from ``values``, the value after each opening
+        by vertex: their mex, with the lowest opening worth 0 as the
+        witness."""
+        if not values:
+            raise ValueError("cannot decide the game on an empty graph")
+        value = mex(values)
+        if value == 0:
+            return cls(Player.SECOND, 0, None)
+        return cls(Player.FIRST, value, values.index(0))
+
     def to_json_dict(self) -> dict:
         return {"winner": self.winner.value,
                 "grundy": self.grundy,
@@ -198,21 +211,29 @@ def grundy(p: Position, table: Optional[TranspositionTable] = None) -> int:
 
 def _position_value(g: Graph, labeled: int, variant: Variant,
                     table: TranspositionTable) -> int:
-    parts = components(g, g.full_mask & ~labeled)
-    if labeled == 0 and variant is Variant.CONNECTED and len(parts) > 1:
-        # not a sum: the opening picks the component play stays in; any
-        # vertex is a legal opening, and a single vertex is its own hull
-        return mex(_position_value(g, 1 << x, variant, table)
-                   for x in range(g.n))
-    return nim_sum(_component_value(g, c, variant, table) for c in parts)
+    if not labeled:
+        return mex(_opening_values(g, variant, table))
+    edge = g.neighborhood_of_set(labeled) & ~labeled
+    return nim_sum(_component_value(g, c, edge & c, variant, table)
+                   for c in components(g, g.full_mask & ~labeled))
 
 
-def _component_value(g: Graph, comp: int, variant: Variant,
+def _opening_values(g: Graph, variant: Variant,
+                    table: TranspositionTable) -> list[int]:
+    """The value after each opening, by vertex: in both variants every
+    vertex is a legal opening, and its child is its hull, the vertex
+    alone."""
+    return [_position_value(g, hull(g, 1 << x), variant, table)
+            for x in range(g.n)]
+
+
+def _component_value(g: Graph, comp: int, edge: int, variant: Variant,
                      table: TranspositionTable) -> int:
     """val(comp), evaluating what is not yet memoized below it from an
-    explicit stack of (component, boundary, children) entries.  Only
-    comp's boundary is computed, once per call; each part d of a child
-    inherits ``ones & d`` from the hull that cut it (module docstring).
+    explicit stack of (component, boundary, children) entries.  edge is
+    comp's boundary, which the caller cut from the edge N(L) - L of its
+    position; each part d of a child inherits ``ones & d`` from the
+    hull that cut it (module docstring).
     A boundary seeds the legal moves and every child's hull, and each
     hull's ``ones`` seeds the split of its child.  After the hull H of
     a boundary move, the moves in H within one step of that move's run
@@ -226,7 +247,7 @@ def _component_value(g: Graph, comp: int, variant: Variant,
     if comp in memo:
         return memo[comp]
     full, adj, nbhd = g.full_mask, g.adj, g.neighborhood_of_set
-    stack = [(comp, nbhd(full & ~comp) & comp, None)]
+    stack = [(comp, edge, None)]
     while stack:
         c, edge, children = stack.pop()
         if children is None:
@@ -271,34 +292,21 @@ def _component_value(g: Graph, comp: int, variant: Variant,
     return value
 
 
-def _winning_move(g: Graph, labeled: int, variant: Variant,
-                  table: TranspositionTable) -> Optional[int]:
-    """The lowest legal move from ``labeled`` to a child worth 0, or
-    None."""
-    for x in bits(legal_moves_raw(g, labeled, variant)):
-        if _position_value(g, hull(g, labeled | 1 << x), variant, table) == 0:
-            return x
-    return None
-
-
 def decide(g: Graph, variant: Variant,
            budget: Optional[int] = None) -> Verdict:
     """Solve the start position: winner, Grundy value, and the
     lowest-numbered winning first move when one exists."""
-    if g.n < 1:
-        raise ValueError("cannot decide the game on an empty graph")
     table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
-    value = _position_value(g, 0, variant, table)
-    if value == 0:
-        return Verdict(Player.SECOND, 0, None)
-    return Verdict(Player.FIRST, value, _winning_move(g, 0, variant, table))
+    return Verdict.from_openings(_opening_values(g, variant, table))
 
 
 def best_move(p: Position, table: Optional[TranspositionTable] = None) -> Optional[int]:
-    """A move to a Grundy-0 child if one exists, else the lowest-numbered
-    legal move, else None (no legal move)."""
+    """The lowest-numbered move to a Grundy-0 child if one exists, else
+    the lowest-numbered legal move, else None (no legal move)."""
     table = _table_for(p, table)
-    x = _winning_move(p.graph, p.labeled, p.variant, table)
-    if x is None:
-        return next(bits(legal_moves_raw(p.graph, p.labeled, p.variant)), None)
-    return x
+    g, labeled, variant = p.graph, p.labeled, p.variant
+    moves = list(bits(legal_moves_raw(g, labeled, variant)))
+    for x in moves:
+        if _position_value(g, hull(g, labeled | 1 << x), variant, table) == 0:
+            return x
+    return moves[0] if moves else None

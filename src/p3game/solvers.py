@@ -12,8 +12,10 @@ block solver (connected game on trees, paths among them, and chordal
 graphs) and the cograph solver (free game, stars and cliques among
 them).  Closed forms and a table of fenced runs cover what neither
 reaches: cycles, ladders and the free game on paths.  Every solver
-answers with a Verdict, and all but the ladder's form it from the
-values after each opening (``_opening_verdict``).
+answers with a Verdict, and forms it from the values after each
+opening (``Verdict.from_openings``), with two exceptions:
+``ladder_connected_winner`` returns its verdict from a closed form, and
+``free_cycle_winner`` returns its even-n and C_3 verdicts directly.
 
 Value conventions used throughout:
 
@@ -31,18 +33,6 @@ from .engine import Player, Verdict, mex, nim_sum
 from .graphs import Graph, bits, components, is_tree
 
 
-def _opening_verdict(values: list[int]) -> Verdict:
-    """Verdict of a game from ``values``, the value after each opening
-    by vertex: their mex, with the lowest opening worth 0 as the
-    witness."""
-    if not values:
-        raise ValueError("cannot decide the game on an empty graph")
-    value = mex(values)
-    if value == 0:
-        return Verdict(Player.SECOND, 0, None)
-    return Verdict(Player.FIRST, value, values.index(0))
-
-
 # =====================================================================
 # Connected variant: cycles
 # =====================================================================
@@ -58,7 +48,7 @@ def connected_cycle_winner(n: int) -> Verdict:
     """
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return _opening_verdict([{2: 0, 0: 1, 1: 2}[n % 3]] * n)
+    return Verdict.from_openings([{2: 0, 0: 1, 1: 2}[n % 3]] * n)
 
 
 def connected_cycle_grundy(n: int) -> int:
@@ -108,9 +98,9 @@ def free_path_winner(n: int) -> Verdict:
     if n < 1:
         raise ValueError("path needs at least one vertex")
     table = free_path_grundy_table(n)
-    return _opening_verdict([table[(j, False, True)]
-                             ^ table[(n - 1 - j, True, False)]
-                             for j in range(n)])
+    return Verdict.from_openings([table[(j, False, True)]
+                                  ^ table[(n - 1 - j, True, False)]
+                                  for j in range(n)])
 
 
 def free_cycle_winner(n: int) -> Verdict:
@@ -129,7 +119,7 @@ def free_cycle_winner(n: int) -> Verdict:
     if n % 2 == 0 or n == 3:
         return Verdict(Player.SECOND, 0, None)
     arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
-    return _opening_verdict([arc] * n)
+    return Verdict.from_openings([arc] * n)
 
 
 # =====================================================================
@@ -232,7 +222,7 @@ def block_connected_winner(g: Graph) -> Verdict:
     """Connected game on a graph whose blocks each close from any one of
     their edges (see ``connected_block_values``), with the lowest
     opening worth 0 as the witness."""
-    return _opening_verdict(connected_block_values(g))
+    return Verdict.from_openings(connected_block_values(g))
 
 
 def tree_connected_grundy(tree: Graph) -> int:
@@ -337,4 +327,4 @@ def cograph_free_values(g: Graph) -> list[int]:
 def cograph_free_winner(g: Graph) -> Verdict:
     """Free game on a cograph (see ``cograph_free_values``), with the
     lowest opening worth 0 as the witness."""
-    return _opening_verdict(cograph_free_values(g))
+    return Verdict.from_openings(cograph_free_values(g))
