@@ -60,7 +60,6 @@ class ResultCache:
 
     def __init__(self, directory: str):
         global _validated
-        os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, self.FILENAME)
         self._entries: dict[tuple[str, str], Verdict] = {}
         # put starts a new line when the file ends inside one
@@ -68,7 +67,10 @@ class ResultCache:
         try:
             with open(self.path, "rb") as fh:
                 data = fh.read()
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # no file, or no directory yet: make it for the first put;
+            # a file in the directory's path makes makedirs raise
+            os.makedirs(directory, exist_ok=True)
             return
         self._unterminated = data[-1:] not in (b"", b"\n", b"\r")
         head, entries, lines = _validated
@@ -359,10 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """build_parser(), built on the first main call and reused by every
-    later call in the process.  Building it costs about 1 ms, most of a
-    cached solve.  It captures nothing from the environment: help width
-    is read when help is printed, and P3_BUDGET when a command runs."""
+    later call in the process.  Building it costs about 1 ms, ten times
+    a cached solve of a small graph (about 0.1 ms, a third of it in
+    parsing argv; see README).  It captures nothing from the
+    environment: help width is read when help is printed, and P3_BUDGET
+    when a command runs."""
     return build_parser()
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list):
+    """``parser.parse_args(argv)``, parsed once: when argv[0] names a
+    command, that command's parser takes argv[1:], as the top-level
+    parser would hand them on, and the top-level parser reports what it
+    leaves over.  Any other argv goes to the top-level parser."""
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -374,7 +395,8 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
-            args = _shared_parser().parse_args(argv)
+            args = _parse_args(_shared_parser(),
+                               sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code
     try:

@@ -106,10 +106,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         out = []
-        for u in range(self.n):
-            higher = self.adj[u] >> (u + 1)
-            for k in bits(higher):
-                out.append((u, u + 1 + k))
+        for u, row in enumerate(self.adj):
+            higher = row >> (u + 1)  # bit k is vertex u + 1 + k
+            while higher:
+                low = higher & -higher
+                out.append((u, u + low.bit_length()))
+                higher ^= low
         return out
 
     def complement(self) -> "Graph":
@@ -299,20 +301,23 @@ def parse_graph(data) -> Graph:
         raise GraphFormatError('"n" must be a nonnegative integer')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [u, v] pairs')
-    pairs = []
     for item in edges:
-        if (not isinstance(item, list) or len(item) != 2
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in item)):
+        # JSON decodes to exact types; ``type(...) is int`` rules out bools
+        if (type(item) is not list or len(item) != 2
+                or type(item[0]) is not int or type(item[1]) is not int):
             raise GraphFormatError("each edge must be a pair of integers, got %r" % (item,))
-        pairs.append((item[0], item[1]))
-    return Graph(n, pairs)
+    return Graph(n, edges)
 
 
 def emit_graph(g: Graph) -> bytes:
     """Canonical serialization: edges as [u, v] with u < v, sorted; ends
-    with a newline.  parse_graph(emit_graph(g)) == g."""
-    payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    with a newline.  parse_graph(emit_graph(g)) == g.
+
+    The bytes are those of ``json.dumps({"n": ..., "edges": ...},
+    sort_keys=True, separators=(",", ":")) + "\n"``, formatted directly:
+    graph_digest hashes them, so cache keys depend on every byte."""
+    edges = ",".join(["[%d,%d]" % edge for edge in g.edges()])
+    return ('{"edges":[%s],"n":%d}\n' % (edges, g.n)).encode()
 
 
 def graph_digest(g: Graph) -> str:

@@ -135,6 +135,34 @@ def test_solve_cache_directory_that_cannot_be_made_is_a_usage_error(
     assert err.startswith("error: cannot open cache directory %s:" % cache)
 
 
+def test_cached_solve_reads_the_graph_once_and_makes_no_directory(
+        tmp_path, monkeypatch):
+    path = write_graph(tmp_path, make_ladder(3))
+    cache = tmp_path / "missing" / "cache"
+    argv = ["solve", "--graph", path, "--variant", "connected",
+            "--cache", str(cache)]
+    calls = {"makedirs": 0, "parse_graph": 0, "graph_digest": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+    counted(os, "makedirs")
+    counted(cli, "parse_graph")
+    counted(cli, "graph_digest")
+
+    code, miss, _ = run_cli(argv)  # the first miss makes the directory
+    assert code == 0 and (cache / "results.jsonl").is_file()
+    assert calls["makedirs"] >= 1  # os.makedirs calls itself per level
+    calls.update(makedirs=0, parse_graph=0, graph_digest=0)
+    code, hit, _ = run_cli(argv)
+    assert code == 0 and hit == miss
+    assert calls == {"makedirs": 0, "parse_graph": 1, "graph_digest": 1}
+
+
 def test_solve_rejects_unknown_variant(tmp_path):
     path = write_graph(tmp_path, make_path(3))
     code, out, err = run_cli(["solve", "--graph", path, "--variant", "both"])
@@ -912,6 +940,19 @@ def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
         (["solve", "--graph", path12, "--variant", "free"], "3"),
         (["solve", "--graph", path12, "--variant", "free"], None),
         (["verify", "--help"], None),
+        # the top-level parser alone: no command, or none it knows
+        ([], None),
+        (["-h"], None),
+        (["bogus"], None),
+        # a command's own parser, help and errors included
+        (["solve", "--help"], None),
+        (["gen", "--help"], None),
+        (["play", "--help"], None),
+        (["solve", "--graph", cycle, "--var", "free"], None),
+        (["solve", "--variant", "free"], None),
+        (["verify", "--family", "moebius"], None),
+        # left over by the command's parser, reported by the top level
+        (["solve", "--graph", cycle, "--variant", "free", "extra"], None),
     ]
 
     def run_all():
@@ -932,9 +973,22 @@ def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
     fresh = run_all()
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 3, 0, 0]
+    # main enters a command's parser directly; the top-level parser
+    # that would have handed argv to it answers alike
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda parser, argv: parser.parse_args(argv))
+    assert run_all() == shared
+    assert [code for code, _, _ in shared] == \
+        [0, 2, 0, 0, 0, 3, 0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 2, 2]
     assert "invalid choice: 'both'" in shared[1][2]
     assert shared[7][1].startswith("usage: p3game verify")
+    assert shared[9][1].startswith("usage: p3game [-h]")
+    assert shared[11][1].startswith("usage: p3game solve")
+    assert shared[16][2].endswith("invalid choice: 'moebius' (choose from "
+                                  + ", ".join(map(repr, sorted(FAMILIES)))
+                                  + ")\n")
+    assert shared[17][2].startswith("usage: p3game [-h]")
+    assert shared[17][2].endswith("unrecognized arguments: extra\n")
 
 
 def test_process_entry_point_matches_in_process_main(tmp_path, monkeypatch):

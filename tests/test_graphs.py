@@ -322,8 +322,36 @@ def test_parse_graph_distinct_diagnostics():
         parse_graph(b'{"n": 2, "edges": [[0, 1], [1, 0]]}')
     with pytest.raises(GraphFormatError, match="nonnegative integer"):
         parse_graph(b'{"n": true, "edges": []}')
-    with pytest.raises(GraphFormatError, match="pair of integers"):
-        parse_graph(b'{"n": 2, "edges": [[0, 1, 2]]}')
+    for edge in (b"[0, 1, 2]", b"[0, true]", b"[0, 1.0]", b'["0", 1]',
+                 b"5", b"[[0, 1]]"):
+        with pytest.raises(GraphFormatError, match="pair of integers"):
+            parse_graph(b'{"n": 2, "edges": [%s]}' % edge)
+
+
+def _json_dumps_form(g):
+    """The canonical bytes as json.dumps writes them, from the rows."""
+    edges = [[u, v] for u in range(g.n) for v in bits(g.adj[u]) if u < v]
+    return (json.dumps({"n": g.n, "edges": edges}, sort_keys=True,
+                       separators=(",", ":")) + "\n").encode()
+
+
+def test_emit_graph_writes_the_json_dumps_bytes():
+    rng = random.Random(7)
+    graphs = list(atlas_graphs(7)) + [Graph(0, [])]
+    graphs += [random_gnp(n, rng.random(), rng)
+               for n in (0, 1, 2, 13, 63, 64, 65, 100, 130)]
+    for g in graphs:
+        assert emit_graph(g) == _json_dumps_form(g), (g.n, g.edges())
+
+
+def test_graph_digest_pins():
+    # cache keys: a change of any canonical byte shows here
+    assert graph_digest(Graph(0, [])) == \
+        "11135209c729c6c8337e8c9c197d8472813dcddab8d3470ec3437ca861d1ae2c"
+    assert graph_digest(make_path(3)) == \
+        "0c9de9bdcb06746df64cb1a64b4d48906be6878d1576a7967b31a50ead506889"
+    assert graph_digest(make_ladder(4)) == \
+        "a1243195934ef4c4ee5784439f8621f5330bb49565279579539a778a9833415a"
 
 
 def test_graph_digest_stable_and_sensitive():

@@ -23,7 +23,7 @@ from p3game.graphs import Graph
 
 from helpers import atlas_graphs, graph_to_nx, has_induced_p4
 from reference import (connected_cycle_arc_values, free_cycles_by_reduction,
-                       reference_decide)
+                       reference_decide, reference_grundy)
 
 
 # =====================================================================
@@ -261,6 +261,17 @@ def test_block_solver_on_every_atlas_graph():
     assert accepted == 712
 
 
+def test_block_solver_values_every_opening_on_the_atlas():
+    # the whole list, not only the verdict it leads to: a value wrong
+    # above the mex leaves the verdict right
+    for g in atlas_graphs(7):
+        if _hulls_are_blocks(g):
+            memo = {}
+            assert connected_block_values(g) == \
+                [reference_grundy(g, 1 << x, Variant.CONNECTED, memo)
+                 for x in range(g.n)], g.edges()
+
+
 def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
     house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
     for g in (make_cycle(4), make_ladder(3), house):
@@ -425,6 +436,15 @@ def test_cograph_solver_on_every_atlas_graph():
             reference_decide(g, Variant.FREE), g.edges()
         cographs += 1
     assert cographs == 287
+
+
+def test_cograph_solver_values_every_opening_on_the_atlas():
+    for g in atlas_graphs(7):
+        if not has_induced_p4(g):
+            memo = {}
+            assert cograph_free_values(g) == \
+                [reference_grundy(g, 1 << x, Variant.FREE, memo)
+                 for x in range(g.n)], g.edges()
 
 
 # =====================================================================
