@@ -6,11 +6,10 @@ Run:  python3 demos/family_tour.py
 
 import random
 
-from p3game import (Variant, block_connected_winner, cograph_free_winner,
-                    connected_cycle_winner, decide, free_cycle_winner,
-                    free_path_winner, ladder_connected_winner,
-                    make_caterpillar, make_ladder, make_path, make_star,
-                    random_chordal, random_cograph)
+from p3game import (Variant, block_connected_winner, component_free_winner,
+                    connected_cycle_winner, decide, ladder_connected_winner,
+                    make_caterpillar, make_cycle, make_ladder, make_path,
+                    make_star, random_chordal, random_cograph)
 
 
 def banner(title):
@@ -25,8 +24,9 @@ def main():
     print("connected: ", " ".join(
         "%2d" % block_connected_winner(make_path(n)).grundy
         for n in range(1, 13)))
-    print("free:      ", " ".join("%2d" % free_path_winner(n).grundy
-                                  for n in range(1, 13)))
+    print("free:      ", " ".join(
+        "%2d" % component_free_winner(make_path(n)).grundy
+        for n in range(1, 13)))
     print("connected: first wins every path except n = 2, with value 2")
     print("exactly when n = 2 (mod 3), from the block solver that also")
     print("solves trees; the free values come from a fenced-run table")
@@ -36,14 +36,15 @@ def main():
     print("n:         ", " ".join("%2d" % n for n in range(3, 13)))
     print("connected: ", " ".join("%2d" % connected_cycle_winner(n).grundy
                                   for n in range(3, 13)))
-    print("free:      ", " ".join("%2d" % free_cycle_winner(n).grundy
-                                  for n in range(3, 13)))
+    print("free:      ", " ".join(
+        "%2d" % component_free_winner(make_cycle(n)).grundy
+        for n in range(3, 13)))
     print("connected: first player wins exactly when n = 2 (mod 3);")
     print("free: even cycles fall to mirroring, and odd ones follow the")
     print("fenced-run table, with sporadic first wins (n = 5, 13, 21, ...).")
 
     banner("stars and ladders")
-    wins = [cograph_free_winner(make_star(t)).winner.value
+    wins = [component_free_winner(make_star(t)).winner.value
             for t in range(0, 7)]
     print("star with t feet, free game, t = 0..6:", " ".join(wins))
     wins = [ladder_connected_winner(n).winner.value for n in range(1, 8)]
@@ -68,7 +69,7 @@ def main():
 
     cg = random_cograph(rng.randint(1, 8), rng)
     print("random cograph on %d vertices: solver %s, engine %s"
-          % (cg.n, cograph_free_winner(cg).winner.value,
+          % (cg.n, component_free_winner(cg).winner.value,
              decide(cg, Variant.FREE).winner.value))
 
     banner("a full engine verdict")

@@ -20,9 +20,10 @@ Layout:
   checked against.
 * :mod:`p3game.solvers` holds two structural solvers, one
   block-cut-tree recurrence for the connected game (paths, trees,
-  caterpillars and chordal graphs) and one for the free game on
-  cographs (stars and cliques among them), plus closed forms for
-  cycles and ladders and a table of fenced runs for free paths.
+  caterpillars and chordal graphs) and one for the free game that sums
+  its components: paths and cycles as heaps of the octal game Officers,
+  every other component by the cograph rule (stars and cliques among
+  them).  Closed forms cover the connected game on cycles and ladders.
 * :mod:`p3game.verify` sweeps each solver against the engine.
 * :mod:`p3game.cli` is the command-line harness (solve, verify, gen,
   play).
@@ -44,11 +45,10 @@ from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
                      grundy, mex, nim_sum)
-from .solvers import (block_connected_winner, cograph_free_values,
-                      cograph_free_winner, connected_block_values,
+from .solvers import (block_connected_winner, component_free_values,
+                      component_free_winner, connected_block_values,
                       connected_cycle_grundy, connected_cycle_winner,
-                      free_cycle_winner, free_path_grundy_table,
-                      free_path_winner, ladder_connected_winner,
+                      free_path_grundy_table, ladder_connected_winner,
                       tree_connected_grundy)
 from .verify import FAMILIES, VerifyReport, run_family
 
@@ -72,11 +72,10 @@ __all__ = [
     "DEFAULT_BUDGET", "mex", "nim_sum", "grundy", "decide", "best_move",
     # solvers
     "connected_cycle_winner", "connected_cycle_grundy",
-    "free_path_grundy_table", "free_path_winner", "free_cycle_winner",
-    "ladder_connected_winner",
+    "free_path_grundy_table", "ladder_connected_winner",
     "connected_block_values", "block_connected_winner",
     "tree_connected_grundy",
-    "cograph_free_values", "cograph_free_winner",
+    "component_free_values", "component_free_winner",
     # verify
     "VerifyReport", "FAMILIES", "run_family",
 ]

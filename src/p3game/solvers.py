@@ -9,19 +9,20 @@ implementation, the other lives in the test suite as a cross-check.
 
 Two structural solvers take a Graph and answer whole classes: the
 block solver (connected game on trees, paths among them, and chordal
-graphs) and the cograph solver (free game, stars and cliques among
-them).  Closed forms and a table of fenced runs cover what neither
-reaches: cycles, ladders and the free game on paths.  Every solver
-answers with a Verdict, and forms it from the values after each
-opening (``Verdict.from_openings``), with two exceptions:
-``ladder_connected_winner`` returns its verdict from a closed form, and
-``free_cycle_winner`` returns its even-n and C_3 verdicts directly.
+graphs) and the component solver (free game on any graph whose
+components are paths, cycles or cographs, stars and cliques among
+them).  Closed forms cover the connected game on cycles and ladders.
+Every solver answers with a Verdict, and forms it from the values after
+each opening (``Verdict.from_openings``), with one exception:
+``ladder_connected_winner`` returns its verdict from a closed form.
 
 Value conventions used throughout:
 
 * ``f``-style values are Grundy values of partially labeled boards
   (an arc playground on a cycle, a run of unlabeled vertices with
   bordered ends).
+* ``O(k)`` is the Grundy value of a heap of k in the octal game
+  Officers (0.6), which the free game plays on paths and cycles.
 * A set of h interchangeable pendant moves contributes h mod 2 to a
   nim-sum: each pendant is a single-move subgame of value 1.
 """
@@ -57,69 +58,41 @@ def connected_cycle_grundy(n: int) -> int:
 
 
 # =====================================================================
-# Free variant: paths and cycles
+# Free variant: paths and cycles are Officers heaps
 # =====================================================================
 
-def free_path_grundy_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
-    """Grundy values of bordered runs for the free game on paths.
+def _officers(n: int) -> list[int]:
+    """Grundy values O(0..n) of the octal game Officers (0.6): O(0) =
+    O(1) = 0, and O(k) is the mex of O(a) ^ O(k-1-a) for 0 <= a <=
+    (k-1)/2, where a = 0 keeps the heap whole.  A run of k unlabeled path vertices fenced by
+    labels on both sides is a heap of k: a move labels one of them and
+    splits the rest into the runs on either side, and a lone vertex
+    between two labels is absorbed, so a heap of 1 is worth 0.  An end
+    of the run that no label fences counts as one more vertex of the
+    heap.  Officers has no known period, so the list takes O(n^2)."""
+    values = [0, 0][:n + 1]
+    for k in range(2, n + 1):
+        values.append(mex(values[a] ^ values[k - 1 - a]
+                          for a in range((k + 1) // 2)))
+    return values
 
-    A state is a run of k >= 0 unlabeled consecutive path vertices,
-    plus two flags telling whether each end of the run is fenced by a
-    labeled vertex; an empty run is worth 0.  A move at offset j splits
-    the run into (j-1, left-flag, True) and (k-j, True, right-flag);
-    pieces combine by nim-sum.  A piece of length 1 fenced on both sides
-    is absorbed by the closure the moment it forms, so its value is
-    fixed at 0 and is never expanded.  Work is O(n_max^2); larger tables
-    extend smaller ones without changing existing entries.
-    """
+
+def free_path_grundy_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
+    """Grundy values of bordered runs for the free game on paths, keyed
+    (k, left, right): a run of k >= 0 unlabeled path vertices, each end
+    fenced by a label or not.  A run fenced on both sides is the Officers
+    heap O(k), on one side O(k+1), and on neither side (the path P_k
+    itself) the mex of its openings.  Read by bench/workloads.py."""
     if n_max < 1:
         raise ValueError("table needs at least one run length")
-    table = {(0, left, right): 0 for left in (False, True)
-             for right in (False, True)}
-    for k in range(1, n_max + 1):
-        for left in (False, True):
-            for right in (False, True):
-                if k == 1 and left and right:
-                    # closure collapses this run; it is the empty position
-                    table[(k, left, right)] = 0
-                    continue
-                outcomes = set()
-                for j in range(1, k + 1):
-                    outcomes.add(table[(j - 1, left, True)]
-                                 ^ table[(k - j, True, right)])
-                table[(k, left, right)] = mex(outcomes)
+    heap = _officers(n_max + 1)
+    table = {}
+    for k in range(n_max + 1):
+        table[k, True, True] = heap[k]
+        table[k, False, True] = table[k, True, False] = heap[k + 1]
+        table[k, False, False] = mex(heap[j + 1] ^ heap[k - j]
+                                     for j in range(k))
     return table
-
-
-def free_path_winner(n: int) -> Verdict:
-    """Free game on P_n.  An opening at vertex j leaves a run of j
-    vertices fenced on its right and a run of n - 1 - j fenced on its
-    left, whose table values add by nim-sum."""
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
-    table = free_path_grundy_table(n)
-    return Verdict.from_openings([table[(j, False, True)]
-                                  ^ table[(n - 1 - j, True, False)]
-                                  for j in range(n)])
-
-
-def free_cycle_winner(n: int) -> Verdict:
-    """Winner of the free game on C_n.
-
-    Even cycles: the second player mirrors through the center, so the
-    second player wins.  C_3 is a clique, again a second-player win.
-    For odd n > 3 all first moves are equivalent; cutting the cycle at
-    the chosen vertex leaves a run of n-1 vertices fenced on both sides,
-    and the first player wins exactly when that run's value is 0.  The
-    fenced-run reduction is valid for every n and the tests check it
-    reproduces the even and K_3 answers too.
-    """
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
-    if n % 2 == 0 or n == 3:
-        return Verdict(Player.SECOND, 0, None)
-    arc = free_path_grundy_table(n - 1)[(n - 1, True, True)]
-    return Verdict.from_openings([arc] * n)
 
 
 # =====================================================================
@@ -234,7 +207,7 @@ def tree_connected_grundy(tree: Graph) -> int:
 
 
 # =====================================================================
-# Free variant: cographs
+# Free variant: sums of paths, cycles and cographs
 # =====================================================================
 
 def _join_opening_value(s: int, own: list[int], far: list[int]) -> int:
@@ -272,42 +245,65 @@ def _join_opening_value(s: int, own: list[int], far: list[int]) -> int:
     return mex(options)
 
 
-def cograph_free_values(g: Graph) -> list[int]:
-    """Value of the free game after each opening, by vertex, on a
-    cograph; any other graph raises ValueError.
-
-    A vertex set of two or more vertices that is connected both in g and
-    in its complement induces a P_4 (Seinsche), so splitting sets into
-    components, or else co-components, down to single vertices from an
-    explicit stack recognises cographs without recursion.
+def component_free_values(g: Graph) -> list[int]:
+    """Value of the free game after each opening, by vertex, on a graph
+    each of whose components is a path, a cycle or a cograph; any other
+    graph raises ValueError.
 
     The components of g are independent games that add by nim-sum.  A
-    component with three or more co-components closes on any second
-    move, so every opening there is worth mex{0} = 1.  With two
-    co-components (the sides of a join), an opening's value depends
-    only on the component sizes of each side (``_join_opening_value``).
-    A single vertex is worth 0 once labeled.
-    """
-    co = g.complement()
-    pending = [g.full_mask]
-    while pending:
-        s = pending.pop()
-        if s & (s - 1):
-            parts = components(g, s)
-            if len(parts) == 1:
-                parts = components(co, s)
-            if len(parts) == 1:
-                raise ValueError("the graph has an induced P4")
-            pending += parts
+    component whose degrees are all at most 2 is a path or a cycle of k
+    vertices, valued from one Officers list (``_officers``): opening at
+    the j-th vertex of a path leaves runs of j and k-1-j vertices, each
+    fenced on one side, worth O(j+1) ^ O(k-j), and every opening of a
+    cycle leaves one run of k-1 fenced on both sides, worth O(k-1).
 
-    values = [0] * g.n
+    Every other component must be a cograph.  A vertex set of two or
+    more vertices that is connected both in g and in its complement
+    induces a P_4 (Seinsche), so splitting sets into components, or else
+    co-components, down to single vertices from an explicit stack
+    recognises cographs without recursion.  A cograph component with
+    three or more co-components closes on any second move, so every
+    opening there is worth mex{0} = 1.  With two co-components (the
+    sides of a join), an opening's value depends only on the component
+    sizes of each side (``_join_opening_value``).
+    """
     comps = components(g)
+    runs = {comp for comp in comps
+            if all(g.adj[x].bit_count() <= 2 for x in bits(comp))}
+    heap = _officers(max((comp.bit_count() for comp in runs), default=0))
+    co = None
+    values = [0] * g.n
     for comp in comps:
+        if comp in runs:
+            k = comp.bit_count()
+            ends = [x for x in bits(comp) if g.adj[x].bit_count() < 2]
+            if ends:  # a path, walked from one end
+                x, seen = ends[0], 0
+                for j in range(k):
+                    values[x] = heap[j + 1] ^ heap[k - j]
+                    seen |= 1 << x
+                    x = (g.adj[x] & ~seen).bit_length() - 1
+            else:  # a cycle
+                for x in bits(comp):
+                    values[x] = heap[k - 1]
+            continue
+        if co is None:
+            co = g.complement()
+        pending = [comp]
+        while pending:
+            s = pending.pop()
+            if s & (s - 1):
+                parts = components(g, s)
+                if len(parts) == 1:
+                    parts = components(co, s)
+                if len(parts) == 1:
+                    raise ValueError("a component has an induced P4")
+                pending += parts
         sides = components(co, comp)
         if len(sides) >= 3:
             for x in bits(comp):
                 values[x] = 1
-        elif len(sides) == 2:
+        else:
             pieces = [components(g, side) for side in sides]
             sizes = [[c.bit_count() for c in p] for p in pieces]
             for own, far in ((0, 1), (1, 0)):
@@ -324,7 +320,8 @@ def cograph_free_values(g: Graph) -> list[int]:
     return values
 
 
-def cograph_free_winner(g: Graph) -> Verdict:
-    """Free game on a cograph (see ``cograph_free_values``), with the
-    lowest opening worth 0 as the witness."""
-    return Verdict.from_openings(cograph_free_values(g))
+def component_free_winner(g: Graph) -> Verdict:
+    """Free game on a graph whose components are paths, cycles or
+    cographs (see ``component_free_values``), with the lowest opening
+    worth 0 as the witness."""
+    return Verdict.from_openings(component_free_values(g))

@@ -187,8 +187,8 @@ def _block(n, g):
     return solvers.block_connected_winner(g)
 
 
-def _cograph(n, g):
-    return solvers.cograph_free_winner(g)
+def _free(n, g):
+    return solvers.component_free_winner(g)
 
 
 _TREES = _samples("tree", "trees need at least %d vertex", 200, CONNECTED,
@@ -196,11 +196,11 @@ _TREES = _samples("tree", "trees need at least %d vertex", 200, CONNECTED,
 
 FAMILIES = {
     "path-free": _each_size("path", "paths need at least %d vertex", FREE,
-                            lambda n, g: solvers.free_path_winner(n)),
+                            _free),
     "path-connected": _each_size("path", "paths need at least %d vertex",
                                  CONNECTED, _block),
     "cycle-free": _each_size("cycle", "cycles need at least %d vertices",
-                             FREE, lambda n, g: solvers.free_cycle_winner(n)),
+                             FREE, _free),
     "cycle-connected": _each_size(
         "cycle", "cycles need at least %d vertices", CONNECTED,
         lambda n, g: solvers.connected_cycle_winner(n)),
@@ -217,11 +217,11 @@ FAMILIES = {
                             "caterpillars need at least %d vertex", 200,
                             CONNECTED, _block),
     "cograph": _samples("cograph", "cographs need at least %d vertex", 200,
-                        FREE, _cograph),
+                        FREE, _free),
     "star": _each_size("star", "stars need at least %d leaves", FREE,
-                       _cograph, key="t"),
+                       _free, key="t"),
     "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
-                         _cograph),
+                         _free),
     # On a chordal graph with no cut vertex, the hull of any two vertices
     # at distance <= 2 is the whole vertex set.  The claim lists the
     # pairs of a sampled graph that break it.

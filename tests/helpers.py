@@ -1,6 +1,6 @@
 """Shared test utilities: conversion to/from networkx, enumeration of
-small graphs (one representative per isomorphism class), and the graph
-invariant check run on every generator output."""
+small graphs (one representative per isomorphism class), disjoint
+unions, and the graph invariant check run on every generator output."""
 
 import itertools
 from functools import lru_cache
@@ -42,6 +42,16 @@ def connected_atlas_graphs(max_n: int) -> tuple:
         if 1 <= g.number_of_nodes() <= max_n and nx.is_connected(g):
             out.append(nx_to_graph(g))
     return tuple(out)
+
+
+def disjoint_union(parts) -> Graph:
+    """The graphs of ``parts`` side by side, each one's vertices
+    numbered after those of the graphs before it."""
+    offset, edges = 0, []
+    for p in parts:
+        edges.extend((u + offset, v + offset) for u, v in p.edges())
+        offset += p.n
+    return Graph(offset, edges)
 
 
 def has_induced_p4(g: Graph) -> bool:

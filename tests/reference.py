@@ -1,9 +1,10 @@
 """The plain whole-graph search, the rescan hull and closedness by
 definition: the oracles the engine's decomposition and the
-word-parallel hull are checked against.  Also the uniform fenced-run
-route to the free cycle game, which the solver's strategy shortcuts
-are checked against, and the downward arc recurrence that the
-connected cycle solver's closed form is checked against.
+word-parallel hull are checked against.  Also the four-flag table of
+fenced runs, the second route to the free game on paths and cycles,
+which the solver's Officers values are checked against, and the
+downward arc recurrence that the connected cycle solver's closed form
+is checked against.
 
 The search memoizes whole labeled sets, one dict per (graph, variant),
 and knows nothing about components.  It builds child positions with
@@ -12,7 +13,7 @@ engine beyond the legal-move rule in p3game.closure.  It recurses once
 per move, which is fine for the small graphs it is used on.
 """
 
-from p3game import Graph, Player, Verdict, bits, free_path_grundy_table, mex
+from p3game import Graph, Player, Verdict, bits, mex
 from p3game.closure import legal_moves_raw
 
 
@@ -76,11 +77,38 @@ def reference_decide(g, variant):
     return Verdict(Player.FIRST if value else Player.SECOND, value, witness)
 
 
+def fenced_run_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
+    """Grundy values of bordered runs for the free game on paths, by
+    their own recursion.
+
+    A state is a run of k >= 0 unlabeled consecutive path vertices,
+    plus two flags telling whether each end of the run is fenced by a
+    labeled vertex; an empty run is worth 0.  A move at offset j splits
+    the run into (j-1, left-flag, True) and (k-j, True, right-flag);
+    pieces combine by nim-sum.  A piece of length 1 fenced on both sides
+    is absorbed by the closure the moment it forms, so its value is
+    fixed at 0 and is never expanded.  Work is O(n_max^2).
+    """
+    table = {(0, left, right): 0 for left in (False, True)
+             for right in (False, True)}
+    for k in range(1, n_max + 1):
+        for left in (False, True):
+            for right in (False, True):
+                if k == 1 and left and right:
+                    # closure collapses this run; it is the empty position
+                    table[(k, left, right)] = 0
+                    continue
+                table[(k, left, right)] = mex(
+                    table[(j - 1, left, True)] ^ table[(k - j, True, right)]
+                    for j in range(1, k + 1))
+    return table
+
+
 def free_cycles_by_reduction(n_max):
     """Free game on C_n for every 3 <= n <= n_max by the fenced-run
     reduction alone, read from one run table: cutting the cycle at the
     first move leaves a run of n-1 vertices fenced on both sides."""
-    runs = free_path_grundy_table(n_max - 1)
+    runs = fenced_run_table(n_max - 1)
     verdicts = {}
     for n in range(3, n_max + 1):
         value = mex((runs[(n - 1, True, True)],))

@@ -7,33 +7,25 @@ import sys
 import time
 
 from p3game import (Player, Variant, Verdict, apply_move,
-                    block_connected_winner, cograph_free_winner,
-                    connected_cycle_winner, decide, free_cycle_winner,
-                    free_path_winner, grundy, hull, ladder_connected_winner,
-                    make_clique, make_cycle, make_ladder, make_path,
-                    make_star, nim_sum, random_caterpillar, random_chordal,
-                    random_cograph, random_gnp, random_tree, start_position,
+                    block_connected_winner, component_free_winner,
+                    connected_cycle_winner, decide, grundy, hull,
+                    ladder_connected_winner, make_clique, make_cycle,
+                    make_ladder, make_path, make_star, nim_sum,
+                    random_caterpillar, random_chordal, random_cograph,
+                    random_gnp, random_tree, start_position,
                     tree_connected_grundy)
 from p3game.graphs import Graph
 from p3game.verify import enumerate_trees, run_family
 
+from helpers import disjoint_union
 from reference import is_p3_closed
-
-
-def _union(parts):
-    offset, n, edges = 0, 0, []
-    for p in parts:
-        edges.extend((u + offset, v + offset) for u, v in p.edges())
-        offset += p.n
-        n = offset
-    return Graph(n, edges)
 
 
 def test_star_sweep():
     t0 = time.monotonic()
     for t in range(0, 13):
         g = make_star(t)
-        v = cograph_free_winner(g)
+        v = component_free_winner(g)
         assert v == decide(g, Variant.FREE)
         assert (v.winner is Player.FIRST) == (t % 2 == 0)
     assert time.monotonic() - t0 < 10  # deadline: ten seconds
@@ -43,7 +35,7 @@ def test_clique_sweep():
     t0 = time.monotonic()
     for n in range(1, 13):
         g = make_clique(n)
-        v = cograph_free_winner(g)
+        v = component_free_winner(g)
         assert v == decide(g, Variant.FREE)
         assert (v.winner is Player.FIRST) == (n == 1)
     assert time.monotonic() - t0 < 10  # deadline: ten seconds
@@ -99,14 +91,16 @@ def test_ladder_sweep():
 def test_free_path_sweep():
     t0 = time.monotonic()
     for n in range(1, 41):
-        assert free_path_winner(n) == decide(make_path(n), Variant.FREE), n
+        g = make_path(n)
+        assert component_free_winner(g) == decide(g, Variant.FREE), n
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
 def test_free_cycle_sweep():
     t0 = time.monotonic()
     for n in range(3, 33):
-        assert free_cycle_winner(n) == decide(make_cycle(n), Variant.FREE)
+        g = make_cycle(n)
+        assert component_free_winner(g) == decide(g, Variant.FREE), n
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
@@ -152,7 +146,7 @@ def test_cograph_sweep():
     rng = random.Random(1010)
     for _ in range(200):
         g = random_cograph(rng.randint(1, 12), rng)
-        assert cograph_free_winner(g) == decide(g, Variant.FREE), g.edges()
+        assert component_free_winner(g) == decide(g, Variant.FREE), g.edges()
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
@@ -189,10 +183,10 @@ def test_random_cograph_deeper_than_the_recursion_limit():
 
 def test_cograph_solver_on_threshold_graphs():
     g = _threshold(200)
-    assert cograph_free_winner(g) == decide(g, Variant.FREE)
+    assert component_free_winner(g) == decide(g, Variant.FREE)
     # far past the default recursion limit: the solver keeps its own stack
     t0 = time.monotonic()
-    v = cograph_free_winner(_threshold(1500))
+    v = component_free_winner(_threshold(1500))
     assert time.monotonic() - t0 < 30  # deadline: thirty seconds
     # by hand: after the universal last vertex, the isolated vertex 1498
     # and the rest (which closes on any move) are one move each, worth
@@ -221,7 +215,7 @@ def test_disjoint_union_grundy_is_the_nim_sum():
                 parts.append(random_tree(size, rng))
         if len(parts) < 2:
             parts.append(make_path(1))
-        whole = _union(parts)
+        whole = disjoint_union(parts)
         direct = grundy(start_position(whole, Variant.FREE))
         by_parts = nim_sum(grundy(start_position(p, Variant.FREE))
                            for p in parts)

@@ -783,10 +783,12 @@ def _other_winner(verdict, *_):
 # family, max_n, (module, name) to patch, wrong answer from the true one
 # and the call's arguments, descriptor key sets of the family's instances
 WRONG_ANSWERS = [
-    ("path-free", 6, (solvers, "free_path_winner"), _other_winner, [{"n"}]),
+    ("path-free", 6, (solvers, "component_free_winner"), _other_winner,
+     [{"n"}]),
     ("path-connected", 6, (solvers, "block_connected_winner"),
      _other_winner, [{"n"}]),
-    ("cycle-free", 6, (solvers, "free_cycle_winner"), _other_winner, [{"n"}]),
+    ("cycle-free", 6, (solvers, "component_free_winner"), _other_winner,
+     [{"n"}]),
     ("cycle-connected", 6, (solvers, "connected_cycle_winner"),
      _other_winner, [{"n"}]),
     ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
@@ -795,10 +797,12 @@ WRONG_ANSWERS = [
      [{"class"}, {"sample", "n", "edges"}]),
     ("caterpillar", 7, (solvers, "block_connected_winner"),
      _other_winner, [{"sample", "n", "edges"}]),
-    ("cograph", 6, (solvers, "cograph_free_winner"), _other_winner,
+    ("cograph", 6, (solvers, "component_free_winner"), _other_winner,
      [{"sample", "n", "edges"}]),
-    ("star", 5, (solvers, "cograph_free_winner"), _other_winner, [{"t"}]),
-    ("clique", 5, (solvers, "cograph_free_winner"), _other_winner, [{"n"}]),
+    ("star", 5, (solvers, "component_free_winner"), _other_winner,
+     [{"t"}]),
+    ("clique", 5, (solvers, "component_free_winner"), _other_winner,
+     [{"n"}]),
     # a hull that never reaches the last vertex breaks the lemma everywhere
     ("chordal-lemma", 6, (verify, "hull"),
      lambda h, g, a: h & ~(1 << (g.n - 1)), [{"sample", "n", "edges"}]),
@@ -823,16 +827,16 @@ def test_verify_catches_a_wrong_answer_in_every_family(
         {frozenset(k) for k in keys}
 
 
-WITNESS_SOLVERS = [("path-free", "free_path_winner", 9),
+WITNESS_SOLVERS = [("path-free", "component_free_winner", 9),
                    ("path-connected", "block_connected_winner", 6),
-                   ("cycle-free", "free_cycle_winner", 9),
+                   ("cycle-free", "component_free_winner", 9),
                    ("cycle-connected", "connected_cycle_winner", 8),
                    ("ladder", "ladder_connected_winner", 6),
                    ("tree", "block_connected_winner", 6),
-                   ("star", "cograph_free_winner", 4),
-                   ("clique", "cograph_free_winner", 3),
+                   ("star", "component_free_winner", 4),
+                   ("clique", "component_free_winner", 3),
                    ("caterpillar", "block_connected_winner", 7),
-                   ("cograph", "cograph_free_winner", 6),
+                   ("cograph", "component_free_winner", 6),
                    ("chordal-connected", "block_connected_winner", 9)]
 
 

@@ -8,11 +8,10 @@ import networkx as nx
 import pytest
 
 from p3game import (Player, Position, Variant, Verdict,
-                    block_connected_winner, cograph_free_values,
-                    cograph_free_winner, components, connected_block_values,
+                    block_connected_winner, component_free_values,
+                    component_free_winner, components, connected_block_values,
                     connected_cycle_grundy, connected_cycle_winner, decide,
-                    free_cycle_winner, free_path_grundy_table,
-                    free_path_winner, grundy, hull,
+                    free_path_grundy_table, grundy, hull,
                     induced_subgraph, ladder_connected_winner,
                     make_caterpillar, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mask_of, mex, nim_sum,
@@ -21,9 +20,11 @@ from p3game import (Player, Position, Variant, Verdict,
 from p3game import solvers
 from p3game.graphs import Graph
 
-from helpers import atlas_graphs, graph_to_nx, has_induced_p4
-from reference import (connected_cycle_arc_values, free_cycles_by_reduction,
-                       reference_decide, reference_grundy)
+from helpers import (atlas_graphs, disjoint_union, graph_to_nx,
+                     has_induced_p4, nx_to_graph)
+from reference import (connected_cycle_arc_values, fenced_run_table,
+                       free_cycles_by_reduction, reference_decide,
+                       reference_grundy)
 
 
 # =====================================================================
@@ -117,9 +118,28 @@ def test_free_path_table_extends_monotonically():
 def test_free_path_grundy_reads_the_unfenced_run():
     t = free_path_grundy_table(12)
     for n in range(1, 13):
-        assert free_path_winner(n).grundy == t[(n, False, False)]
+        assert component_free_winner(make_path(n)).grundy == \
+            t[(n, False, False)]
     with pytest.raises(ValueError):
-        free_path_winner(0)
+        free_path_grundy_table(0)
+
+
+@pytest.fixture(scope="module")
+def fenced_runs():
+    return fenced_run_table(1000)
+
+
+def test_free_path_table_matches_the_fenced_run_recursion(fenced_runs):
+    # the Officers view against the four-flag recursion, key for key
+    assert free_path_grundy_table(1000) == fenced_runs
+
+
+def test_odd_runs_fenced_on_both_sides_are_nonzero(fenced_runs):
+    # O(k) != 0 for odd k >= 3: on an even cycle every opening leaves an
+    # odd run fenced on both sides, so every even cycle is a second
+    # player win, as mirroring through the centre says
+    for k in range(3, 1000, 2):
+        assert fenced_runs[(k, True, True)] != 0, k
 
 
 # =====================================================================
@@ -128,18 +148,20 @@ def test_free_path_grundy_reads_the_unfenced_run():
 
 def test_free_cycle_even_and_triangle_are_second_player_wins():
     for n in list(range(4, 41, 2)) + [3]:
-        assert free_cycle_winner(n) == Verdict(Player.SECOND, 0, None)
+        assert component_free_winner(make_cycle(n)) == \
+            Verdict(Player.SECOND, 0, None)
 
 
 def test_free_cycle_strategy_route_equals_reduction_route():
-    # the strategy shortcut (mirroring on even cycles, the clique rule
-    # on the triangle) must agree with the uniform fenced-run reduction
+    # the solver's Officers heap of n - 1 must agree with the uniform
+    # reduction read from the four-flag table, which knows nothing of
+    # mirroring on even cycles or of the triangle being a clique
     for n, verdict in free_cycles_by_reduction(300).items():
-        assert free_cycle_winner(n) == verdict, n
+        assert component_free_winner(make_cycle(n)) == verdict, n
 
 
 def test_free_cycle_five_is_a_first_player_win():
-    assert free_cycle_winner(5) == Verdict(Player.FIRST, 1, 0)
+    assert component_free_winner(make_cycle(5)) == Verdict(Player.FIRST, 1, 0)
 
 
 # =====================================================================
@@ -165,7 +187,7 @@ def test_ladder_winner_formula_symbolically_to_1000():
 
 def test_star_parity_rule():
     for t in range(0, 51):
-        v = cograph_free_winner(make_star(t))
+        v = component_free_winner(make_star(t))
         if t % 2 == 0:
             assert v == Verdict(Player.FIRST, 1, 0)  # witness: the center
         else:
@@ -173,9 +195,9 @@ def test_star_parity_rule():
 
 
 def test_clique_rule():
-    assert cograph_free_winner(make_clique(1)) == Verdict(Player.FIRST, 1, 0)
+    assert component_free_winner(make_clique(1)) == Verdict(Player.FIRST, 1, 0)
     for n in range(2, 51):
-        assert cograph_free_winner(make_clique(n)) == \
+        assert component_free_winner(make_clique(n)) == \
             Verdict(Player.SECOND, 0, None)
 
 
@@ -335,18 +357,18 @@ def test_caterpillar_witness_is_a_winning_move():
 
 def test_cograph_clique_rule_agreement():
     for n in range(2, 11):
-        v = cograph_free_winner(make_clique(n))
+        v = component_free_winner(make_clique(n))
         assert v == Verdict(Player.SECOND, 0, None)
-    assert cograph_free_winner(Graph(1, [])) == Verdict(Player.FIRST, 1, 0)
+    assert component_free_winner(Graph(1, [])) == Verdict(Player.FIRST, 1, 0)
     with pytest.raises(ValueError, match="empty graph"):
-        cograph_free_winner(Graph(0, []))
+        component_free_winner(Graph(0, []))
 
 
 def test_cograph_union_of_two_edges():
     g = Graph(4, [(0, 1), (2, 3)])
     # each edge is worth 0, so every opening leaves 1 ^ 0
-    assert cograph_free_values(g) == [1, 1, 1, 1]
-    assert cograph_free_winner(g).winner is Player.SECOND
+    assert component_free_values(g) == [1, 1, 1, 1]
+    assert component_free_winner(g).winner is Player.SECOND
 
 
 def test_cograph_universal_vertex_parity_example():
@@ -354,8 +376,8 @@ def test_cograph_universal_vertex_parity_example():
     # the universal vertex, each remaining edge is one forced move, so
     # the reply position is worth the parity of three, value 1
     g = Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4), (5, 6)])
-    assert cograph_free_values(g) == [1, 2, 2, 2, 2, 2, 2]
-    v = cograph_free_winner(g)
+    assert component_free_values(g) == [1, 2, 2, 2, 2, 2, 2]
+    v = component_free_winner(g)
     assert v == Verdict(Player.SECOND, 0, None)
     assert v == decide(g, Variant.FREE)
 
@@ -365,10 +387,10 @@ def test_cograph_paw_regression():
     # one-vertex far side cannot relay the cascade back, so taking the
     # universal vertex leaves two forced moves, value 0, first win
     paw = Graph(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
-    moves = cograph_free_values(paw)
+    moves = component_free_values(paw)
     assert moves[3] == 0
     assert mex(moves) == 1
-    assert cograph_free_winner(paw) == decide(paw, Variant.FREE)
+    assert component_free_winner(paw) == decide(paw, Variant.FREE)
 
 
 def test_cograph_wide_union_under_a_universal_vertex_regression():
@@ -376,8 +398,8 @@ def test_cograph_wide_union_under_a_universal_vertex_regression():
     # join vertex leaves one forced move per far component rather than
     # absorbing them outright
     g = Graph(8, [(1, v) for v in (0, 2, 3, 4, 5, 6, 7)] + [(3, 5)])
-    assert cograph_free_values(g)[1] == 0
-    v = cograph_free_winner(g)
+    assert component_free_values(g)[1] == 0
+    v = component_free_winner(g)
     assert v == Verdict(Player.FIRST, 1, 1)
     assert v == decide(g, Variant.FREE)
 
@@ -387,7 +409,7 @@ def test_cograph_move_values_mex_to_grundy():
     rng = random.Random(33)
     for _ in range(50):
         g = random_cograph(rng.randint(1, 9), rng)
-        values = cograph_free_values(g)
+        values = component_free_values(g)
         assert values == [grundy(Position(g, hull(g, 1 << x), Variant.FREE))
                           for x in range(g.n)]
         assert mex(values) == grundy(start_position(g, Variant.FREE))
@@ -405,46 +427,82 @@ def test_cograph_union_value_is_nim_sum_of_children():
         expect = 0
         for comp in parts:
             part, _ = induced_subgraph(g, comp)
-            expect ^= mex(cograph_free_values(part))
-        assert mex(cograph_free_values(g)) == expect
+            expect ^= mex(component_free_values(part))
+        assert mex(component_free_values(g)) == expect
 
 
 def test_cograph_solver_matches_engine_on_random_cotrees():
     rng = random.Random(35)
     for _ in range(40):
         g = random_cograph(rng.randint(1, 10), rng)
-        assert cograph_free_winner(g) == decide(g, Variant.FREE)
+        assert component_free_winner(g) == decide(g, Variant.FREE)
 
 
 def test_cograph_solver_rejects_non_cographs():
+    # a path or a cycle is an Officers heap even when it holds a P_4
+    for g in (make_path(4), make_cycle(5)):
+        assert component_free_winner(g) == decide(g, Variant.FREE)
     house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
-    for g in (make_path(4), make_cycle(5), house):
+    fork = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])  # P_4 and a pendant
+    for g in (house, fork, disjoint_union([make_path(3), house])):
         with pytest.raises(ValueError, match="induced P4"):
-            cograph_free_values(g)
+            component_free_values(g)
         with pytest.raises(ValueError, match="induced P4"):
-            cograph_free_winner(g)
+            component_free_winner(g)
 
 
-def test_cograph_solver_on_every_atlas_graph():
-    cographs = 0
+def _solvable(g):
+    """Whether every component of g has all degrees at most 2 (a path
+    or a cycle) or no induced P_4 (a cograph)."""
+    whole = graph_to_nx(g)
+    for comp in nx.connected_components(whole):
+        part = whole.subgraph(comp)
+        if max(d for _, d in part.degree) > 2 and \
+                has_induced_p4(nx_to_graph(part)):
+            return False
+    return True
+
+
+def test_component_solver_values_every_opening_on_the_atlas():
+    # the whole list, not only the verdict it leads to: a value wrong
+    # above the mex leaves the verdict right
+    accepted = 0
     for g in atlas_graphs(7):
-        if has_induced_p4(g):
+        if not _solvable(g):
             with pytest.raises(ValueError, match="induced P4"):
-                cograph_free_winner(g)
+                component_free_values(g)
             continue
-        assert cograph_free_winner(g) == \
-            reference_decide(g, Variant.FREE), g.edges()
-        cographs += 1
-    assert cographs == 287
+        memo = {}
+        assert component_free_values(g) == \
+            [reference_grundy(g, 1 << x, Variant.FREE, memo)
+             for x in range(g.n)], g.edges()
+        accepted += 1
+    assert accepted == 309
 
 
-def test_cograph_solver_values_every_opening_on_the_atlas():
-    for g in atlas_graphs(7):
-        if not has_induced_p4(g):
-            memo = {}
-            assert cograph_free_values(g) == \
-                [reference_grundy(g, 1 << x, Variant.FREE, memo)
-                 for x in range(g.n)], g.edges()
+def test_component_solver_matches_engine_on_mixed_unions():
+    # paths, cycles and cographs side by side, vertex labels shuffled so
+    # that no path or cycle is walked in its built order
+    rng = random.Random(36)
+    for _ in range(80):
+        parts, room = [], 14
+        while room:
+            kind = rng.choice(("path", "cycle", "cograph"))
+            if kind == "cycle" and room < 3:
+                kind = "path"
+            size = rng.randint(3 if kind == "cycle" else 1, min(6, room))
+            room -= size
+            parts.append(make_path(size) if kind == "path"
+                         else make_cycle(size) if kind == "cycle"
+                         else random_cograph(size, rng))
+            if rng.random() < 0.3:
+                break
+        g = disjoint_union(parts)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        g = Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
+        assert component_free_winner(g) == decide(g, Variant.FREE), \
+            g.edges()
 
 
 # =====================================================================
@@ -456,9 +514,9 @@ def test_path_solvers_match_engine_both_variants():
     for n in range(1, 13):
         g = make_path(n)
         assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
-        assert free_path_winner(n).grundy == \
+        assert component_free_winner(g).grundy == \
             grundy(start_position(g, Variant.FREE))
-        assert free_path_winner(n) == decide(g, Variant.FREE)
+        assert component_free_winner(g) == decide(g, Variant.FREE)
 
 
 def test_cycle_solvers_match_engine_both_variants():
@@ -468,4 +526,4 @@ def test_cycle_solvers_match_engine_both_variants():
             grundy(start_position(g, Variant.CONNECTED))
         assert connected_cycle_winner(n) == decide(g, Variant.CONNECTED)
         ov = decide(g, Variant.FREE)
-        assert free_cycle_winner(n) == ov
+        assert component_free_winner(g) == ov
