@@ -64,12 +64,13 @@ def connected_cycle_grundy(n: int) -> int:
 def _officers(n: int) -> list[int]:
     """Grundy values O(0..n) of the octal game Officers (0.6): O(0) =
     O(1) = 0, and O(k) is the mex of O(a) ^ O(k-1-a) for 0 <= a <=
-    (k-1)/2, where a = 0 keeps the heap whole.  A run of k unlabeled path vertices fenced by
-    labels on both sides is a heap of k: a move labels one of them and
-    splits the rest into the runs on either side, and a lone vertex
-    between two labels is absorbed, so a heap of 1 is worth 0.  An end
-    of the run that no label fences counts as one more vertex of the
-    heap.  Officers has no known period, so the list takes O(n^2)."""
+    (k-1)/2, where a = 0 keeps the heap whole.  A run of k unlabeled
+    path vertices fenced by labels on both sides is a heap of k: a move
+    labels one of them and splits the rest into the runs on either
+    side, and a lone vertex between two labels is absorbed, so a heap
+    of 1 is worth 0.  An end of the run that no label fences counts as
+    one more vertex of the heap.  Officers has no known period, so the
+    list takes O(n^2)."""
     values = [0, 0][:n + 1]
     for k in range(2, n + 1):
         values.append(mex(values[a] ^ values[k - 1 - a]

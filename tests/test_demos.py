@@ -26,7 +26,7 @@ def test_family_tour_runs(capsys):
         "caterpillar with feet (0, 2, 1, 0, 0)",
         "random chordal graph on 14 vertices"]
     assert "ladder n=6 connected: first wins, value 1, best opening 0" in lines
-    # paths through the block solver, stars through the cograph solver
+    # paths through the block solver, stars through the cograph rule
     assert "connected:   1  0  1  1  2  1  1  2  1  1  2  1" in lines
     assert "star with t feet, free game, t = 0..6: first second first " \
         "second first second first" in lines
