@@ -6,10 +6,11 @@ Run:  python3 demos/family_tour.py
 
 import random
 
-from p3game import (Variant, block_connected_winner, component_free_winner,
-                    connected_cycle_winner, decide, ladder_connected_winner,
-                    make_caterpillar, make_cycle, make_ladder, make_path,
-                    make_star, random_chordal, random_cograph)
+from p3game import (Graph, Variant, block_connected_winner,
+                    component_free_winner, connected_cycle_winner, decide,
+                    ladder_connected_winner, make_caterpillar, make_cycle,
+                    make_ladder, make_path, make_star, random_chordal,
+                    random_cograph)
 
 
 def banner(title):
@@ -29,8 +30,8 @@ def main():
         for n in range(1, 13)))
     print("connected: first wins every path except n = 2, with value 2")
     print("exactly when n = 2 (mod 3), from the block solver that also")
-    print("solves trees; the free values come from a fenced-run table")
-    print("with no known closed form.")
+    print("solves trees; the free values are heaps of the octal game")
+    print("Officers, which has no known closed form.")
 
     banner("cycles")
     print("n:         ", " ".join("%2d" % n for n in range(3, 13)))
@@ -40,8 +41,9 @@ def main():
         "%2d" % component_free_winner(make_cycle(n)).grundy
         for n in range(3, 13)))
     print("connected: first player wins exactly when n = 2 (mod 3);")
-    print("free: even cycles fall to mirroring, and odd ones follow the")
-    print("fenced-run table, with sporadic first wins (n = 5, 13, 21, ...).")
+    print("free: even cycles fall to mirroring, and an odd one is a first")
+    print("win exactly when the Officers heap of n - 1 is worth 0, which")
+    print("is sporadic (n = 5, 13, 21, ...).")
 
     banner("stars and ladders")
     wins = [component_free_winner(make_star(t)).winner.value
@@ -52,7 +54,8 @@ def main():
     print("the ladder first player wins exactly when 2n, the vertex")
     print("count, is a multiple of six.")
 
-    banner("a caterpillar, a chordal graph and a cograph, against the engine")
+    banner("a caterpillar, a chordal graph, a cograph and a wheel, "
+           "against the engine")
     rng = random.Random(7)
 
     # trees and chordal graphs share one solver over their blocks
@@ -71,6 +74,14 @@ def main():
     print("random cograph on %d vertices: solver %s, engine %s"
           % (cg.n, component_free_winner(cg).winner.value,
              decide(cg, Variant.FREE).winner.value))
+
+    # the join rule reads only the component sizes of the two sides, so
+    # a hub over C_6 (with an induced P_4, not a cograph) solves too
+    wheel = Graph(7, [(i, (i + 1) % 6) for i in range(6)]
+                  + [(6, i) for i in range(6)])
+    print("wheel W6, a join that is not a cograph: join rule %s, engine %s"
+          % (component_free_winner(wheel).winner.value,
+             decide(wheel, Variant.FREE).winner.value))
 
     banner("a full engine verdict")
     for n in (4, 5, 6):

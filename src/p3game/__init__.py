@@ -22,8 +22,9 @@ Layout:
   block-cut-tree recurrence for the connected game (paths, trees,
   caterpillars and chordal graphs) and one for the free game that sums
   its components: paths and cycles as heaps of the octal game Officers,
-  every other component by the cograph rule (stars and cliques among
-  them).  Closed forms cover the connected game on cycles and ladders.
+  every other component by the join rule (cographs, stars, cliques and
+  wheels among them).  Closed forms cover the connected game on cycles
+  and ladders.
 * :mod:`p3game.verify` sweeps each solver against the engine.
 * :mod:`p3game.cli` is the command-line harness (solve, verify, gen,
   play).

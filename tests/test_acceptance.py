@@ -184,7 +184,8 @@ def test_random_cograph_deeper_than_the_recursion_limit():
 def test_cograph_solver_on_threshold_graphs():
     g = _threshold(200)
     assert component_free_winner(g) == decide(g, Variant.FREE)
-    # far past the default recursion limit: the solver keeps its own stack
+    # far past the default recursion limit: the join rule splits the
+    # graph once, however deep its unions and joins nest
     t0 = time.monotonic()
     v = component_free_winner(_threshold(1500))
     assert time.monotonic() - t0 < 30  # deadline: thirty seconds

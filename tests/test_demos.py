@@ -26,7 +26,10 @@ def test_family_tour_runs(capsys):
         "caterpillar with feet (0, 2, 1, 0, 0)",
         "random chordal graph on 14 vertices"]
     assert "ladder n=6 connected: first wins, value 1, best opening 0" in lines
-    # paths through the block solver, stars through the cograph rule
+    # a wheel holds an induced P_4, and the join rule still solves it
+    assert "wheel W6, a join that is not a cograph: join rule second, " \
+        "engine second" in lines
+    # paths through the block solver, stars through the join rule
     assert "connected:   1  0  1  1  2  1  1  2  1  1  2  1" in lines
     assert "star with t feet, free game, t = 0..6: first second first " \
         "second first second first" in lines

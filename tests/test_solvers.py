@@ -16,12 +16,13 @@ from p3game import (Player, Position, Variant, Verdict,
                     make_caterpillar, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mask_of, mex, nim_sum,
                     random_caterpillar, random_chordal, random_cograph,
-                    random_tree, start_position, tree_connected_grundy)
+                    random_gnp, random_tree, start_position,
+                    tree_connected_grundy)
 from p3game import solvers
 from p3game.graphs import Graph
 
 from helpers import (atlas_graphs, disjoint_union, graph_to_nx,
-                     has_induced_p4, nx_to_graph)
+                     has_induced_p4)
 from reference import (connected_cycle_arc_values, fenced_run_table,
                        free_cycles_by_reduction, reference_decide,
                        reference_grundy)
@@ -438,27 +439,41 @@ def test_cograph_solver_matches_engine_on_random_cotrees():
         assert component_free_winner(g) == decide(g, Variant.FREE)
 
 
+def _join(a, b):
+    """The join of a and b: side by side, with every edge between them."""
+    g = disjoint_union([a, b])
+    return Graph(g.n, g.edges() + [(u, a.n + v) for u in range(a.n)
+                                   for v in range(b.n)])
+
+
 def test_cograph_solver_rejects_non_cographs():
     # a path or a cycle is an Officers heap even when it holds a P_4
     for g in (make_path(4), make_cycle(5)):
         assert component_free_winner(g) == decide(g, Variant.FREE)
+    # and a join is valued by its sides' component sizes, whatever the
+    # sides hold: the gem (P_4 under one vertex), the wheel W_5 (C_5
+    # under one vertex) and P_4 + P_4
+    for g in (_join(make_path(4), Graph(1, [])),
+              _join(make_cycle(5), Graph(1, [])),
+              _join(make_path(4), make_path(4))):
+        assert component_free_winner(g) == decide(g, Variant.FREE)
     house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
     fork = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])  # P_4 and a pendant
     for g in (house, fork, disjoint_union([make_path(3), house])):
-        with pytest.raises(ValueError, match="induced P4"):
+        with pytest.raises(ValueError, match="neither a path"):
             component_free_values(g)
-        with pytest.raises(ValueError, match="induced P4"):
+        with pytest.raises(ValueError, match="neither a path"):
             component_free_winner(g)
 
 
 def _solvable(g):
     """Whether every component of g has all degrees at most 2 (a path
-    or a cycle) or no induced P_4 (a cograph)."""
+    or a cycle) or a disconnected complement (a join), read by networkx."""
     whole = graph_to_nx(g)
     for comp in nx.connected_components(whole):
         part = whole.subgraph(comp)
         if max(d for _, d in part.degree) > 2 and \
-                has_induced_p4(nx_to_graph(part)):
+                nx.is_connected(nx.complement(part)):
             return False
     return True
 
@@ -468,7 +483,7 @@ def test_cograph_solver_on_every_atlas_graph():
     for g in atlas_graphs(7):
         if has_induced_p4(g):
             if not _solvable(g):
-                with pytest.raises(ValueError, match="induced P4"):
+                with pytest.raises(ValueError, match="neither a path"):
                     component_free_winner(g)
             continue
         assert component_free_winner(g) == \
@@ -490,14 +505,15 @@ def test_cograph_solver_values_every_opening_on_the_atlas():
 
 def test_component_solver_values_every_opening_on_the_atlas():
     # the graphs with an induced P_4 that the solver still takes, each
-    # of its P_4-holding components a path or a cycle; the cographs are
-    # checked above, and together they make every graph it accepts
+    # of its P_4-holding components a path, a cycle or a join; the
+    # cographs are checked above, and together they make every graph it
+    # accepts
     accepted = 0
     for g in atlas_graphs(7):
         if not has_induced_p4(g):
             continue
         if not _solvable(g):
-            with pytest.raises(ValueError, match="induced P4"):
+            with pytest.raises(ValueError, match="neither a path"):
                 component_free_values(g)
             continue
         memo = {}
@@ -505,7 +521,48 @@ def test_component_solver_values_every_opening_on_the_atlas():
             [reference_grundy(g, 1 << x, Variant.FREE, memo)
              for x in range(g.n)], g.edges()
         accepted += 1
-    assert accepted == 309 - 287
+    assert accepted == 436 - 287
+
+
+def test_component_solver_values_every_opening_on_random_joins():
+    # two arbitrary G(n, p) sides, labels shuffled: the join rule reads
+    # only the sides' component sizes, whatever they hold inside
+    rng = random.Random(37)
+    for _ in range(100):
+        a = rng.randint(1, 13)
+        b = rng.randint(1, 14 - a)
+        g = _join(random_gnp(a, rng.random(), rng),
+                  random_gnp(b, rng.random(), rng))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        g = Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
+        memo = {}
+        assert component_free_values(g) == \
+            [reference_grundy(g, 1 << x, Variant.FREE, memo)
+             for x in range(g.n)], g.edges()
+
+
+def test_free_and_connected_solvers_agree_on_diameter_two():
+    # on a connected graph of diameter at most 2 every vertex is within
+    # distance two of the labeled set, so the connected game is the free
+    # game: the block and join rules check each other at sizes the
+    # engine cannot reach
+    friendship = [Graph(2 * t + 1, [(0, v) for v in range(1, 2 * t + 1)]
+                        + [(2 * i + 1, 2 * i + 2) for i in range(t)])
+                  for t in (1, 2, 3, 5, 10, 50, 300)]
+    rng = random.Random(38)
+    apexes = []
+    for _ in range(40):
+        n = rng.randint(1, 119)
+        forest = [(v, rng.randrange(v)) for v in range(1, n)
+                  if rng.random() < 0.8]
+        apexes.append(Graph(n + 1, forest + [(n, v) for v in range(n)]))
+    for g in ([make_star(t) for t in (1, 2, 3, 4, 5, 10, 50, 100, 400)]
+              + friendship
+              + [make_clique(n) for n in (1, 2, 3, 4, 5, 10, 30, 60)]
+              + apexes):
+        assert connected_block_values(g) == component_free_values(g), \
+            g.edges()
 
 
 def test_component_solver_matches_engine_on_mixed_unions():
