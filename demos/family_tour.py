@@ -6,10 +6,10 @@ Run:  python3 demos/family_tour.py
 
 import random
 
-from p3game import (Graph, Variant, block_connected_winner,
-                    component_free_winner, connected_cycle_winner, decide,
+from p3game import (Graph, Variant, Verdict, component_free_values,
+                    connected_block_values, connected_cycle_values, decide,
                     ladder_connected_winner, make_caterpillar, make_cycle,
-                    make_ladder, make_path, make_star, random_chordal,
+                    make_ladder, make_path, make_star, mex, random_chordal,
                     random_cograph)
 
 
@@ -19,14 +19,19 @@ def banner(title):
     print("-" * len(title))
 
 
+def free_verdict(g):
+    """The free game's verdict, read off the value after each opening."""
+    return Verdict.from_openings(component_free_values(g))
+
+
 def main():
     banner("paths")
     print("n:         ", " ".join("%2d" % n for n in range(1, 13)))
     print("connected: ", " ".join(
-        "%2d" % block_connected_winner(make_path(n)).grundy
+        "%2d" % mex(connected_block_values(make_path(n)))
         for n in range(1, 13)))
     print("free:      ", " ".join(
-        "%2d" % component_free_winner(make_path(n)).grundy
+        "%2d" % mex(component_free_values(make_path(n)))
         for n in range(1, 13)))
     print("connected: first wins every path except n = 2, with value 2")
     print("exactly when n = 2 (mod 3), from the block solver that also")
@@ -35,10 +40,10 @@ def main():
 
     banner("cycles")
     print("n:         ", " ".join("%2d" % n for n in range(3, 13)))
-    print("connected: ", " ".join("%2d" % connected_cycle_winner(n).grundy
+    print("connected: ", " ".join("%2d" % mex(connected_cycle_values(n))
                                   for n in range(3, 13)))
     print("free:      ", " ".join(
-        "%2d" % component_free_winner(make_cycle(n)).grundy
+        "%2d" % mex(component_free_values(make_cycle(n)))
         for n in range(3, 13)))
     print("connected: first player wins exactly when n = 2 (mod 3);")
     print("free: even cycles fall to mirroring, and an odd one is a first")
@@ -46,8 +51,7 @@ def main():
     print("is sporadic (n = 5, 13, 21, ...).")
 
     banner("stars and ladders")
-    wins = [component_free_winner(make_star(t)).winner.value
-            for t in range(0, 7)]
+    wins = [free_verdict(make_star(t)).winner.value for t in range(0, 7)]
     print("star with t feet, free game, t = 0..6:", " ".join(wins))
     wins = [ladder_connected_winner(n).winner.value for n in range(1, 8)]
     print("ladder with n rungs, connected game, n = 1..7:", " ".join(wins))
@@ -65,14 +69,14 @@ def main():
                      make_caterpillar(feet)),
                     ("random chordal graph on %d vertices" % chordal.n,
                      chordal)):
-        v = block_connected_winner(g)
+        v = Verdict.from_openings(connected_block_values(g))
         print("%s: block solver %s (value %d), same verdict as the engine? %s"
               % (name, v.winner.value, v.grundy,
                  v == decide(g, Variant.CONNECTED)))
 
     cg = random_cograph(rng.randint(1, 8), rng)
     print("random cograph on %d vertices: solver %s, engine %s"
-          % (cg.n, component_free_winner(cg).winner.value,
+          % (cg.n, free_verdict(cg).winner.value,
              decide(cg, Variant.FREE).winner.value))
 
     # the join rule reads only the component sizes of the two sides, so
@@ -80,7 +84,7 @@ def main():
     wheel = Graph(7, [(i, (i + 1) % 6) for i in range(6)]
                   + [(6, i) for i in range(6)])
     print("wheel W6, a join that is not a cograph: join rule %s, engine %s"
-          % (component_free_winner(wheel).winner.value,
+          % (free_verdict(wheel).winner.value,
              decide(wheel, Variant.FREE).winner.value))
 
     banner("a full engine verdict")

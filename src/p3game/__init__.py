@@ -17,15 +17,17 @@ Layout:
   variants.
 * :mod:`p3game.engine` is the exhaustive Sprague-Grundy engine: exact
   values by memoized search, the ground truth everything else is
-  checked against.
+  checked against.  ``opening_values`` gives the value after each
+  opening, and ``decide`` the verdict read off that list.
 * :mod:`p3game.solvers` holds two structural solvers, one
   block-cut-tree recurrence for the connected game (paths, trees,
   caterpillars and chordal graphs) and one for the free game that sums
   its components: paths and cycles as heaps of the octal game Officers,
   every other component by the join rule (cographs, stars, cliques and
   wheels among them).  Closed forms cover the connected game on cycles
-  and ladders.
-* :mod:`p3game.verify` sweeps each solver against the engine.
+  and ladders.  Each answers with the value after each opening, except
+  the ladder's, which answers with a verdict.
+* :mod:`p3game.verify` sweeps each solver's list against the engine's.
 * :mod:`p3game.cli` is the command-line harness (solve, verify, gen,
   play).
 
@@ -45,10 +47,9 @@ from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
                       legal_moves, start_position)
 from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      TranspositionTable, Verdict, best_move, decide,
-                     grundy, mex, nim_sum)
-from .solvers import (block_connected_winner, component_free_values,
-                      component_free_winner, connected_block_values,
-                      connected_cycle_grundy, connected_cycle_winner,
+                     grundy, mex, nim_sum, opening_values)
+from .solvers import (component_free_values, connected_block_values,
+                      connected_cycle_grundy, connected_cycle_values,
                       free_path_grundy_table, ladder_connected_winner,
                       tree_connected_grundy)
 from .verify import FAMILIES, VerifyReport, run_family
@@ -71,12 +72,12 @@ __all__ = [
     # engine
     "Player", "Verdict", "TranspositionTable", "ResourceLimitError",
     "DEFAULT_BUDGET", "mex", "nim_sum", "grundy", "decide", "best_move",
+    "opening_values",
     # solvers
-    "connected_cycle_winner", "connected_cycle_grundy",
+    "connected_cycle_values", "connected_cycle_grundy",
     "free_path_grundy_table", "ladder_connected_winner",
-    "connected_block_values", "block_connected_winner",
-    "tree_connected_grundy",
-    "component_free_values", "component_free_winner",
+    "connected_block_values", "tree_connected_grundy",
+    "component_free_values",
     # verify
     "VerifyReport", "FAMILIES", "run_family",
 ]

@@ -292,12 +292,19 @@ def _component_value(g: Graph, comp: int, edge: int, variant: Variant,
     return value
 
 
+def opening_values(g: Graph, variant: Variant,
+                   budget: Optional[int] = None) -> list[int]:
+    """The value after each opening, by vertex, searched in one new
+    table of ``budget`` entries (``DEFAULT_BUDGET`` when None)."""
+    table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
+    return _opening_values(g, variant, table)
+
+
 def decide(g: Graph, variant: Variant,
            budget: Optional[int] = None) -> Verdict:
     """Solve the start position: winner, Grundy value, and the
-    lowest-numbered winning first move when one exists."""
-    table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
-    return Verdict.from_openings(_opening_values(g, variant, table))
+    lowest-numbered winning first move, read from ``opening_values``."""
+    return Verdict.from_openings(opening_values(g, variant, budget))
 
 
 def best_move(p: Position, table: Optional[TranspositionTable] = None) -> Optional[int]:

@@ -13,9 +13,10 @@ graphs) and the component solver (free game on any graph whose
 components are paths, cycles or joins, such as cographs, stars,
 cliques and wheels).  Closed forms cover the connected game on cycles
 and ladders.
-Every solver answers with a Verdict, and forms it from the values after
-each opening (``Verdict.from_openings``), with one exception:
-``ladder_connected_winner`` returns its verdict from a closed form.
+Every solver answers with the value after each opening, by vertex, the
+list the engine's ``opening_values`` gives; ``Verdict.from_openings``
+reads a verdict off it.  One exception: ``ladder_connected_winner``
+returns its verdict from a closed form that has no per-opening list.
 
 Value conventions used throughout:
 
@@ -39,23 +40,23 @@ from .graphs import Graph, bits, components, is_tree
 # Connected variant: cycles
 # =====================================================================
 
-def connected_cycle_winner(n: int) -> Verdict:
-    """Connected game on C_n.
+def connected_cycle_values(n: int) -> list[int]:
+    """Value of the connected game on C_n after each opening, by vertex.
 
-    Every first move is equivalent and leaves an arc playground of one
-    vertex, so the start value is mex of that single arc value, whose
-    closed form by residue of n is 0, 2, 1 for n = 2, 1, 0 mod 3.  The
-    downward arc recurrence behind the closed form is checked against it
-    in ``tests/test_solvers.py::test_connected_cycle_arc_recurrence``.
+    Every opening is equivalent and leaves an arc playground of one
+    vertex, whose closed form by residue of n is 0, 2, 1 for n = 2, 1,
+    0 mod 3.  The downward arc recurrence behind the closed form is
+    checked against it in
+    ``tests/test_solvers.py::test_connected_cycle_arc_recurrence``.
     """
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return Verdict.from_openings([{2: 0, 0: 1, 1: 2}[n % 3]] * n)
+    return [{2: 0, 0: 1, 1: 2}[n % 3]] * n
 
 
 def connected_cycle_grundy(n: int) -> int:
-    """``connected_cycle_winner(n).grundy``, read by bench/workloads.py."""
-    return connected_cycle_winner(n).grundy
+    """``mex(connected_cycle_values(n))``, read by bench/workloads.py."""
+    return mex(connected_cycle_values(n))
 
 
 # =====================================================================
@@ -196,13 +197,6 @@ def connected_block_values(g: Graph) -> list[int]:
     return [nim_sum(solved[v, i][0] for i in at[v]) for v in range(g.n)]
 
 
-def block_connected_winner(g: Graph) -> Verdict:
-    """Connected game on a graph whose blocks each close from any one of
-    their edges (see ``connected_block_values``), with the lowest
-    opening worth 0 as the witness."""
-    return Verdict.from_openings(connected_block_values(g))
-
-
 def tree_connected_grundy(tree: Graph) -> int:
     """Grundy value of the connected game on a tree: the mex of
     ``connected_block_values`` (every edge of a tree is a block)."""
@@ -312,10 +306,3 @@ def component_free_values(g: Graph) -> list[int]:
         for x in bits(comp):
             values[x] ^= total ^ own
     return values
-
-
-def component_free_winner(g: Graph) -> Verdict:
-    """Free game on a graph whose components are paths, cycles or
-    joins (see ``component_free_values``), with the lowest opening
-    worth 0 as the witness."""
-    return Verdict.from_openings(component_free_values(g))

@@ -3,16 +3,17 @@ engine on every instance small enough to afford.
 
 Every family is one entry of the FAMILIES table: its smallest size, the
 error for a smaller one, and its instances, each paired with the call
-that makes the solver's claim: a Verdict, or in chordal-lemma a list
-of counterexamples.  run_family makes each claim, runs one engine
-search (decide) per Verdict claim, and returns a VerifyReport listing
-any disagreement; an instance whose solver or engine raises is a
-disagreement too.  A solver's Verdict must equal the engine's field for
-field, witness included: both name the lowest opening worth 0.  Reports
-are deterministic for a given seed: instances are generated by a seeded
-RNG and compared in instance order.  Elapsed time is kept out of the
-JSON projection so identical runs stay byte-identical; it appears only
-in the human-readable table.
+that makes the solver's claim: the value after each opening, by vertex,
+except for the ladder's Verdict and chordal-lemma's counterexamples.
+run_family makes each claim, runs one engine search per game claim
+(opening_values, or decide for the Verdict), and returns a VerifyReport
+listing any disagreement; an instance whose solver or engine raises is a
+disagreement too.  A list must equal the engine's value for value, and
+the Verdict field for field, witness included.  Reports are
+deterministic for a given seed: instances are generated by a seeded RNG
+and compared in instance order.  Elapsed time is kept out of the JSON
+projection so identical runs stay byte-identical; it appears only in the
+human-readable table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from . import solvers
 from .closure import Variant, hull
-from .engine import ResourceLimitError, decide
+from .engine import ResourceLimitError, decide, opening_values
 from .graphs import SIZED_FAMILIES, Graph, bits
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
@@ -60,12 +61,14 @@ class VerifyReport:
 
 
 def _row(claim, g, variant, budget):
-    """(solver, oracle) sides of one instance.  A list holds
-    counterexamples, of which none are due.  Otherwise the claim is a
-    Verdict, and the engine decides the instance once: the two must
-    agree in winner, value and witness alike."""
-    if isinstance(claim, list):
+    """(solver, oracle) sides of one instance.  With no variant the
+    claim lists counterexamples, of which none are due.  A list is the
+    value after each opening, and a Verdict is decided once: either
+    must equal the engine's, so winner, value and witness agree."""
+    if variant is None:
         return claim, []
+    if isinstance(claim, list):
+        return claim, opening_values(g, variant, budget=budget)
     oracle = decide(g, variant, budget=budget)
     return claim.to_json_dict(), oracle.to_json_dict()
 
@@ -184,11 +187,11 @@ def _lemma_breaks(g):
 # when the claim is made and a patched solver is the one checked.
 
 def _block(n, g):
-    return solvers.block_connected_winner(g)
+    return solvers.connected_block_values(g)
 
 
 def _free(n, g):
-    return solvers.component_free_winner(g)
+    return solvers.component_free_values(g)
 
 
 _TREES = _samples("tree", "trees need at least %d vertex", 200, CONNECTED,
@@ -203,7 +206,7 @@ FAMILIES = {
                              FREE, _free),
     "cycle-connected": _each_size(
         "cycle", "cycles need at least %d vertices", CONNECTED,
-        lambda n, g: solvers.connected_cycle_winner(n)),
+        lambda n, g: solvers.connected_cycle_values(n)),
     "ladder": _each_size("ladder", "ladders need at least %d rung",
                          CONNECTED,
                          lambda n, g: solvers.ladder_connected_winner(n)),

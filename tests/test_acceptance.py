@@ -1,60 +1,64 @@
 """End-to-end acceptance sweeps: every closed form and family solver is
 replayed against the exhaustive engine at the full advertised sizes, with
-a wall-clock deadline asserted for each sweep."""
+a wall-clock deadline asserted for each sweep.  A sweep that draws the
+instances of a verify family runs that family, so each solver's value
+after every opening is compared with the engine's."""
 
 import random
 import sys
 import time
 
-from p3game import (Player, Variant, Verdict, apply_move,
-                    block_connected_winner, component_free_winner,
-                    connected_cycle_winner, decide, grundy, hull,
-                    ladder_connected_winner, make_clique, make_cycle,
-                    make_ladder, make_path, make_star, nim_sum,
-                    random_caterpillar, random_chordal, random_cograph,
-                    random_gnp, random_tree, start_position,
-                    tree_connected_grundy)
+from p3game import (Player, Variant, Verdict, component_free_values,
+                    connected_block_values, connected_cycle_values, grundy,
+                    hull, ladder_connected_winner, make_clique, make_cycle,
+                    make_path, make_star, mex, nim_sum, opening_values,
+                    random_chordal, random_cograph, random_gnp, random_tree,
+                    start_position)
 from p3game.graphs import Graph
-from p3game.verify import enumerate_trees, run_family
+from p3game.verify import run_family
 
 from helpers import disjoint_union
 from reference import is_p3_closed
 
 
+def passes(family, max_n, seed=0):
+    """Run one verify family and assert that every instance passed;
+    return its instance count."""
+    report = run_family(family, max_n, seed=seed)
+    assert report.passed, report.mismatches[:3]
+    return report.instances
+
+
 def test_star_sweep():
     t0 = time.monotonic()
+    assert passes("star", 12) == 13
     for t in range(0, 13):
-        g = make_star(t)
-        v = component_free_winner(g)
-        assert v == decide(g, Variant.FREE)
-        assert (v.winner is Player.FIRST) == (t % 2 == 0)
+        first_wins = mex(component_free_values(make_star(t))) != 0
+        assert first_wins == (t % 2 == 0)
     assert time.monotonic() - t0 < 10  # deadline: ten seconds
 
 
 def test_clique_sweep():
     t0 = time.monotonic()
+    assert passes("clique", 12) == 12
     for n in range(1, 13):
-        g = make_clique(n)
-        v = component_free_winner(g)
-        assert v == decide(g, Variant.FREE)
-        assert (v.winner is Player.FIRST) == (n == 1)
+        first_wins = mex(component_free_values(make_clique(n))) != 0
+        assert first_wins == (n == 1)
     assert time.monotonic() - t0 < 10  # deadline: ten seconds
 
 
 def test_connected_cycle_sweep():
     t0 = time.monotonic()
+    assert passes("cycle-connected", 40) == 38
     for n in range(3, 41):
-        verdict = decide(make_cycle(n), Variant.CONNECTED)
-        assert verdict == connected_cycle_winner(n), n
-        assert (verdict.winner is Player.FIRST) == (n % 3 == 2)
+        first_wins = mex(connected_cycle_values(n)) != 0
+        assert first_wins == (n % 3 == 2), n
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
 def test_connected_path_sweep():
     t0 = time.monotonic()
-    for n in range(1, 41):
-        g = make_path(n)
-        assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
+    assert passes("path-connected", 40) == 40
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
@@ -64,22 +68,14 @@ def test_connected_path_sweep_reaches_600_vertices():
     # limit; the engine keeps its own stack
     t0 = time.monotonic()
     g = make_path(600)
-    assert decide(g, Variant.CONNECTED) == block_connected_winner(g)
+    assert opening_values(g, Variant.CONNECTED) == connected_block_values(g)
     assert time.monotonic() - t0 < 60  # deadline: one minute
 
 
 def test_ladder_sweep():
     t0 = time.monotonic()
-    for n in range(1, 40):
-        ladder = make_ladder(n)
-        verdict = decide(ladder, Variant.CONNECTED)
-        solver = ladder_connected_winner(n)
-        assert (verdict.winner, verdict.grundy) == \
-            (solver.winner, solver.grundy), n
-        if solver.witness is not None:
-            # the solver's corner opening leaves a position worth 0
-            start = start_position(ladder, Variant.CONNECTED)
-            assert grundy(apply_move(start, solver.witness)) == 0, n
+    # winner, value and witness (the corner) against the engine
+    assert passes("ladder", 39) == 39
     # the closed form, checked symbolically well past engine reach: the
     # first player wins exactly when the vertex count is a multiple of six
     for n in range(1, 1001):
@@ -90,40 +86,26 @@ def test_ladder_sweep():
 
 def test_free_path_sweep():
     t0 = time.monotonic()
-    for n in range(1, 41):
-        g = make_path(n)
-        assert component_free_winner(g) == decide(g, Variant.FREE), n
+    assert passes("path-free", 40) == 40
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
 def test_free_cycle_sweep():
     t0 = time.monotonic()
-    for n in range(3, 33):
-        g = make_cycle(n)
-        assert component_free_winner(g) == decide(g, Variant.FREE), n
+    assert passes("cycle-free", 32) == 30
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
 def test_tree_sweep():
+    # every tree class up to 9 vertices, then 200 random trees of up to 40
     t0 = time.monotonic()
-    for n, idx, tree in enumerate_trees(9):
-        assert tree_connected_grundy(tree) == \
-            grundy(start_position(tree, Variant.CONNECTED)), (n, idx)
-    rng = random.Random(88)
-    for _ in range(200):
-        tree = random_tree(rng.randint(1, 40), rng)
-        assert tree_connected_grundy(tree) == \
-            grundy(start_position(tree, Variant.CONNECTED))
+    assert passes("tree", 40, seed=88) == 95 + 200
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
 def test_caterpillar_sweep():
     t0 = time.monotonic()
-    rng = random.Random(99)
-    for _ in range(200):
-        g = random_caterpillar(rng.randint(1, 14), rng)
-        assert block_connected_winner(g) == \
-            decide(g, Variant.CONNECTED), g.edges()
+    assert passes("caterpillar", 14, seed=99) == 200
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
@@ -132,21 +114,18 @@ def test_chordal_connected_sweep():
     rng = random.Random(35)
     for n in [*(rng.randint(1, 16) for _ in range(200)), 200]:
         g = random_chordal(n, rng)
-        assert block_connected_winner(g) == decide(g, Variant.CONNECTED), \
-            g.edges()
+        assert connected_block_values(g) == \
+            opening_values(g, Variant.CONNECTED), g.edges()
     assert time.monotonic() - t0 < 120  # deadline: two minutes
     g = random_chordal(1000, rng)
     t0 = time.monotonic()
-    block_connected_winner(g)
+    connected_block_values(g)
     assert time.monotonic() - t0 < 1  # deadline: one second
 
 
 def test_cograph_sweep():
     t0 = time.monotonic()
-    rng = random.Random(1010)
-    for _ in range(200):
-        g = random_cograph(rng.randint(1, 12), rng)
-        assert component_free_winner(g) == decide(g, Variant.FREE), g.edges()
+    assert passes("cograph", 12, seed=1010) == 200
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
@@ -183,11 +162,11 @@ def test_random_cograph_deeper_than_the_recursion_limit():
 
 def test_cograph_solver_on_threshold_graphs():
     g = _threshold(200)
-    assert component_free_winner(g) == decide(g, Variant.FREE)
+    assert component_free_values(g) == opening_values(g, Variant.FREE)
     # far past the default recursion limit: the join rule splits the
     # graph once, however deep its unions and joins nest
     t0 = time.monotonic()
-    v = component_free_winner(_threshold(1500))
+    v = Verdict.from_openings(component_free_values(_threshold(1500)))
     assert time.monotonic() - t0 < 30  # deadline: thirty seconds
     # by hand: after the universal last vertex, the isolated vertex 1498
     # and the rest (which closes on any move) are one move each, worth

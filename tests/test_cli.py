@@ -19,7 +19,7 @@ import pytest
 from p3game import (Player, TranspositionTable, Variant, Verdict,
                     apply_move, best_move, decide, emit_graph, graph_digest,
                     grundy, legal_moves, make_cycle, make_ladder, make_path,
-                    parse_graph, random_biconnected_chordal,
+                    mex, parse_graph, random_biconnected_chordal,
                     random_caterpillar, random_cograph, random_tree,
                     start_position)
 from p3game import cli, solvers, verify
@@ -780,34 +780,38 @@ def _other_winner(verdict, *_):
     return Verdict(Player.FIRST, 1, 0)
 
 
+def _one_more(values, *_):
+    return [v + 1 for v in values]
+
+
 # family, max_n, (module, name) to patch, wrong answer from the true one
 # and the call's arguments, descriptor key sets of the family's instances
 WRONG_ANSWERS = [
-    ("path-free", 6, (solvers, "component_free_winner"), _other_winner,
+    ("path-free", 6, (solvers, "component_free_values"), _one_more,
      [{"n"}]),
-    ("path-connected", 6, (solvers, "block_connected_winner"),
-     _other_winner, [{"n"}]),
-    ("cycle-free", 6, (solvers, "component_free_winner"), _other_winner,
+    ("path-connected", 6, (solvers, "connected_block_values"), _one_more,
      [{"n"}]),
-    ("cycle-connected", 6, (solvers, "connected_cycle_winner"),
-     _other_winner, [{"n"}]),
+    ("cycle-free", 6, (solvers, "component_free_values"), _one_more,
+     [{"n"}]),
+    ("cycle-connected", 6, (solvers, "connected_cycle_values"), _one_more,
+     [{"n"}]),
     ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
      [{"n"}]),
-    ("tree", 6, (solvers, "block_connected_winner"), _other_winner,
+    ("tree", 6, (solvers, "connected_block_values"), _one_more,
      [{"class"}, {"sample", "n", "edges"}]),
-    ("caterpillar", 7, (solvers, "block_connected_winner"),
-     _other_winner, [{"sample", "n", "edges"}]),
-    ("cograph", 6, (solvers, "component_free_winner"), _other_winner,
+    ("caterpillar", 7, (solvers, "connected_block_values"), _one_more,
      [{"sample", "n", "edges"}]),
-    ("star", 5, (solvers, "component_free_winner"), _other_winner,
+    ("cograph", 6, (solvers, "component_free_values"), _one_more,
+     [{"sample", "n", "edges"}]),
+    ("star", 5, (solvers, "component_free_values"), _one_more,
      [{"t"}]),
-    ("clique", 5, (solvers, "component_free_winner"), _other_winner,
+    ("clique", 5, (solvers, "component_free_values"), _one_more,
      [{"n"}]),
     # a hull that never reaches the last vertex breaks the lemma everywhere
     ("chordal-lemma", 6, (verify, "hull"),
      lambda h, g, a: h & ~(1 << (g.n - 1)), [{"sample", "n", "edges"}]),
-    ("chordal-connected", 9, (solvers, "block_connected_winner"),
-     _other_winner, [{"sample", "n", "edges"}]),
+    ("chordal-connected", 9, (solvers, "connected_block_values"),
+     _one_more, [{"sample", "n", "edges"}]),
 ]
 
 
@@ -827,63 +831,118 @@ def test_verify_catches_a_wrong_answer_in_every_family(
         {frozenset(k) for k in keys}
 
 
-WITNESS_SOLVERS = [("path-free", "component_free_winner", 9),
-                   ("path-connected", "block_connected_winner", 6),
-                   ("cycle-free", "component_free_winner", 9),
-                   ("cycle-connected", "connected_cycle_winner", 8),
-                   ("ladder", "ladder_connected_winner", 6),
-                   ("tree", "block_connected_winner", 6),
-                   ("star", "component_free_winner", 4),
-                   ("clique", "component_free_winner", 3),
-                   ("caterpillar", "block_connected_winner", 7),
-                   ("cograph", "component_free_winner", 6),
-                   ("chordal-connected", "block_connected_winner", 9)]
+@pytest.mark.parametrize("family,wrong", [
+    ("chordal-connected", 178), ("tree", 198), ("cograph", 138)])
+def test_verify_catches_a_wrong_value_above_the_mex(monkeypatch, family,
+                                                    wrong):
+    # one more on every value above the mex keeps every verdict, so only
+    # a comparison of whole lists sees it
+    flagged = []
+
+    def above_the_mex(solver):
+        def patched(g):
+            values = solver(g)
+            value = mex(values)
+            flagged.append(any(v > value for v in values))
+            return [v + 1 if v > value else v for v in values]
+        return patched
+    for name in ("connected_block_values", "component_free_values"):
+        monkeypatch.setattr(solvers, name,
+                            above_the_mex(getattr(solvers, name)))
+    report = run_family(family, 9)
+    least, _, instances = FAMILIES[family]
+    descriptors = [d for d, _, _, _ in instances(least, 9, random.Random(0))]
+    assert len(flagged) == report.instances == len(descriptors)
+    assert [m["instance"] for m in report.mismatches] == \
+        [d for d, hit in zip(descriptors, flagged) if hit]
+    assert len(report.mismatches) == wrong
+
+
+# the one family whose claim is a Verdict, with the solver that makes it
+WITNESS_SOLVERS = [("ladder", "ladder_connected_winner", 6)]
+
+# the families whose claim is the value after each opening
+LIST_SOLVERS = [("path-free", "component_free_values", 9),
+                ("path-connected", "connected_block_values", 6),
+                ("cycle-free", "component_free_values", 9),
+                ("cycle-connected", "connected_cycle_values", 8),
+                ("tree", "connected_block_values", 6),
+                ("star", "component_free_values", 4),
+                ("clique", "component_free_values", 3),
+                ("caterpillar", "connected_block_values", 7),
+                ("cograph", "component_free_values", 6),
+                ("chordal-connected", "connected_block_values", 9)]
 
 
 def test_witness_solvers_are_the_families_that_claim_verdicts():
     # a family whose claims carry a witness must face the check below
-    claims_verdicts = set()
+    claims = {}
     for family, (least, _, instances) in FAMILIES.items():
         _, _, _, claim = next(instances(least, least + 3, random.Random(0)))
-        if isinstance(claim(), Verdict):
-            claims_verdicts.add(family)
-    assert claims_verdicts == {f for f, _, _ in WITNESS_SOLVERS}
+        claims[family] = type(claim())
+    claims_verdicts = {f for f, kind in claims.items() if kind is Verdict}
+    assert claims_verdicts == {f for f, _, _ in WITNESS_SOLVERS} == {"ladder"}
+    claims_lists = {f for f, kind in claims.items() if kind is list}
+    assert claims_lists == {f for f, _, _ in LIST_SOLVERS} | {"chordal-lemma"}
 
 
-@pytest.mark.parametrize("family,solver,max_n", WITNESS_SOLVERS,
-                         ids=[f for f, _, _ in WITNESS_SOLVERS])
+def _far_witness(claim):
+    """A claim whose winner and value are right but whose witness is no
+    vertex, or None for a second-player win.  A Verdict names vertex
+    10 ** 6.  A list has each 0 replaced by its mex + 1, which keeps
+    the mex, and one 0 appended past the last vertex."""
+    if isinstance(claim, Verdict):
+        if claim.witness is None:
+            return None
+        return dataclasses.replace(claim, witness=10 ** 6)
+    value = mex(claim)
+    if value == 0:
+        return None
+    return [v or value + 1 for v in claim] + [0]
+
+
+@pytest.mark.parametrize("family,solver,max_n",
+                         WITNESS_SOLVERS + LIST_SOLVERS,
+                         ids=[f for f, _, _ in WITNESS_SOLVERS + LIST_SOLVERS])
 def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
         monkeypatch, family, solver, max_n):
     original = getattr(solvers, solver)
     wins = []
 
     def far_witness(*args):
-        verdict = original(*args)
-        if verdict.witness is None:
-            return verdict
-        wins.append(verdict)
-        return dataclasses.replace(verdict, witness=10 ** 6)
+        claim = original(*args)
+        wrong = _far_witness(claim)
+        if wrong is None:
+            return claim
+        wins.append((claim, wrong))
+        return wrong
 
     monkeypatch.setattr(solvers, solver, far_witness)
     report = run_family(family, max_n)
     # every first-player win, and only those, is flagged
     assert wins and len(report.mismatches) == len(wins)
-    for m, verdict in zip(report.mismatches, wins):
-        assert m["solver"] == dict(verdict.to_json_dict(), witness=10 ** 6)
+    for m, (claim, wrong) in zip(report.mismatches, wins):
+        if isinstance(claim, Verdict):
+            assert m["solver"] == wrong.to_json_dict()
+            assert m["oracle"] == claim.to_json_dict()
+            continue
+        assert m["solver"] == wrong and m["oracle"] == claim
         # the winner and value claims still agree; the witness does not
-        assert m["oracle"] == verdict.to_json_dict()
+        verdict = Verdict.from_openings(claim)
+        assert Verdict.from_openings(wrong) == \
+            dataclasses.replace(verdict, witness=len(claim))
 
 
 def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
     # a solver bug is a failed check (exit 1), not a usage error (exit 2)
-    original = solvers.connected_cycle_winner
+    original = solvers.connected_cycle_values
 
     def broken(n):
         if n == 5:
             raise ValueError("cycle solver broke")
         return original(n)
 
-    monkeypatch.setattr(solvers, "connected_cycle_winner", broken)
+    monkeypatch.setattr(solvers, "connected_cycle_values", broken)
     code, out, err = run_cli(["verify", "--family", "cycle-connected",
                               "--max-n", "6", "--json"])
     assert code == 1
@@ -893,6 +952,17 @@ def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
         {"instance": {"n": 5},
          "solver": {"error": "ValueError: cycle solver broke"},
          "oracle": None}]
+
+
+@pytest.mark.parametrize("family", ["path-free", "ladder"])
+def test_verify_budget_caps_every_engine_search(family):
+    # a list claim is checked through opening_values and the ladder's
+    # Verdict through decide; the budget reaches both
+    code, out, err = run_cli(["verify", "--family", family, "--max-n", "12",
+                              "--budget", "5", "--json"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ")
 
 
 def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):

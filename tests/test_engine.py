@@ -11,8 +11,8 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     ResourceLimitError, TranspositionTable, Variant, Verdict,
                     apply_move, best_move, bits, components, decide, grundy,
                     hull, legal_moves, make_clique, make_cycle, make_ladder,
-                    make_path, make_star, mex, nim_sum, random_gnp,
-                    random_tree, start_position)
+                    make_path, make_star, mex, nim_sum, opening_values,
+                    random_gnp, random_tree, start_position)
 from p3game import engine
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
@@ -185,6 +185,8 @@ def test_nonpositive_budget_is_rejected_not_defaulted(budget):
 def test_budget_exhaustion_raises():
     with pytest.raises(ResourceLimitError):
         decide(make_path(12), Variant.FREE, budget=5)
+    with pytest.raises(ResourceLimitError):
+        opening_values(make_path(12), Variant.FREE, budget=5)
     # the same instance fits comfortably in the default budget
     assert decide(make_path(12), Variant.FREE, budget=DEFAULT_BUDGET)
 

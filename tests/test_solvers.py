@@ -3,21 +3,20 @@ recurrences, dual derivation routes against each other, and every solver
 against the exhaustive engine on small instances."""
 
 import random
+from functools import partial
 
 import networkx as nx
 import pytest
 
 from p3game import (Player, Position, Variant, Verdict,
-                    block_connected_winner, component_free_values,
-                    component_free_winner, components, connected_block_values,
-                    connected_cycle_grundy, connected_cycle_winner, decide,
-                    free_path_grundy_table, grundy, hull,
-                    induced_subgraph, ladder_connected_winner,
-                    make_caterpillar, make_clique, make_cycle, make_ladder,
-                    make_path, make_star, mask_of, mex, nim_sum,
-                    random_caterpillar, random_chordal, random_cograph,
-                    random_gnp, random_tree, start_position,
-                    tree_connected_grundy)
+                    component_free_values, components, connected_block_values,
+                    connected_cycle_grundy, connected_cycle_values,
+                    free_path_grundy_table, grundy, hull, induced_subgraph,
+                    ladder_connected_winner, make_caterpillar, make_clique,
+                    make_cycle, make_ladder, make_path, make_star, mask_of,
+                    mex, nim_sum, opening_values, random_caterpillar,
+                    random_chordal, random_cograph, random_gnp, random_tree,
+                    start_position, tree_connected_grundy)
 from p3game import solvers
 from p3game.graphs import Graph
 
@@ -42,7 +41,7 @@ def test_connected_path_frozen_values():
     expected = {1: 1, 2: 0, 3: 1, 4: 1, 5: 2, 6: 1, 7: 1, 8: 2, 9: 1,
                 10: 1, 11: 2, 12: 1}
     for n, g in expected.items():
-        assert block_connected_winner(make_path(n)).grundy == g
+        assert mex(connected_block_values(make_path(n))) == g
 
 
 def test_connected_path_closed_forms_to_1000():
@@ -57,9 +56,11 @@ def test_connected_path_closed_forms_to_1000():
 # connected cycles
 # =====================================================================
 
-def test_connected_cycle_winner_pattern_to_1000():
+def test_connected_cycle_values_pattern_to_1000():
     for n in range(3, 1001):
-        g = connected_cycle_winner(n).grundy
+        values = connected_cycle_values(n)
+        assert len(values) == n and len(set(values)) == 1
+        g = mex(values)
         assert (g != 0) == (n % 3 == 2)
         assert g == (1 if n % 3 == 2 else 0)
 
@@ -78,13 +79,13 @@ def test_connected_cycle_arc_recurrence():
         for k in range(1, n - 3):
             assert f[k] == mex((f[k + 1], f[k + 2]))
         assert f[1] == {2: 0, 0: 1, 1: 2}[n % 3]
-        assert connected_cycle_winner(n).grundy == mex((f[1],))
+        assert connected_cycle_values(n) == [f[1]] * n
         assert connected_cycle_grundy(n) == mex((f[1],))
 
 
 def test_connected_cycle_rejects_small():
     with pytest.raises(ValueError):
-        connected_cycle_winner(2)
+        connected_cycle_values(2)
     with pytest.raises(ValueError):
         connected_cycle_arc_values(2)
 
@@ -119,7 +120,7 @@ def test_free_path_table_extends_monotonically():
 def test_free_path_grundy_reads_the_unfenced_run():
     t = free_path_grundy_table(12)
     for n in range(1, 13):
-        assert component_free_winner(make_path(n)).grundy == \
+        assert mex(component_free_values(make_path(n))) == \
             t[(n, False, False)]
     with pytest.raises(ValueError):
         free_path_grundy_table(0)
@@ -149,8 +150,7 @@ def test_odd_runs_fenced_on_both_sides_are_nonzero(fenced_runs):
 
 def test_free_cycle_even_and_triangle_are_second_player_wins():
     for n in list(range(4, 41, 2)) + [3]:
-        assert component_free_winner(make_cycle(n)) == \
-            Verdict(Player.SECOND, 0, None)
+        assert mex(component_free_values(make_cycle(n))) == 0, n
 
 
 def test_free_cycle_strategy_route_equals_reduction_route():
@@ -158,11 +158,13 @@ def test_free_cycle_strategy_route_equals_reduction_route():
     # reduction read from the four-flag table, which knows nothing of
     # mirroring on even cycles or of the triangle being a clique
     for n, verdict in free_cycles_by_reduction(300).items():
-        assert component_free_winner(make_cycle(n)) == verdict, n
+        values = component_free_values(make_cycle(n))
+        assert Verdict.from_openings(values) == verdict, n
 
 
 def test_free_cycle_five_is_a_first_player_win():
-    assert component_free_winner(make_cycle(5)) == Verdict(Player.FIRST, 1, 0)
+    assert Verdict.from_openings(component_free_values(make_cycle(5))) == \
+        Verdict(Player.FIRST, 1, 0)
 
 
 # =====================================================================
@@ -188,7 +190,7 @@ def test_ladder_winner_formula_symbolically_to_1000():
 
 def test_star_parity_rule():
     for t in range(0, 51):
-        v = component_free_winner(make_star(t))
+        v = Verdict.from_openings(component_free_values(make_star(t)))
         if t % 2 == 0:
             assert v == Verdict(Player.FIRST, 1, 0)  # witness: the center
         else:
@@ -196,10 +198,10 @@ def test_star_parity_rule():
 
 
 def test_clique_rule():
-    assert component_free_winner(make_clique(1)) == Verdict(Player.FIRST, 1, 0)
+    assert component_free_values(make_clique(1)) == [0]
     for n in range(2, 51):
-        assert component_free_winner(make_clique(n)) == \
-            Verdict(Player.SECOND, 0, None)
+        # every opening closes the clique from the first reply
+        assert component_free_values(make_clique(n)) == [1] * n
 
 
 # =====================================================================
@@ -272,9 +274,9 @@ def test_block_solver_on_every_atlas_graph():
     for g in atlas_graphs(7):
         if not _hulls_are_blocks(g):
             with pytest.raises(ValueError, match="not its whole block"):
-                block_connected_winner(g)
+                connected_block_values(g)
             continue
-        assert block_connected_winner(g) == \
+        assert Verdict.from_openings(connected_block_values(g)) == \
             reference_decide(g, Variant.CONNECTED), g.edges()
         accepted += 1
         chordal += nx.is_chordal(graph_to_nx(g))
@@ -300,8 +302,10 @@ def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
     for g in (make_cycle(4), make_ladder(3), house):
         with pytest.raises(ValueError, match="not its whole block"):
             connected_block_values(g)
+    # the empty graph has no opening, and so no verdict
+    assert connected_block_values(Graph(0, [])) == []
     with pytest.raises(ValueError, match="empty graph"):
-        block_connected_winner(Graph(0, []))
+        Verdict.from_openings(connected_block_values(Graph(0, [])))
 
 
 @pytest.mark.parametrize("g, calls", [
@@ -328,25 +332,24 @@ def test_block_solver_lists_each_branch_once(monkeypatch, g, calls):
 def test_caterpillar_of_a_path_matches_path_solver():
     for b in range(1, 21):
         g = make_caterpillar((0,) * b)
-        assert block_connected_winner(g).grundy == connected_path_value(b)
+        assert mex(connected_block_values(g)) == connected_path_value(b)
 
 
 def test_caterpillar_star_example_matches_tree_solver():
     tree = make_caterpillar((0, 1, 0))
-    v = block_connected_winner(tree)
-    assert v.grundy == tree_connected_grundy(tree)
+    assert mex(connected_block_values(tree)) == tree_connected_grundy(tree)
 
 
 def test_caterpillar_worked_example_against_engine():
     g = make_caterpillar((1, 0, 0, 1))
-    assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
+    assert connected_block_values(g) == opening_values(g, Variant.CONNECTED)
 
 
 def test_caterpillar_witness_is_a_winning_move():
     rng = random.Random(32)
     for _ in range(60):
         g = random_caterpillar(rng.randint(1, 12), rng)
-        v = block_connected_winner(g)
+        v = Verdict.from_openings(connected_block_values(g))
         if v.winner is Player.FIRST:
             pos = Position(g, hull(g, 1 << v.witness), Variant.CONNECTED)
             assert grundy(pos) == 0
@@ -358,18 +361,21 @@ def test_caterpillar_witness_is_a_winning_move():
 
 def test_cograph_clique_rule_agreement():
     for n in range(2, 11):
-        v = component_free_winner(make_clique(n))
+        v = Verdict.from_openings(component_free_values(make_clique(n)))
         assert v == Verdict(Player.SECOND, 0, None)
-    assert component_free_winner(Graph(1, [])) == Verdict(Player.FIRST, 1, 0)
+    assert Verdict.from_openings(component_free_values(Graph(1, []))) == \
+        Verdict(Player.FIRST, 1, 0)
+    # the empty graph has no opening, and so no verdict
+    assert component_free_values(Graph(0, [])) == []
     with pytest.raises(ValueError, match="empty graph"):
-        component_free_winner(Graph(0, []))
+        Verdict.from_openings(component_free_values(Graph(0, [])))
 
 
 def test_cograph_union_of_two_edges():
     g = Graph(4, [(0, 1), (2, 3)])
     # each edge is worth 0, so every opening leaves 1 ^ 0
     assert component_free_values(g) == [1, 1, 1, 1]
-    assert component_free_winner(g).winner is Player.SECOND
+    assert mex(component_free_values(g)) == 0
 
 
 def test_cograph_universal_vertex_parity_example():
@@ -378,9 +384,7 @@ def test_cograph_universal_vertex_parity_example():
     # the reply position is worth the parity of three, value 1
     g = Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4), (5, 6)])
     assert component_free_values(g) == [1, 2, 2, 2, 2, 2, 2]
-    v = component_free_winner(g)
-    assert v == Verdict(Player.SECOND, 0, None)
-    assert v == decide(g, Variant.FREE)
+    assert component_free_values(g) == opening_values(g, Variant.FREE)
 
 
 def test_cograph_paw_regression():
@@ -391,7 +395,7 @@ def test_cograph_paw_regression():
     moves = component_free_values(paw)
     assert moves[3] == 0
     assert mex(moves) == 1
-    assert component_free_winner(paw) == decide(paw, Variant.FREE)
+    assert moves == opening_values(paw, Variant.FREE)
 
 
 def test_cograph_wide_union_under_a_universal_vertex_regression():
@@ -399,10 +403,10 @@ def test_cograph_wide_union_under_a_universal_vertex_regression():
     # join vertex leaves one forced move per far component rather than
     # absorbing them outright
     g = Graph(8, [(1, v) for v in (0, 2, 3, 4, 5, 6, 7)] + [(3, 5)])
-    assert component_free_values(g)[1] == 0
-    v = component_free_winner(g)
-    assert v == Verdict(Player.FIRST, 1, 1)
-    assert v == decide(g, Variant.FREE)
+    values = component_free_values(g)
+    assert values[1] == 0
+    assert Verdict.from_openings(values) == Verdict(Player.FIRST, 1, 1)
+    assert values == opening_values(g, Variant.FREE)
 
 
 def test_cograph_move_values_mex_to_grundy():
@@ -436,7 +440,7 @@ def test_cograph_solver_matches_engine_on_random_cotrees():
     rng = random.Random(35)
     for _ in range(40):
         g = random_cograph(rng.randint(1, 10), rng)
-        assert component_free_winner(g) == decide(g, Variant.FREE)
+        assert component_free_values(g) == opening_values(g, Variant.FREE)
 
 
 def _join(a, b):
@@ -449,21 +453,19 @@ def _join(a, b):
 def test_cograph_solver_rejects_non_cographs():
     # a path or a cycle is an Officers heap even when it holds a P_4
     for g in (make_path(4), make_cycle(5)):
-        assert component_free_winner(g) == decide(g, Variant.FREE)
+        assert component_free_values(g) == opening_values(g, Variant.FREE)
     # and a join is valued by its sides' component sizes, whatever the
     # sides hold: the gem (P_4 under one vertex), the wheel W_5 (C_5
     # under one vertex) and P_4 + P_4
     for g in (_join(make_path(4), Graph(1, [])),
               _join(make_cycle(5), Graph(1, [])),
               _join(make_path(4), make_path(4))):
-        assert component_free_winner(g) == decide(g, Variant.FREE)
+        assert component_free_values(g) == opening_values(g, Variant.FREE)
     house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
     fork = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])  # P_4 and a pendant
     for g in (house, fork, disjoint_union([make_path(3), house])):
         with pytest.raises(ValueError, match="neither a path"):
             component_free_values(g)
-        with pytest.raises(ValueError, match="neither a path"):
-            component_free_winner(g)
 
 
 def _solvable(g):
@@ -484,9 +486,9 @@ def test_cograph_solver_on_every_atlas_graph():
         if has_induced_p4(g):
             if not _solvable(g):
                 with pytest.raises(ValueError, match="neither a path"):
-                    component_free_winner(g)
+                    component_free_values(g)
             continue
-        assert component_free_winner(g) == \
+        assert Verdict.from_openings(component_free_values(g)) == \
             reference_decide(g, Variant.FREE), g.edges()
         cographs += 1
     assert cographs == 287
@@ -586,8 +588,8 @@ def test_component_solver_matches_engine_on_mixed_unions():
         order = list(range(g.n))
         rng.shuffle(order)
         g = Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
-        assert component_free_winner(g) == decide(g, Variant.FREE), \
-            g.edges()
+        assert component_free_values(g) == \
+            opening_values(g, Variant.FREE), g.edges()
 
 
 # =====================================================================
@@ -598,10 +600,11 @@ def test_component_solver_matches_engine_on_mixed_unions():
 def test_path_solvers_match_engine_both_variants():
     for n in range(1, 13):
         g = make_path(n)
-        assert block_connected_winner(g) == decide(g, Variant.CONNECTED)
-        assert component_free_winner(g).grundy == \
+        assert connected_block_values(g) == \
+            opening_values(g, Variant.CONNECTED)
+        assert mex(component_free_values(g)) == \
             grundy(start_position(g, Variant.FREE))
-        assert component_free_winner(g) == decide(g, Variant.FREE)
+        assert component_free_values(g) == opening_values(g, Variant.FREE)
 
 
 def test_cycle_solvers_match_engine_both_variants():
@@ -609,6 +612,93 @@ def test_cycle_solvers_match_engine_both_variants():
         g = make_cycle(n)
         assert connected_cycle_grundy(n) == \
             grundy(start_position(g, Variant.CONNECTED))
-        assert connected_cycle_winner(n) == decide(g, Variant.CONNECTED)
-        ov = decide(g, Variant.FREE)
-        assert component_free_winner(g) == ov
+        assert connected_cycle_values(n) == \
+            opening_values(g, Variant.CONNECTED)
+        assert component_free_values(g) == opening_values(g, Variant.FREE)
+
+
+# =====================================================================
+# identities that reach past the engine's whole-graph search
+# =====================================================================
+
+def _glue_at_a_hub(parts, hubs):
+    """The parts glued at one vertex, vertex 0: part i's vertex hubs[i]
+    becomes the hub, and its other vertices are numbered after those of
+    the parts before it."""
+    edges, n = [], 1
+    for part, hub in zip(parts, hubs):
+        ids = {}
+        for x in range(part.n):
+            if x == hub:
+                ids[x] = 0
+            else:
+                ids[x], n = n, n + 1
+        edges += [(ids[u], ids[v]) for u, v in part.edges()]
+    return Graph(n, edges)
+
+
+def test_hub_opening_is_the_nim_sum_of_the_parts():
+    # no vertex of one part has a neighbour in another but the hub, so
+    # every hull stays in its part, and a vertex within distance two
+    # across the hub is next to it: labeled, the hub splits the game into
+    # the parts, in both variants
+    rng = random.Random(41)
+    sizes, values = [], set()
+    for _ in range(20):
+        parts = [random_chordal(rng.randint(2, 9), rng)
+                 for _ in range(rng.randint(5, 40))]
+        hubs = [rng.randrange(part.n) for part in parts]
+        g = _glue_at_a_hub(parts, hubs)
+        sizes.append(g.n)
+        expect = {}
+        for variant in Variant:
+            expect[variant] = nim_sum(
+                grundy(Position(part, 1 << hub, variant))
+                for part, hub in zip(parts, hubs))
+            assert grundy(Position(g, 1, variant)) == expect[variant]
+        # glued chordal parts are chordal, so the block solver takes them
+        assert connected_block_values(g)[0] == expect[Variant.CONNECTED]
+        values.add(expect[Variant.CONNECTED])
+    assert max(sizes) > 150 and len(values) > 2
+
+
+def _relabel(g, order):
+    """g with each vertex x renamed order[x]."""
+    return Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
+
+
+def _permutes(solve, g, order):
+    """Whether solve's list on the relabeled g is its list on g, moved
+    by the same permutation; a solver that rejects g must reject both."""
+    try:
+        values = solve(g)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve(_relabel(g, order))
+        return True
+    moved = [0] * g.n
+    for x, value in enumerate(values):
+        moved[order[x]] = value
+    return solve(_relabel(g, order)) == moved
+
+
+def test_relabeling_permutes_every_opening_list():
+    rng = random.Random(42)
+    engine = [partial(opening_values, variant=v) for v in Variant]
+    both = [connected_block_values, component_free_values]
+    atlas = atlas_graphs(7)
+    gnp = [random_gnp(rng.randint(8, 12), rng.random(), rng)
+           for _ in range(20)]
+    chordal = [random_chordal(rng.randint(10, 60), rng) for _ in range(20)]
+    cographs = [random_cograph(rng.randint(10, 60), rng) for _ in range(20)]
+    # the engine on the atlas graphs of up to 6 vertices and on G(n, p)
+    # samples, the solvers on every atlas graph and on their own classes
+    for graphs, checks in (([g for g in atlas if g.n <= 6] + gnp, engine),
+                           (atlas, both),
+                           (chordal, [connected_block_values]),
+                           (cographs, [component_free_values])):
+        for g in graphs:
+            order = list(range(g.n))
+            rng.shuffle(order)
+            for solve in checks:
+                assert _permutes(solve, g, order), (g.edges(), order)
