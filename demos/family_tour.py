@@ -8,7 +8,7 @@ import random
 
 from p3game import (Graph, Variant, Verdict, component_free_values,
                     connected_block_values, connected_cycle_values, decide,
-                    ladder_connected_winner, make_caterpillar, make_cycle,
+                    ladder_connected_values, make_caterpillar, make_cycle,
                     make_ladder, make_path, make_star, mex, random_chordal,
                     random_cograph)
 
@@ -53,10 +53,17 @@ def main():
     banner("stars and ladders")
     wins = [free_verdict(make_star(t)).winner.value for t in range(0, 7)]
     print("star with t feet, free game, t = 0..6:", " ".join(wins))
-    wins = [ladder_connected_winner(n).winner.value for n in range(1, 8)]
+    wins = [Verdict.from_openings(ladder_connected_values(n)).winner.value
+            for n in range(1, 8)]
     print("ladder with n rungs, connected game, n = 1..7:", " ".join(wins))
-    print("the ladder first player wins exactly when 2n, the vertex")
-    print("count, is a multiple of six.")
+    print("ladder with 6 rungs, value after each opening, by rail:")
+    values = ladder_connected_values(6)
+    print("  ", " ".join(map(str, values[:6])))
+    print("  ", " ".join(map(str, values[6:])))
+    print("every opening is worth n mod 3 when that is 1 or 2; when 3")
+    print("divides n, the corners are worth 0 and the rest 3, so the first")
+    print("player wins exactly when 2n, the vertex count, is a multiple of")
+    print("six, by opening in a corner.")
 
     banner("a caterpillar, a chordal graph, a cograph and a wheel, "
            "against the engine")

@@ -25,8 +25,7 @@ Layout:
   its components: paths and cycles as heaps of the octal game Officers,
   every other component by the join rule (cographs, stars, cliques and
   wheels among them).  Closed forms cover the connected game on cycles
-  and ladders.  Each answers with the value after each opening, except
-  the ladder's, which answers with a verdict.
+  and ladders.  Each answers with the value after each opening.
 * :mod:`p3game.verify` sweeps each solver's list against the engine's.
 * :mod:`p3game.cli` is the command-line harness (solve, verify, gen,
   play).
@@ -50,8 +49,8 @@ from .engine import (DEFAULT_BUDGET, Player, ResourceLimitError,
                      grundy, mex, nim_sum, opening_values)
 from .solvers import (component_free_values, connected_block_values,
                       connected_cycle_grundy, connected_cycle_values,
-                      free_path_grundy_table, ladder_connected_winner,
-                      tree_connected_grundy)
+                      free_path_grundy_table, ladder_connected_values,
+                      ladder_connected_winner, tree_connected_grundy)
 from .verify import FAMILIES, VerifyReport, run_family
 
 __version__ = "0.1.0"
@@ -75,7 +74,8 @@ __all__ = [
     "opening_values",
     # solvers
     "connected_cycle_values", "connected_cycle_grundy",
-    "free_path_grundy_table", "ladder_connected_winner",
+    "free_path_grundy_table", "ladder_connected_values",
+    "ladder_connected_winner",
     "connected_block_values", "tree_connected_grundy",
     "component_free_values",
     # verify

@@ -15,8 +15,7 @@ cliques and wheels).  Closed forms cover the connected game on cycles
 and ladders.
 Every solver answers with the value after each opening, by vertex, the
 list the engine's ``opening_values`` gives; ``Verdict.from_openings``
-reads a verdict off it.  One exception: ``ladder_connected_winner``
-returns its verdict from a closed form that has no per-opening list.
+reads a verdict off it.
 
 Value conventions used throughout:
 
@@ -32,7 +31,7 @@ Value conventions used throughout:
 from __future__ import annotations
 
 from .closure import hull
-from .engine import Player, Verdict, mex, nim_sum
+from .engine import Verdict, mex, nim_sum
 from .graphs import Graph, bits, components, is_tree
 
 
@@ -102,24 +101,35 @@ def free_path_grundy_table(n_max: int) -> dict[tuple[int, bool, bool], int]:
 # Connected variant: ladders
 # =====================================================================
 
-def ladder_connected_winner(n: int) -> Verdict:
-    """Connected game on the ladder P_2 x P_n: the first player wins
-    exactly when the vertex count 2n is a multiple of six, i.e. when the
-    rung count n is a multiple of three, and then the start value is 1.
+def ladder_connected_values(n: int) -> list[int]:
+    """Value of the connected game on the ladder P_2 x P_n after each
+    opening, by vertex, with the rails 0..n-1 and n..2n-1 of
+    ``make_ladder``, whose corners are 0, n-1, n and 2n-1.
+
+    When n mod 3 is 1 or 2, every opening is worth n mod 3.  When n is
+    a multiple of three, the four corners are worth 0 and every other
+    vertex is worth 3, so the first player wins, with value 1, exactly
+    by opening in a corner.
 
     Intuition: a ladder with 3k rungs splits into k blocks of P_2 x P_3
     (six vertices each).  Opening in a corner lets the first player
     finish the current block on every return visit, so the second
-    player always faces a fresh block boundary.  The corner opening is
-    reported as the witness.  The engine confirms the value 1 and the
-    corner witness at every multiple of three up to 39 rungs (the
-    acceptance sweep); beyond that both are the formula's claim.
+    player always faces a fresh block boundary.  The engine's
+    ``opening_values`` confirms the whole list at every n up to 39
+    rungs and at 58, 59 and 60 rungs (the acceptance sweep).
     """
     if n < 1:
         raise ValueError("ladder needs at least one rung")
-    if n % 3 == 0:
-        return Verdict(Player.FIRST, 1, 0)
-    return Verdict(Player.SECOND, 0, None)
+    if n % 3:
+        return [n % 3] * (2 * n)
+    corners = {0, n - 1, n, 2 * n - 1}
+    return [0 if v in corners else 3 for v in range(2 * n)]
+
+
+def ladder_connected_winner(n: int) -> Verdict:
+    """``Verdict.from_openings(ladder_connected_values(n))``, read by
+    bench/workloads.py."""
+    return Verdict.from_openings(ladder_connected_values(n))
 
 
 # =====================================================================

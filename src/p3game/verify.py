@@ -3,13 +3,13 @@ engine on every instance small enough to afford.
 
 Every family is one entry of the FAMILIES table: its smallest size, the
 error for a smaller one, and its instances, each paired with the call
-that makes the solver's claim: the value after each opening, by vertex,
-except for the ladder's Verdict and chordal-lemma's counterexamples.
-run_family makes each claim, runs one engine search per game claim
-(opening_values, or decide for the Verdict), and returns a VerifyReport
-listing any disagreement; an instance whose solver or engine raises is a
-disagreement too.  A list must equal the engine's value for value, and
-the Verdict field for field, witness included.  Reports are
+that makes the solver's claim: the value after each opening, by vertex.
+run_family makes each claim, runs one engine search (opening_values) per
+instance, and returns a VerifyReport listing any disagreement; an
+instance whose solver or engine raises is a disagreement too.  A claim
+must equal the engine's list value for value, so a wrong winner, value
+or witness is a disagreement, and so is a wrong value above the mex
+that leaves the verdict right.  Reports are
 deterministic for a given seed: instances are generated by a seeded RNG
 and compared in instance order.  Elapsed time is kept out of the JSON
 projection so identical runs stay byte-identical; it appears only in the
@@ -26,9 +26,9 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import solvers
-from .closure import Variant, hull
-from .engine import ResourceLimitError, decide, opening_values
-from .graphs import SIZED_FAMILIES, Graph, bits
+from .closure import Variant
+from .engine import ResourceLimitError, opening_values
+from .graphs import SIZED_FAMILIES, Graph
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
 
@@ -58,19 +58,6 @@ class VerifyReport:
             width, self.family, self.instances, len(self.mismatches),
             "PASS" if self.passed else "FAIL", self.elapsed)
         return header + "\n" + row
-
-
-def _row(claim, g, variant, budget):
-    """(solver, oracle) sides of one instance.  With no variant the
-    claim lists counterexamples, of which none are due.  A list is the
-    value after each opening, and a Verdict is decided once: either
-    must equal the engine's, so winner, value and witness agree."""
-    if variant is None:
-        return claim, []
-    if isinstance(claim, list):
-        return claim, opening_values(g, variant, budget=budget)
-    oracle = decide(g, variant, budget=budget)
-    return claim.to_json_dict(), oracle.to_json_dict()
 
 
 # ---------------------------------------------------------------------
@@ -175,13 +162,6 @@ def enumerate_trees(max_n: int):
     return out
 
 
-def _lemma_breaks(g):
-    """The pairs of g at distance <= 2 whose hull is not all of g."""
-    return [[x, y] for x in range(g.n)
-            for y in bits(g.adj[x] | g.neighborhood_of_set(g.adj[x]))
-            if y > x and hull(g, (1 << x) | (1 << y)) != g.full_mask]
-
-
 # A family's claim is claim(size, graph).  Each claim names its
 # solver as solvers.<name> inside its body, so the solver is looked up
 # when the claim is made and a patched solver is the one checked.
@@ -209,7 +189,7 @@ FAMILIES = {
         lambda n, g: solvers.connected_cycle_values(n)),
     "ladder": _each_size("ladder", "ladders need at least %d rung",
                          CONNECTED,
-                         lambda n, g: solvers.ladder_connected_winner(n)),
+                         lambda n, g: solvers.ladder_connected_values(n)),
     # every isomorphism class up to 9 vertices, then 200 random trees
     "tree": _TREES._replace(
         instances=lambda least, max_n, rng: itertools.chain(
@@ -226,11 +206,11 @@ FAMILIES = {
     "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
                          _free),
     # On a chordal graph with no cut vertex, the hull of any two vertices
-    # at distance <= 2 is the whole vertex set.  The claim lists the
-    # pairs of a sampled graph that break it.
+    # at distance <= 2 is the whole vertex set: the lemma that makes the
+    # block solver exact on one chordal block.
     "chordal-lemma": _samples(
         "chordal", "biconnected chordal graphs need at least %d vertices",
-        100, None, lambda n, g: _lemma_breaks(g)),
+        100, CONNECTED, _block),
     # chordal graphs with cut vertices, whose blocks the lemma closes
     "chordal-connected": _samples(
         "glued-chordal", "chordal graphs need at least %d vertex", 200,
@@ -258,7 +238,8 @@ def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyRep
                                                    random.Random(seed)):
         count += 1
         try:
-            solver_val, oracle_val = _row(claim(), g, variant, budget)
+            solver_val = claim()
+            oracle_val = opening_values(g, variant, budget=budget)
         except ResourceLimitError:
             raise
         except Exception as exc:

@@ -1,8 +1,9 @@
 """The plain whole-graph search, the rescan hull and closedness by
 definition: the oracles the engine's decomposition and the
-word-parallel hull are checked against.  Also the four-flag table of
-fenced runs, the second route to the free game on paths and cycles,
-which the solver's Officers values are checked against, and the
+word-parallel hull are checked against.  Also the chordal lemma that
+puts a chordal block under the block solver's condition, the four-flag
+table of fenced runs, the second route to the free game on paths and
+cycles, which the solver's Officers values are checked against, and the
 downward arc recurrence that the connected cycle solver's closed form
 is checked against.
 
@@ -44,6 +45,17 @@ def hull_by_rescan(g, a, order=None):
                 inside |= bit
                 changed = True
     return inside
+
+
+def lemma_breaks(g):
+    """The pairs of g at distance <= 2 whose hull is not all of g.  On a
+    chordal graph with no cut vertex there are none: any two vertices
+    at distance <= 2 span the whole graph, so every edge's hull is its
+    whole block, as ``connected_block_values`` requires."""
+    return [[x, y] for x in range(g.n)
+            for y in bits(g.adj[x] | g.neighborhood_of_set(g.adj[x]))
+            if y > x
+            and hull_by_rescan(g, (1 << x) | (1 << y)) != g.full_mask]
 
 
 def child_masks(g, labeled, variant):

@@ -10,15 +10,16 @@ import time
 
 from p3game import (Player, Variant, Verdict, component_free_values,
                     connected_block_values, connected_cycle_values, grundy,
-                    hull, ladder_connected_winner, make_clique, make_cycle,
-                    make_path, make_star, mex, nim_sum, opening_values,
-                    random_chordal, random_cograph, random_gnp, random_tree,
-                    start_position)
+                    hull, ladder_connected_values, make_clique, make_cycle,
+                    make_ladder, make_path, make_star, mex, nim_sum,
+                    opening_values, random_chordal, random_cograph,
+                    random_gnp, random_tree, start_position)
 from p3game.graphs import Graph
-from p3game.verify import run_family
+from p3game.verify import FAMILIES, run_family
 
+import reference
 from helpers import disjoint_union
-from reference import is_p3_closed
+from reference import is_p3_closed, lemma_breaks
 
 
 def passes(family, max_n, seed=0):
@@ -74,13 +75,17 @@ def test_connected_path_sweep_reaches_600_vertices():
 
 def test_ladder_sweep():
     t0 = time.monotonic()
-    # winner, value and witness (the corner) against the engine
+    # the value after each opening against the engine, at every size up
+    # to 39 rungs and at 58, 59 and 60
     assert passes("ladder", 39) == 39
+    for n in (58, 59, 60):
+        assert opening_values(make_ladder(n), Variant.CONNECTED) == \
+            ladder_connected_values(n), n
     # the closed form, checked symbolically well past engine reach: the
     # first player wins exactly when the vertex count is a multiple of six
     for n in range(1, 1001):
-        first_wins = ladder_connected_winner(n).winner is Player.FIRST
-        assert first_wins == ((2 * n) % 6 == 0)
+        verdict = Verdict.from_openings(ladder_connected_values(n))
+        assert (verdict.winner is Player.FIRST) == ((2 * n) % 6 == 0)
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
@@ -203,14 +208,32 @@ def test_disjoint_union_grundy_is_the_nim_sum():
     assert time.monotonic() - t0 < 120  # deadline: two minutes
 
 
+def _lemma_samples(max_n):
+    """The graphs of the chordal-lemma sweep up to max_n, at seed 0."""
+    least, _, instances = FAMILIES["chordal-lemma"]
+    return [g for _, g, _, _ in instances(least, max_n, random.Random(0))]
+
+
 def test_chordal_distance_two_pairs_span_everything():
     # in a biconnected chordal graph, the hull of any two vertices at
-    # distance at most two is the whole vertex set
+    # distance at most two is the whole vertex set; the sweep of the
+    # same samples checks the block solver that relies on it
     t0 = time.monotonic()
-    report = run_family("chordal-lemma", 12)
-    assert report.passed, report.mismatches[:3]
-    assert report.instances == 100
+    samples = _lemma_samples(12)
+    assert len(samples) == 100
+    assert [lemma_breaks(g) for g in samples] == [[]] * 100
+    assert passes("chordal-lemma", 12) == 100
     assert time.monotonic() - t0 < 60  # deadline: one minute
+
+
+def test_a_hull_that_drops_a_vertex_breaks_the_chordal_lemma(monkeypatch):
+    # the lemma check sees a hull that never reaches the last vertex
+    rescan = reference.hull_by_rescan
+    monkeypatch.setattr(reference, "hull_by_rescan",
+                        lambda g, a: rescan(g, a) & ~(1 << (g.n - 1)))
+    samples = _lemma_samples(6)
+    assert len(samples) == 100
+    assert all(lemma_breaks(g) for g in samples)
 
 
 def test_closure_axiom_sweep():

@@ -2,6 +2,7 @@
 tables and diagnostics on stderr), the append-only verdict cache, graph
 generation, and interactive play backed by the engine."""
 
+import ast
 import dataclasses
 import errno
 import hashlib
@@ -12,6 +13,7 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -28,6 +30,8 @@ from p3game.graphs import bits, random_gnp
 from p3game.verify import FAMILIES, enumerate_trees, run_family
 
 from helpers import connected_atlas_graphs, graph_to_nx
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, stdin_text=""):
@@ -659,6 +663,17 @@ def test_verify_ladder_family_passes():
     assert report["passed"] and report["instances"] == 7
 
 
+@pytest.mark.parametrize("family,max_n,instances", [
+    ("ladder", 7, 7), ("chordal-lemma", 8, 100)])
+def test_verify_json_output_is_pinned_byte_for_byte(family, max_n,
+                                                    instances):
+    code, out, _ = run_cli(["verify", "--family", family,
+                            "--max-n", str(max_n), "--json"])
+    assert code == 0
+    assert out == ('{"family": "%s", "instances": %d, "mismatches": [], '
+                   '"passed": true}\n' % (family, instances))
+
+
 def test_tree_enumeration_matches_networkx():
     trees = enumerate_trees(12)
     counts = [sum(1 for n, _, _ in trees if n == size)
@@ -752,6 +767,23 @@ def test_sampled_families_draw_pinned_graphs():
         "166c170a4ea2856090c6a3c4a5a337ae872650a41d4b3b01ec92d50fcf19bc80"
 
 
+def test_sweep_instance_counts_match_the_bench_pins():
+    # the benchmark's sweep checks each family's instance count against
+    # bench/pins.json; a change that moves a count fails here first
+    bench = ROOT / "bench"
+    pins = json.loads((bench / "pins.json").read_text())["sweep"]["families"]
+    tree = ast.parse((bench / "workloads.py").read_text())
+    workloads = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and node.targets[0].id == "WORKLOADS")
+    sizes = workloads["sweep"]["families"]
+    assert set(sizes) == set(pins)
+    for family, max_n in sizes.items():
+        least, _, instances = FAMILIES[family]
+        count = sum(1 for _ in instances(least, max_n, random.Random(0)))
+        assert count == pins[family], family
+
+
 @pytest.mark.parametrize("family,max_n,message", [
     ("path-free", 0, "paths need at least 1 vertex"),
     ("path-connected", 0, "paths need at least 1 vertex"),
@@ -774,12 +806,6 @@ def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
     assert err == "error: %s\n" % message
 
 
-def _other_winner(verdict, *_):
-    if verdict.winner is Player.FIRST:
-        return Verdict(Player.SECOND, 0, None)
-    return Verdict(Player.FIRST, 1, 0)
-
-
 def _one_more(values, *_):
     return [v + 1 for v in values]
 
@@ -795,7 +821,7 @@ WRONG_ANSWERS = [
      [{"n"}]),
     ("cycle-connected", 6, (solvers, "connected_cycle_values"), _one_more,
      [{"n"}]),
-    ("ladder", 4, (solvers, "ladder_connected_winner"), _other_winner,
+    ("ladder", 4, (solvers, "ladder_connected_values"), _one_more,
      [{"n"}]),
     ("tree", 6, (solvers, "connected_block_values"), _one_more,
      [{"class"}, {"sample", "n", "edges"}]),
@@ -807,9 +833,8 @@ WRONG_ANSWERS = [
      [{"t"}]),
     ("clique", 5, (solvers, "component_free_values"), _one_more,
      [{"n"}]),
-    # a hull that never reaches the last vertex breaks the lemma everywhere
-    ("chordal-lemma", 6, (verify, "hull"),
-     lambda h, g, a: h & ~(1 << (g.n - 1)), [{"sample", "n", "edges"}]),
+    ("chordal-lemma", 6, (solvers, "connected_block_values"), _one_more,
+     [{"sample", "n", "edges"}]),
     ("chordal-connected", 9, (solvers, "connected_block_values"),
      _one_more, [{"sample", "n", "edges"}]),
 ]
@@ -858,14 +883,13 @@ def test_verify_catches_a_wrong_value_above_the_mex(monkeypatch, family,
     assert len(report.mismatches) == wrong
 
 
-# the one family whose claim is a Verdict, with the solver that makes it
-WITNESS_SOLVERS = [("ladder", "ladder_connected_winner", 6)]
-
-# the families whose claim is the value after each opening
+# every family with a first-player win, with the solver that makes its
+# claim
 LIST_SOLVERS = [("path-free", "component_free_values", 9),
                 ("path-connected", "connected_block_values", 6),
                 ("cycle-free", "component_free_values", 9),
                 ("cycle-connected", "connected_cycle_values", 8),
+                ("ladder", "ladder_connected_values", 6),
                 ("tree", "connected_block_values", 6),
                 ("star", "component_free_values", 4),
                 ("clique", "component_free_values", 3),
@@ -874,36 +898,34 @@ LIST_SOLVERS = [("path-free", "component_free_values", 9),
                 ("chordal-connected", "connected_block_values", 9)]
 
 
-def test_witness_solvers_are_the_families_that_claim_verdicts():
-    # a family whose claims carry a witness must face the check below
-    claims = {}
+def test_every_family_claims_the_value_after_each_opening():
+    # every claim is a list of ints, one per vertex, and every family
+    # with a witness faces the check below; on one chordal block any
+    # second label closes the block, so every opening is worth 1 and
+    # chordal-lemma has no witness
+    assert {f for f, _, _ in LIST_SOLVERS} == set(FAMILIES) - {"chordal-lemma"}
     for family, (least, _, instances) in FAMILIES.items():
-        _, _, _, claim = next(instances(least, least + 3, random.Random(0)))
-        claims[family] = type(claim())
-    claims_verdicts = {f for f, kind in claims.items() if kind is Verdict}
-    assert claims_verdicts == {f for f, _, _ in WITNESS_SOLVERS} == {"ladder"}
-    claims_lists = {f for f, kind in claims.items() if kind is list}
-    assert claims_lists == {f for f, _, _ in LIST_SOLVERS} | {"chordal-lemma"}
+        for _, g, _, claim in instances(least, least + 3, random.Random(0)):
+            values = claim()
+            assert type(values) is list and len(values) == g.n, family
+            assert all(type(v) is int for v in values), family
+            if family == "chordal-lemma":
+                assert values == [1] * g.n
 
 
 def _far_witness(claim):
     """A claim whose winner and value are right but whose witness is no
-    vertex, or None for a second-player win.  A Verdict names vertex
-    10 ** 6.  A list has each 0 replaced by its mex + 1, which keeps
-    the mex, and one 0 appended past the last vertex."""
-    if isinstance(claim, Verdict):
-        if claim.witness is None:
-            return None
-        return dataclasses.replace(claim, witness=10 ** 6)
+    vertex, or None for a second-player win: each 0 replaced by its
+    mex + 1, which keeps the mex, and one 0 appended past the last
+    vertex."""
     value = mex(claim)
     if value == 0:
         return None
     return [v or value + 1 for v in claim] + [0]
 
 
-@pytest.mark.parametrize("family,solver,max_n",
-                         WITNESS_SOLVERS + LIST_SOLVERS,
-                         ids=[f for f, _, _ in WITNESS_SOLVERS + LIST_SOLVERS])
+@pytest.mark.parametrize("family,solver,max_n", LIST_SOLVERS,
+                         ids=[f for f, _, _ in LIST_SOLVERS])
 def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
         monkeypatch, family, solver, max_n):
     original = getattr(solvers, solver)
@@ -922,10 +944,6 @@ def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
     # every first-player win, and only those, is flagged
     assert wins and len(report.mismatches) == len(wins)
     for m, (claim, wrong) in zip(report.mismatches, wins):
-        if isinstance(claim, Verdict):
-            assert m["solver"] == wrong.to_json_dict()
-            assert m["oracle"] == claim.to_json_dict()
-            continue
         assert m["solver"] == wrong and m["oracle"] == claim
         # the winner and value claims still agree; the witness does not
         verdict = Verdict.from_openings(claim)
@@ -956,8 +974,8 @@ def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("family", ["path-free", "ladder"])
 def test_verify_budget_caps_every_engine_search(family):
-    # a list claim is checked through opening_values and the ladder's
-    # Verdict through decide; the budget reaches both
+    # every claim is checked through opening_values, which the budget
+    # reaches, in the free and in the connected game
     code, out, err = run_cli(["verify", "--family", family, "--max-n", "12",
                               "--budget", "5", "--json"])
     assert code == 3
@@ -967,15 +985,15 @@ def test_verify_budget_caps_every_engine_search(family):
 
 def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):
     # the corner is the ladder's winning opening; its neighbour is not
-    original = solvers.ladder_connected_winner
+    original = solvers.ladder_connected_values
 
     def next_to_the_corner(n):
-        verdict = original(n)
-        if verdict.witness is None:
-            return verdict
-        return dataclasses.replace(verdict, witness=1)
+        values = original(n)
+        values[0], values[1] = values[1], values[0]
+        return values
 
-    monkeypatch.setattr(solvers, "ladder_connected_winner", next_to_the_corner)
+    monkeypatch.setattr(solvers, "ladder_connected_values",
+                        next_to_the_corner)
     code, out, _ = run_cli(["verify", "--family", "ladder", "--max-n", "7",
                             "--json"])
     assert code == 1
@@ -983,8 +1001,26 @@ def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):
     assert report["instances"] == 7
     assert [m["instance"]["n"] for m in report["mismatches"]] == [3, 6]
     for m in report["mismatches"]:
-        assert m["solver"] == {"winner": "first", "grundy": 1, "witness": 1}
-        assert m["oracle"] == {"winner": "first", "grundy": 1, "witness": 0}
+        claim, truth = m["solver"], m["oracle"]
+        assert truth[:2] == [0, 3] and claim == [3, 0] + truth[2:]
+        assert Verdict.from_openings(claim) == Verdict(Player.FIRST, 1, 1)
+        assert Verdict.from_openings(truth) == Verdict(Player.FIRST, 1, 0)
+
+
+def test_verify_catches_a_wrong_ladder_value_that_keeps_every_verdict(
+        monkeypatch):
+    # a 3 raised to 4 leaves the mex and the lowest 0 where they were,
+    # so only the list, not a verdict, shows the error
+    original = solvers.ladder_connected_values
+    monkeypatch.setattr(solvers, "ladder_connected_values",
+                        lambda n: [4 if v == 3 else v for v in original(n)])
+    report = run_family("ladder", 13)
+    assert report.instances == 13
+    assert [m["instance"]["n"] for m in report.mismatches] == [3, 6, 9, 12]
+    for m in report.mismatches:
+        assert m["solver"] != m["oracle"]
+        assert Verdict.from_openings(m["solver"]) == \
+            Verdict.from_openings(m["oracle"])
 
 
 # =====================================================================

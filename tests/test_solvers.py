@@ -12,11 +12,12 @@ from p3game import (Player, Position, Variant, Verdict,
                     component_free_values, components, connected_block_values,
                     connected_cycle_grundy, connected_cycle_values,
                     free_path_grundy_table, grundy, hull, induced_subgraph,
-                    ladder_connected_winner, make_caterpillar, make_clique,
-                    make_cycle, make_ladder, make_path, make_star, mask_of,
-                    mex, nim_sum, opening_values, random_caterpillar,
-                    random_chordal, random_cograph, random_gnp, random_tree,
-                    start_position, tree_connected_grundy)
+                    ladder_connected_values, ladder_connected_winner,
+                    make_caterpillar, make_clique, make_cycle, make_ladder,
+                    make_path, make_star, mask_of, mex, nim_sum,
+                    opening_values, random_caterpillar, random_chordal,
+                    random_cograph, random_gnp, random_tree, start_position,
+                    tree_connected_grundy)
 from p3game import solvers
 from p3game.graphs import Graph
 
@@ -170,6 +171,18 @@ def test_free_cycle_five_is_a_first_player_win():
 # =====================================================================
 # ladders
 # =====================================================================
+
+def test_ladder_values_rule():
+    # n mod 3 is 1 or 2: every opening is worth n mod 3; n mod 3 is 0:
+    # the corners 0, n-1, n and 2n-1 are worth 0, the rest 3
+    assert ladder_connected_values(1) == [1, 1]
+    assert ladder_connected_values(2) == [2] * 4
+    assert ladder_connected_values(3) == [0, 3, 0, 0, 3, 0]
+    assert ladder_connected_values(6) == [0, 3, 3, 3, 3, 0] * 2
+    assert ladder_connected_values(7) == [1] * 14
+    with pytest.raises(ValueError):
+        ladder_connected_values(0)
+
 
 def test_ladder_winner_formula_symbolically_to_1000():
     for n in range(1, 1001):
