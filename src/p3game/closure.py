@@ -100,7 +100,8 @@ class Position:
 
     Between moves L is always P3-closed, and in the Connected variant a
     nonempty L induces a connected subgraph.  Both invariants are checked
-    at construction time.
+    at construction time; ``apply_move`` builds positions that hold them
+    by construction.
     """
 
     graph: Graph
@@ -149,7 +150,16 @@ def legal_moves_raw(g: Graph, labeled: int, variant: Variant,
 
 
 def apply_move(p: Position, x: int) -> Position:
-    """Label x and replace the labeled set with its hull."""
+    """Label x and replace the labeled set with its hull.
+
+    The result skips the constructor's checks, which would take the
+    same hull again: a hull is P3-closed, and a legal connected move
+    keeps L connected (x is next to L, or shares a neighbour with it
+    that the hull absorbs).
+    """
     if not (0 <= x < p.graph.n) or not (legal_moves(p) >> x) & 1:
         raise IllegalMoveError("vertex %r is not a legal move" % (x,))
-    return Position(p.graph, hull(p.graph, p.labeled | (1 << x)), p.variant)
+    child = object.__new__(Position)
+    child.__dict__.update(graph=p.graph, variant=p.variant,
+                          labeled=hull(p.graph, p.labeled | (1 << x)))
+    return child

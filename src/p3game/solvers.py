@@ -116,7 +116,8 @@ def ladder_connected_values(n: int) -> list[int]:
     finish the current block on every return visit, so the second
     player always faces a fresh block boundary.  The engine's
     ``opening_values`` confirms the whole list at every n up to 39
-    rungs and at 58, 59 and 60 rungs (the acceptance sweep).
+    rungs and at 58, 59, 60, 88, 89 and 90 rungs (the acceptance
+    sweep).
     """
     if n < 1:
         raise ValueError("ladder needs at least one rung")

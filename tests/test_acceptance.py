@@ -76,9 +76,9 @@ def test_connected_path_sweep_reaches_600_vertices():
 def test_ladder_sweep():
     t0 = time.monotonic()
     # the value after each opening against the engine, at every size up
-    # to 39 rungs and at 58, 59 and 60
+    # to 39 rungs and at 58, 59, 60, 88, 89 and 90
     assert passes("ladder", 39) == 39
-    for n in (58, 59, 60):
+    for n in (58, 59, 60, 88, 89, 90):
         assert opening_values(make_ladder(n), Variant.CONNECTED) == \
             ladder_connected_values(n), n
     # the closed form, checked symbolically well past engine reach: the

@@ -9,6 +9,7 @@ import pytest
 from p3game import (IllegalMoveError, Position, Variant, apply_move, bits,
                     hull, legal_moves, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mask_of, random_gnp, start_position)
+from p3game import closure
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import atlas_graphs, connected_atlas_graphs
@@ -326,6 +327,34 @@ def test_apply_move_rejects_illegal_moves():
         apply_move(p, 0)  # already labeled
     with pytest.raises(IllegalMoveError):
         apply_move(p, 9)  # not a vertex
+
+
+def test_apply_move_takes_one_hull_and_a_valid_position(monkeypatch):
+    # apply_move trusts the hull it has just taken instead of taking it
+    # again to validate the result; every position it reaches on the
+    # small graphs, in both variants, equals the fully checked
+    # Position built from the same labeled set
+    calls = []
+    take_hull = closure.hull_and_boundary
+
+    def counted(*args):
+        calls.append(None)
+        return take_hull(*args)
+
+    monkeypatch.setattr(closure, "hull_and_boundary", counted)
+    for g in atlas_graphs(6):
+        for variant in Variant:
+            stack, seen = [start_position(g, variant)], set()
+            while stack:
+                p = stack.pop()
+                for x in bits(legal_moves(p)):
+                    calls.clear()
+                    child = apply_move(p, x)
+                    assert len(calls) == 1
+                    assert child == Position(g, child.labeled, variant)
+                    if child.labeled not in seen:
+                        seen.add(child.labeled)
+                        stack.append(child)
 
 
 def test_apply_move_keeps_variant_and_graph():

@@ -306,14 +306,16 @@ def test_a_boundary_move_hull_is_every_hull_next_to_its_run():
 
 
 def test_the_search_stores_the_same_components(monkeypatch):
-    # pins which positions the search visits and how many hulls it
-    # takes, not only its answers: an optimisation that expands a
-    # different set of components, or takes more hulls per expansion,
+    # pins which positions the search visits, how many hulls it takes
+    # and how many splits it floods, not only its answers: an
+    # optimisation that expands a different set of components, takes
+    # more hulls per expansion or floods a rest it has split before
     # fails here.  Each expansion asks once for its legal moves, and a
     # search from these starts asks nowhere else, so one such call per
     # stored entry means no component is expanded twice
-    calls, expansions = [], []
+    calls, expansions, splits = [], [], []
     take_hull, take_moves = engine.hull_and_boundary, engine.legal_moves_raw
+    take_split = engine.components
 
     def counted(*args):
         calls.append(None)
@@ -323,41 +325,54 @@ def test_the_search_stores_the_same_components(monkeypatch):
         expansions.append(None)
         return take_moves(*args)
 
+    def counted_split(*args):
+        splits.append(None)
+        return take_split(*args)
+
     monkeypatch.setattr(engine, "hull_and_boundary", counted)
     monkeypatch.setattr(engine, "legal_moves_raw", counted_moves)
-    cases = [(make_path(18), Variant.FREE, 154, 1091),
-             (random_tree(17, random.Random(0)), Variant.FREE, 642, 5966),
+    monkeypatch.setattr(engine, "components", counted_split)
+    cases = [(make_path(18), Variant.FREE, 154, 1091, 682),
+             (random_tree(17, random.Random(0)), Variant.FREE, 642, 5966,
+              3612),
              (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2292,
-              21970),
-             (make_ladder(24), Variant.CONNECTED, 646, 3954),
-             (make_cycle(30), Variant.CONNECTED, 840, 3240),
-             (make_ladder(30), Variant.CONNECTED, 988, 6204),
-             (make_path(600), Variant.CONNECTED, 1198, 2394),
-             (make_clique(150), Variant.FREE, 150, 150)]
-    for g, variant, stored, hulls in cases:
+              21970, 8855),
+             (make_ladder(24), Variant.CONNECTED, 646, 3954, 888),
+             (make_cycle(30), Variant.CONNECTED, 840, 3240, 926),
+             (make_ladder(30), Variant.CONNECTED, 988, 6204, 1377),
+             (make_path(600), Variant.CONNECTED, 1198, 2394, 1202),
+             (make_clique(150), Variant.FREE, 150, 150, 300)]
+    for g, variant, stored, hulls, floods in cases:
         calls.clear()
         expansions.clear()
+        splits.clear()
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
         assert len(table) == len(table.entries[variant]) == stored
         assert len(expansions) == stored
         assert len(calls) == hulls
+        assert len(splits) == floods
 
 
 def test_an_aborted_search_stores_only_final_values():
     # a budget abort may leave entries behind in the table, and each
     # must be the value the complete search stores; one entry more
-    # than any abort allowed lets the search finish
+    # than any abort allowed lets the search finish.  The connected
+    # search also keeps the parts of each rest that splits, after an
+    # abort as after the complete search: two or more parts each, and
+    # exactly the components a plain flood of the rest finds
     cases = [(make_path(14), Variant.FREE, 92),
              (make_ladder(8), Variant.CONNECTED, 86),
              (random_gnp(14, 0.2, random.Random(3)), Variant.FREE, 241),
              (make_cycle(16), Variant.CONNECTED, 224)]
+    kept = 0
     for g, variant, count in cases:
         start = start_position(g, variant)
         complete = TranspositionTable(g)
         value = grundy(start, complete)
         assert len(complete) == count
         final = complete.entries[variant]
+        tables = [complete]
         for budget in range(1, count):
             table = TranspositionTable(g, budget)
             with pytest.raises(ResourceLimitError):
@@ -365,7 +380,15 @@ def test_an_aborted_search_stores_only_final_values():
             held = table.entries[variant]
             assert len(held) == budget
             assert all(final[c] == v for c, v in held.items())
+            tables.append(table)
         assert grundy(start, TranspositionTable(g, count)) == value
+        if variant is Variant.CONNECTED:
+            for table in tables:
+                for rest, parts in table.splits.items():
+                    assert len(parts) >= 2
+                    assert set(parts) == set(components(g, rest))
+                kept += len(table.splits)
+    assert kept  # the ladder's rests split; a cycle's arcs never do
 
 
 def test_cycle_search_never_builds_an_arc_missing_one_vertex():
