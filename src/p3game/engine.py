@@ -241,29 +241,13 @@ def grundy(p: Position, table: Optional[TranspositionTable] = None) -> int:
 
 def _position_value(g: Graph, labeled: int, variant: Variant,
                     table: TranspositionTable) -> int:
-    if not labeled:
-        return mex(_opening_values(g, variant, table))
-    edge = g.neighborhood_of_set(labeled) & ~labeled
-    return nim_sum(_component_value(g, c, edge & c, variant, table)
-                   for c in components(g, g.full_mask & ~labeled))
-
-
-def _opening_values(g: Graph, variant: Variant,
-                    table: TranspositionTable) -> list[int]:
-    """The value after each opening, by vertex: in both variants every
-    vertex is a legal opening, and its child is its hull, the vertex
-    alone."""
-    return [_position_value(g, hull(g, 1 << x), variant, table)
-            for x in range(g.n)]
-
-
-def _component_value(g: Graph, comp: int, edge: int, variant: Variant,
-                     table: TranspositionTable) -> int:
-    """val(comp), evaluating what is not yet memoized below it from an
-    explicit stack of (component, boundary, children) entries.  edge is
-    comp's boundary, which the caller cut from the edge N(L) - L of its
-    position; each part d of a child inherits ``ones & d`` from the
-    hull that cut it (module docstring).
+    """The nim-sum of val(C) over the components C of G - L (the mex
+    over the openings when L is empty), evaluating what is not yet
+    memoized from one explicit stack of (component, boundary,
+    children) entries.  The stack starts with every unsolved component
+    of G - L, the first on top, each with its part ``edge & C`` of the
+    edge N(L) - L; each part d of a child inherits ``ones & d`` from
+    the hull that cut it (module docstring).
     A boundary seeds the legal moves and every child's hull, and each
     hull's ``ones`` seeds the split of its child, which the connected
     game looks up in the table's split memo first.  After the hull H of
@@ -274,12 +258,14 @@ def _component_value(g: Graph, comp: int, edge: int, variant: Variant,
     expanded entry with unsolved parts goes back on the stack under
     them, so when it comes up again every part it names is in the
     memo."""
+    if not labeled:
+        return mex(_opening_values(g, variant, table))
     memo = table.entries[variant]
-    if comp in memo:
-        return memo[comp]
     full, adj, nbhd = g.full_mask, g.adj, g.neighborhood_of_set
     split = components if variant is Variant.FREE else table.split
-    stack = [(comp, edge, None)]
+    edge = nbhd(labeled) & ~labeled
+    comps = components(g, full & ~labeled)
+    stack = [(c, edge & c, None) for c in reversed(comps) if c not in memo]
     while stack:
         c, edge, children = stack.pop()
         if children is None:
@@ -319,9 +305,17 @@ def _component_value(g: Graph, comp: int, edge: int, variant: Variant,
             for d in parts:
                 v ^= memo[d]
             values.append(v)
-        value = mex(values)
-        table.store(c, variant, value)
-    return value
+        table.store(c, variant, mex(values))
+    return nim_sum(memo[c] for c in comps)
+
+
+def _opening_values(g: Graph, variant: Variant,
+                    table: TranspositionTable) -> list[int]:
+    """The value after each opening, by vertex: in both variants every
+    vertex is a legal opening, and its child is its hull, the vertex
+    alone."""
+    return [_position_value(g, hull(g, 1 << x), variant, table)
+            for x in range(g.n)]
 
 
 def opening_values(g: Graph, variant: Variant,

@@ -1,15 +1,17 @@
 """Verification sweeps: family solvers checked against the exhaustive
 engine on every instance small enough to afford.
 
-Every family is one entry of the FAMILIES table: its smallest size, the
-error for a smaller one, and its instances, each paired with the call
-that makes the solver's claim: the value after each opening, by vertex.
-run_family makes each claim, runs one engine search (opening_values) per
-instance, and returns a VerifyReport listing any disagreement; an
-instance whose solver or engine raises is a disagreement too.  A claim
-must equal the engine's list value for value, so a wrong winner, value
-or witness is a disagreement, and so is a wrong value above the mex
-that leaves the verdict right.  Reports are
+Every family is one line of the FAMILIES table, a Family of plain
+data: the SIZED_FAMILIES entry that builds its graphs, the variant, the
+call that makes the solver's claim (the value after each opening, by
+vertex), and how its instances are chosen.  Its smallest size is the one
+SIZED_FAMILIES gives and `gen` checks, and a smaller max_n gets the same
+error in every family.  run_family makes each claim, runs one engine
+search (opening_values) per instance, and returns a VerifyReport
+listing any disagreement; an instance whose solver or engine raises is
+a disagreement too.  A claim must equal the engine's list value for
+value, so a wrong winner, value or witness is a disagreement, and so is
+a wrong value above the mex that leaves the verdict right.  Reports are
 deterministic for a given seed: instances are generated by a seeded RNG
 and compared in instance order.  Elapsed time is kept out of the JSON
 projection so identical runs stay byte-identical; it appears only in the
@@ -18,7 +20,6 @@ human-readable table.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -65,40 +66,37 @@ class VerifyReport:
 # ---------------------------------------------------------------------
 
 class Family(NamedTuple):
-    """One sweep.  ``instances(least, max_n, rng)`` yields (descriptor,
-    graph, variant, claim) in sweep order, where ``claim()`` calls the
-    solver; ``too_small`` is the error, formatted with ``least``, for a
-    max_n below the smallest size ``least``."""
+    """One sweep, declared as data.  ``sized`` names its graphs in
+    SIZED_FAMILIES, which gives their smallest size and builder;
+    ``variant`` is the game the engine plays on them; ``claim(size,
+    graph)`` calls the solver.  ``samples`` counts the random graphs of
+    the sweep, each of a size drawn from the smallest to max_n; 0 means
+    one instance per size instead, described by ``{key: size}``.
+    ``classes`` is a vertex limit: the sweep opens with every
+    isomorphism class of trees up to it (and up to max_n)."""
 
-    least: int
-    too_small: str
-    instances: Callable
+    sized: str
+    variant: Variant
+    claim: Callable
+    samples: int = 0
+    classes: int = 0
+    key: str = "n"
 
-
-def _each_size(family, too_small, variant, claim, key="n"):
-    """A sweep with one instance per size of a sized family, claimed by
-    claim(size, graph)."""
-    smallest, build = SIZED_FAMILIES[family]
-
-    def instances(least, max_n, rng):
-        for n in range(least, max_n + 1):
-            g = build(n, rng)
-            yield {key: n}, g, variant, partial(claim, n, g)
-    return Family(smallest, too_small, instances)
-
-
-def _samples(family, too_small, count, variant, claim):
-    """A sweep over ``count`` random graphs of a sized family, each of a
-    size drawn from least..max_n and claimed by claim(size, graph)."""
-    smallest, build = SIZED_FAMILIES[family]
-
-    def instances(least, max_n, rng):
-        for k in range(count):
+    def instances(self, max_n: int, rng: random.Random):
+        """(descriptor, graph, claim) in sweep order, with ``claim()``
+        calling the solver on that graph."""
+        least, build = SIZED_FAMILIES[self.sized]
+        for n, idx, t in enumerate_trees(min(max_n, self.classes)):
+            yield {"class": [n, idx]}, t, partial(self.claim, n, t)
+        if not self.samples:
+            for n in range(least, max_n + 1):
+                g = build(n, rng)
+                yield {self.key: n}, g, partial(self.claim, n, g)
+        for k in range(self.samples):
             n = rng.randint(least, max_n)
             g = build(n, rng)
-            yield ({"sample": k, "n": n, "edges": g.edges()}, g, variant,
-                   partial(claim, n, g))
-    return Family(smallest, too_small, instances)
+            yield ({"sample": k, "n": n, "edges": g.edges()}, g,
+                   partial(self.claim, n, g))
 
 
 def _next_rooted(levels):
@@ -174,47 +172,27 @@ def _free(n, g):
     return solvers.component_free_values(g)
 
 
-_TREES = _samples("tree", "trees need at least %d vertex", 200, CONNECTED,
-                  _block)
-
 FAMILIES = {
-    "path-free": _each_size("path", "paths need at least %d vertex", FREE,
-                            _free),
-    "path-connected": _each_size("path", "paths need at least %d vertex",
-                                 CONNECTED, _block),
-    "cycle-free": _each_size("cycle", "cycles need at least %d vertices",
-                             FREE, _free),
-    "cycle-connected": _each_size(
-        "cycle", "cycles need at least %d vertices", CONNECTED,
-        lambda n, g: solvers.connected_cycle_values(n)),
-    "ladder": _each_size("ladder", "ladders need at least %d rung",
-                         CONNECTED,
-                         lambda n, g: solvers.ladder_connected_values(n)),
+    "path-free": Family("path", FREE, _free),
+    "path-connected": Family("path", CONNECTED, _block),
+    "cycle-free": Family("cycle", FREE, _free),
+    "cycle-connected": Family(
+        "cycle", CONNECTED, lambda n, g: solvers.connected_cycle_values(n)),
+    "ladder": Family(
+        "ladder", CONNECTED, lambda n, g: solvers.ladder_connected_values(n)),
     # every isomorphism class up to 9 vertices, then 200 random trees
-    "tree": _TREES._replace(
-        instances=lambda least, max_n, rng: itertools.chain(
-            (({"class": [n, idx]}, t, CONNECTED, partial(_block, n, t))
-             for n, idx, t in enumerate_trees(min(max_n, 9))),
-            _TREES.instances(least, max_n, rng))),
-    "caterpillar": _samples("caterpillar",
-                            "caterpillars need at least %d vertex", 200,
-                            CONNECTED, _block),
-    "cograph": _samples("cograph", "cographs need at least %d vertex", 200,
-                        FREE, _free),
-    "star": _each_size("star", "stars need at least %d leaves", FREE,
-                       _free, key="t"),
-    "clique": _each_size("clique", "cliques need at least %d vertex", FREE,
-                         _free),
+    "tree": Family("tree", CONNECTED, _block, samples=200, classes=9),
+    "caterpillar": Family("caterpillar", CONNECTED, _block, samples=200),
+    "cograph": Family("cograph", FREE, _free, samples=200),
+    "star": Family("star", FREE, _free, key="t"),
+    "clique": Family("clique", FREE, _free),
     # On a chordal graph with no cut vertex, the hull of any two vertices
     # at distance <= 2 is the whole vertex set: the lemma that makes the
     # block solver exact on one chordal block.
-    "chordal-lemma": _samples(
-        "chordal", "biconnected chordal graphs need at least %d vertices",
-        100, CONNECTED, _block),
+    "chordal-lemma": Family("chordal", CONNECTED, _block, samples=100),
     # chordal graphs with cut vertices, whose blocks the lemma closes
-    "chordal-connected": _samples(
-        "glued-chordal", "chordal graphs need at least %d vertex", 200,
-        CONNECTED, _block),
+    "chordal-connected": Family("glued-chordal", CONNECTED, _block,
+                                samples=200),
 }
 
 
@@ -222,24 +200,28 @@ def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyRep
     """Check one family's solver against the engine on its instances up
     to size max_n, drawing samples from random.Random(seed).
 
-    An unknown family or a max_n below the family's smallest size raises
-    ValueError.  An instance whose solver or engine raises anything but
-    ResourceLimitError is a mismatch whose solver side is the error."""
+    An unknown family, a max_n below the family's smallest size in
+    SIZED_FAMILIES or a budget below 1 raises ValueError before any
+    instance is built.  An instance whose solver or engine raises
+    anything but ResourceLimitError is a mismatch whose solver side is
+    the error."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(sorted(FAMILIES))))
-    least, too_small, instances = FAMILIES[family]
+    fam = FAMILIES[family]
+    least = SIZED_FAMILIES[fam.sized][0]
     if max_n < least:
-        raise ValueError(too_small % least)
+        raise ValueError("--family %s needs --max-n >= %d" % (family, least))
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be positive")
     start = time.monotonic()
     count = 0
     mismatches = []
-    for descriptor, g, variant, claim in instances(least, max_n,
-                                                   random.Random(seed)):
+    for descriptor, g, claim in fam.instances(max_n, random.Random(seed)):
         count += 1
         try:
             solver_val = claim()
-            oracle_val = opening_values(g, variant, budget=budget)
+            oracle_val = opening_values(g, fam.variant, budget=budget)
         except ResourceLimitError:
             raise
         except Exception as exc:

@@ -1,13 +1,14 @@
 """Shared test utilities: conversion to/from networkx, enumeration of
 small graphs (one representative per isomorphism class), disjoint
-unions, and the graph invariant check run on every generator output."""
+unions and their opening values, and the graph invariant check run on
+every generator output."""
 
 import itertools
 from functools import lru_cache
 
 import networkx as nx
 
-from p3game import Graph, bits, mask_of
+from p3game import Graph, Variant, bits, mask_of, mex, nim_sum
 
 
 def nx_to_graph(g) -> Graph:
@@ -52,6 +53,18 @@ def disjoint_union(parts) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in p.edges())
         offset += p.n
     return Graph(offset, edges)
+
+
+def union_openings(lists, variant: Variant) -> list:
+    """The value after each opening of ``disjoint_union`` of some parts,
+    by vertex, from ``lists``, each part's own.  In the connected game
+    play stays in the opened part, so the lists are concatenated; in the
+    free game every other part adds its value (the mex of its list) by
+    nim-sum."""
+    if variant is Variant.CONNECTED:
+        return [v for values in lists for v in values]
+    total = nim_sum(mex(values) for values in lists)
+    return [v ^ total ^ mex(values) for values in lists for v in values]
 
 
 def has_induced_p4(g: Graph) -> bool:

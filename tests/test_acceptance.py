@@ -210,8 +210,8 @@ def test_disjoint_union_grundy_is_the_nim_sum():
 
 def _lemma_samples(max_n):
     """The graphs of the chordal-lemma sweep up to max_n, at seed 0."""
-    least, _, instances = FAMILIES["chordal-lemma"]
-    return [g for _, g, _, _ in instances(least, max_n, random.Random(0))]
+    return [g for _, g, _ in FAMILIES["chordal-lemma"].instances(
+        max_n, random.Random(0))]
 
 
 def test_chordal_distance_two_pairs_span_everything():

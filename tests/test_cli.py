@@ -26,7 +26,7 @@ from p3game import (Player, TranspositionTable, Variant, Verdict,
                     start_position)
 from p3game import cli, solvers, verify
 from p3game.cli import CacheCorruptionError, ResultCache, main
-from p3game.graphs import bits, random_gnp
+from p3game.graphs import SIZED_FAMILIES, bits, random_gnp
 from p3game.verify import FAMILIES, enumerate_trees, run_family
 
 from helpers import connected_atlas_graphs, graph_to_nx
@@ -713,13 +713,6 @@ def test_verify_table_columns_line_up_for_every_family():
         assert ends[0] == ends[1], family
 
 
-def test_verify_tree_below_its_minimum_size_names_it():
-    code, out, err = run_cli(["verify", "--family", "tree", "--max-n", "0"])
-    assert code == 2
-    assert out == ""
-    assert err == "error: trees need at least 1 vertex\n"
-
-
 def test_verify_rejects_unknown_family():
     code, out, err = run_cli(["verify", "--family", "moebius",
                               "--max-n", "4"])
@@ -758,8 +751,7 @@ def test_sampled_families_draw_pinned_graphs():
     digest = hashlib.sha256()
     count = 0
     for family, max_n in sizes.items():
-        least, _, instances = FAMILIES[family]
-        for _, g, _, _ in instances(least, max_n, random.Random(0)):
+        for _, g, _ in FAMILIES[family].instances(max_n, random.Random(0)):
             digest.update(emit_graph(g))
             count += 1
     assert count == 95 + 200 + 200 + 200 + 100 + 200
@@ -779,31 +771,46 @@ def test_sweep_instance_counts_match_the_bench_pins():
     sizes = workloads["sweep"]["families"]
     assert set(sizes) == set(pins)
     for family, max_n in sizes.items():
-        least, _, instances = FAMILIES[family]
-        count = sum(1 for _ in instances(least, max_n, random.Random(0)))
+        count = sum(1 for _ in FAMILIES[family].instances(max_n,
+                                                          random.Random(0)))
         assert count == pins[family], family
 
 
-@pytest.mark.parametrize("family,max_n,message", [
-    ("path-free", 0, "paths need at least 1 vertex"),
-    ("path-connected", 0, "paths need at least 1 vertex"),
-    ("cycle-free", 2, "cycles need at least 3 vertices"),
-    ("cycle-connected", 2, "cycles need at least 3 vertices"),
-    ("ladder", 0, "ladders need at least 1 rung"),
-    ("clique", 0, "cliques need at least 1 vertex"),
-    ("star", -1, "stars need at least 0 leaves"),
-    ("caterpillar", 0, "caterpillars need at least 1 vertex"),
-    ("cograph", 0, "cographs need at least 1 vertex"),
-    ("chordal-connected", 0, "chordal graphs need at least 1 vertex"),
-])
+# family, a max_n just below its floor, and the floor, written here by
+# hand as a pin apart from SIZED_FAMILIES; each id says the floor in
+# words
+BELOW_THE_FLOOR = [
+    ("path-free", 0, 1, "paths need at least 1 vertex"),
+    ("path-connected", 0, 1, "paths need at least 1 vertex"),
+    ("cycle-free", 2, 3, "cycles need at least 3 vertices"),
+    ("cycle-connected", 2, 3, "cycles need at least 3 vertices"),
+    ("ladder", 0, 1, "ladders need at least 1 rung"),
+    ("clique", 0, 1, "cliques need at least 1 vertex"),
+    ("star", -1, 0, "stars need at least 0 leaves"),
+    ("caterpillar", 0, 1, "caterpillars need at least 1 vertex"),
+    ("cograph", 0, 1, "cographs need at least 1 vertex"),
+    ("chordal-connected", 0, 1, "chordal graphs need at least 1 vertex"),
+    ("tree", 0, 1, "trees need at least 1 vertex"),
+    ("chordal-lemma", 2, 3,
+     "biconnected chordal graphs need at least 3 vertices"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,max_n,floor", [case[:3] for case in BELOW_THE_FLOOR],
+    ids=["%s-%d-%s" % (f, m, words) for f, m, _, words in BELOW_THE_FLOOR])
 def test_verify_below_the_family_minimum_is_a_usage_error(family, max_n,
-                                                          message):
-    # a range with no instance would otherwise check nothing and pass
+                                                          floor):
+    # a range with no instance would otherwise check nothing and pass;
+    # every family words the error alike, from its SIZED_FAMILIES floor
+    assert {case[0] for case in BELOW_THE_FLOOR} == set(FAMILIES)
     code, out, err = run_cli(["verify", "--family", family,
                               "--max-n", str(max_n), "--json"])
     assert code == 2
     assert out == ""
-    assert err == "error: %s\n" % message
+    assert err == "error: --family %s needs --max-n >= %d\n" % (family,
+                                                                 floor)
+    assert run_family(family, floor).instances > 0
 
 
 def _one_more(values, *_):
@@ -875,8 +882,8 @@ def test_verify_catches_a_wrong_value_above_the_mex(monkeypatch, family,
         monkeypatch.setattr(solvers, name,
                             above_the_mex(getattr(solvers, name)))
     report = run_family(family, 9)
-    least, _, instances = FAMILIES[family]
-    descriptors = [d for d, _, _, _ in instances(least, 9, random.Random(0))]
+    descriptors = [d for d, _, _ in FAMILIES[family].instances(
+        9, random.Random(0))]
     assert len(flagged) == report.instances == len(descriptors)
     assert [m["instance"] for m in report.mismatches] == \
         [d for d, hit in zip(descriptors, flagged) if hit]
@@ -904,8 +911,10 @@ def test_every_family_claims_the_value_after_each_opening():
     # second label closes the block, so every opening is worth 1 and
     # chordal-lemma has no witness
     assert {f for f, _, _ in LIST_SOLVERS} == set(FAMILIES) - {"chordal-lemma"}
-    for family, (least, _, instances) in FAMILIES.items():
-        for _, g, _, claim in instances(least, least + 3, random.Random(0)):
+    for family, fam in FAMILIES.items():
+        assert fam.sized in SIZED_FAMILIES, family
+        least = SIZED_FAMILIES[fam.sized][0]
+        for _, g, claim in fam.instances(least + 3, random.Random(0)):
             values = claim()
             assert type(values) is list and len(values) == g.n, family
             assert all(type(v) is int for v in values), family
@@ -981,6 +990,13 @@ def test_verify_budget_caps_every_engine_search(family):
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit: ")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_verify_rejects_a_nonpositive_budget_before_the_sweep(budget):
+    # the budget is the caller's error, not a mismatch of every instance
+    with pytest.raises(ValueError, match="budget must be positive"):
+        run_family("path-free", 4, budget=budget)
 
 
 def test_verify_rejects_a_witness_that_leaves_a_winning_child(monkeypatch):

@@ -1,6 +1,6 @@
 """Exhaustive engine: mex/nim-sum arithmetic, known verdicts, memo table
 discipline, budgets, determinism, witness correctness, agreement with the
-plain whole-graph search, and the product theorem on disjoint unions."""
+plain whole-graph search, and the opening values of disjoint unions."""
 
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +16,8 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
 from p3game import engine
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
-from helpers import atlas_graphs, connected_atlas_graphs
+from helpers import (atlas_graphs, connected_atlas_graphs, disjoint_union,
+                     union_openings)
 from reference import (child_masks, is_p3_closed, reference_decide,
                        reference_grundy)
 
@@ -454,31 +455,29 @@ def test_decide_matches_the_whole_graph_search_on_random_graphs():
 
 
 # =====================================================================
-# product theorem on disjoint unions (free variant)
+# disjoint unions: the product theorem and the opening lists
 # =====================================================================
-
-def _disjoint_union(parts):
-    n = sum(p.n for p in parts)
-    edges, base = [], 0
-    for p in parts:
-        edges += [(u + base, v + base) for u, v in p.edges()]
-        base += p.n
-    return Graph(n, edges)
-
 
 def test_free_game_value_of_union_is_nim_sum():
     rng = random.Random(22)
     menu = [make_path(k) for k in range(1, 6)] + \
-           [make_cycle(k) for k in range(3, 7)]
+           [make_cycle(k) for k in range(3, 7)] + \
+           [random_tree(k, random.Random(k)) for k in range(1, 7)]
     for _ in range(25):
         parts = [rng.choice(menu)]
         while sum(p.n for p in parts) < 10 and rng.random() < 0.7:
             parts.append(rng.choice(menu))
-        union = _disjoint_union(parts)
+        union = disjoint_union(parts)
         whole = grundy(start_position(union, Variant.FREE))
         split = nim_sum(grundy(start_position(p, Variant.FREE))
                         for p in parts)
         assert whole == split
+        # opening by opening, in both games: the connected opening picks
+        # the part that play stays in, and in the free game the other
+        # parts add their values by nim-sum
+        for variant in Variant:
+            assert opening_values(union, variant) == union_openings(
+                [opening_values(p, variant) for p in parts], variant)
 
 
 # =====================================================================

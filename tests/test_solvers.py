@@ -22,7 +22,7 @@ from p3game import solvers
 from p3game.graphs import Graph
 
 from helpers import (atlas_graphs, disjoint_union, graph_to_nx,
-                     has_induced_p4)
+                     has_induced_p4, union_openings)
 from reference import (connected_cycle_arc_values, fenced_run_table,
                        free_cycles_by_reduction, reference_decide,
                        reference_grundy)
@@ -603,6 +603,29 @@ def test_component_solver_matches_engine_on_mixed_unions():
         g = Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
         assert component_free_values(g) == \
             opening_values(g, Variant.FREE), g.edges()
+
+
+def test_solvers_open_a_union_as_its_parts():
+    # past the engine's reach: parts of up to 60 vertices, each solved
+    # alone, against the whole union; connected_block_values on trees
+    # and chordal graphs, component_free_values on paths, cycles and
+    # joins (cographs, some of them disconnected)
+    rng = random.Random(38)
+    builds = {
+        Variant.CONNECTED: (connected_block_values,
+                            [random_tree, random_chordal]),
+        Variant.FREE: (component_free_values,
+                       [lambda n, rng: make_path(n),
+                        lambda n, rng: make_cycle(max(n, 3)),
+                        random_cograph]),
+    }
+    for variant, (solve, kinds) in builds.items():
+        for _ in range(40):
+            parts = [rng.choice(kinds)(rng.randint(1, 60), rng)
+                     for _ in range(rng.randint(2, 4))]
+            assert solve(disjoint_union(parts)) == \
+                union_openings([solve(p) for p in parts], variant), \
+                [p.edges() for p in parts]
 
 
 # =====================================================================
