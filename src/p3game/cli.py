@@ -416,7 +416,3 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         print("resource limit: %s" % (str(exc) or "out of memory"),
               file=stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

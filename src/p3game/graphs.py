@@ -87,8 +87,9 @@ class Graph:
         """The graph with adjacency rows ``rows``, unchecked: the caller
         guarantees they are symmetric, loop-free and in range.  For
         builders whose rows are right by construction (a complement, a
-        random cograph), where the edge-by-edge constructor would spend
-        time quadratic in n on edge tuples and checks."""
+        random cograph or chordal block), where the edge-by-edge
+        constructor would spend time quadratic in n on edge tuples and
+        checks."""
         g = cls.__new__(cls)
         g.n, g.adj = len(rows), tuple(rows)
         g._hash = hash((g.n, g.adj))
@@ -411,24 +412,21 @@ def random_biconnected_chordal(n: int, rng: random.Random) -> Graph:
     graph chordal and 2-connected)."""
     if n < 3:
         raise ValueError("need at least three vertices")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+    rows = [0b110, 0b101, 0b011] + [0] * (n - 3)
     for v in range(3, n):
         u = rng.randrange(v)
-        w = rng.choice(sorted(adj[u]))
-        base = [u, w]
+        w = rng.choice(list(bits(rows[u])))
+        base = 1 << u | 1 << w
         # optionally grow the attachment clique with common neighbors
-        common = sorted(adj[u] & adj[w])
+        common = rows[u] & rows[w]
         while common and rng.random() < 0.5:
-            pick = rng.choice(common)
-            base.append(pick)
-            common = sorted(set(common) & adj[pick] - set(base))
-        adj[v] = set()
-        for b in base:
-            edges.append((b, v))
-            adj[v].add(b)
-            adj[b].add(v)
-    return Graph(n, edges)
+            pick = rng.choice(list(bits(common)))
+            base |= 1 << pick
+            common &= rows[pick] & ~base
+        rows[v] = base
+        for b in bits(base):
+            rows[b] |= 1 << v
+    return Graph._from_rows(rows)
 
 
 def random_chordal(n: int, rng: random.Random) -> Graph:

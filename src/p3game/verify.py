@@ -4,9 +4,11 @@ engine on every instance small enough to afford.
 Every family is one line of the FAMILIES table, a Family of plain
 data: the SIZED_FAMILIES entry that builds its graphs, the variant, the
 call that makes the solver's claim (the value after each opening, by
-vertex), and how its instances are chosen.  Its smallest size is the one
-SIZED_FAMILIES gives and `gen` checks, and a smaller max_n gets the same
-error in every family.  run_family makes each claim, runs one engine
+vertex) from the graph alone, and how its instances are chosen.  Its
+smallest size is the one SIZED_FAMILIES gives and `gen` checks, and a
+smaller max_n gets the same error in every family.  An instance is a
+(descriptor, graph) pair; a per-size descriptor is {"n": size}, the
+size `gen --n` takes.  run_family makes each claim, runs one engine
 search (opening_values) per instance, and returns a VerifyReport
 listing any disagreement; an instance whose solver or engine raises is
 a disagreement too.  A claim must equal the engine's list value for
@@ -23,7 +25,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import solvers
@@ -68,10 +69,10 @@ class VerifyReport:
 class Family(NamedTuple):
     """One sweep, declared as data.  ``sized`` names its graphs in
     SIZED_FAMILIES, which gives their smallest size and builder;
-    ``variant`` is the game the engine plays on them; ``claim(size,
-    graph)`` calls the solver.  ``samples`` counts the random graphs of
-    the sweep, each of a size drawn from the smallest to max_n; 0 means
-    one instance per size instead, described by ``{key: size}``.
+    ``variant`` is the game the engine plays on them; ``claim(graph)``
+    calls the solver.  ``samples`` counts the random graphs of the
+    sweep, each of a size drawn from the smallest to max_n; 0 means one
+    instance per size instead, described by ``{"n": size}``.
     ``classes`` is a vertex limit: the sweep opens with every
     isomorphism class of trees up to it (and up to max_n)."""
 
@@ -80,23 +81,19 @@ class Family(NamedTuple):
     claim: Callable
     samples: int = 0
     classes: int = 0
-    key: str = "n"
 
     def instances(self, max_n: int, rng: random.Random):
-        """(descriptor, graph, claim) in sweep order, with ``claim()``
-        calling the solver on that graph."""
+        """(descriptor, graph) in sweep order."""
         least, build = SIZED_FAMILIES[self.sized]
         for n, idx, t in enumerate_trees(min(max_n, self.classes)):
-            yield {"class": [n, idx]}, t, partial(self.claim, n, t)
+            yield {"class": [n, idx]}, t
         if not self.samples:
             for n in range(least, max_n + 1):
-                g = build(n, rng)
-                yield {self.key: n}, g, partial(self.claim, n, g)
+                yield {"n": n}, build(n, rng)
         for k in range(self.samples):
             n = rng.randint(least, max_n)
             g = build(n, rng)
-            yield ({"sample": k, "n": n, "edges": g.edges()}, g,
-                   partial(self.claim, n, g))
+            yield {"sample": k, "n": n, "edges": g.edges()}, g
 
 
 def _next_rooted(levels):
@@ -160,15 +157,15 @@ def enumerate_trees(max_n: int):
     return out
 
 
-# A family's claim is claim(size, graph).  Each claim names its
+# A family's claim is claim(graph).  Each claim names its
 # solver as solvers.<name> inside its body, so the solver is looked up
 # when the claim is made and a patched solver is the one checked.
 
-def _block(n, g):
+def _block(g):
     return solvers.connected_block_values(g)
 
 
-def _free(n, g):
+def _free(g):
     return solvers.component_free_values(g)
 
 
@@ -177,14 +174,15 @@ FAMILIES = {
     "path-connected": Family("path", CONNECTED, _block),
     "cycle-free": Family("cycle", FREE, _free),
     "cycle-connected": Family(
-        "cycle", CONNECTED, lambda n, g: solvers.connected_cycle_values(n)),
+        "cycle", CONNECTED, lambda g: solvers.connected_cycle_values(g.n)),
     "ladder": Family(
-        "ladder", CONNECTED, lambda n, g: solvers.ladder_connected_values(n)),
+        "ladder", CONNECTED,
+        lambda g: solvers.ladder_connected_values(g.n // 2)),
     # every isomorphism class up to 9 vertices, then 200 random trees
     "tree": Family("tree", CONNECTED, _block, samples=200, classes=9),
     "caterpillar": Family("caterpillar", CONNECTED, _block, samples=200),
     "cograph": Family("cograph", FREE, _free, samples=200),
-    "star": Family("star", FREE, _free, key="t"),
+    "star": Family("star", FREE, _free),
     "clique": Family("clique", FREE, _free),
     # On a chordal graph with no cut vertex, the hull of any two vertices
     # at distance <= 2 is the whole vertex set: the lemma that makes the
@@ -217,10 +215,10 @@ def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyRep
     start = time.monotonic()
     count = 0
     mismatches = []
-    for descriptor, g, claim in fam.instances(max_n, random.Random(seed)):
+    for descriptor, g in fam.instances(max_n, random.Random(seed)):
         count += 1
         try:
-            solver_val = claim()
+            solver_val = fam.claim(g)
             oracle_val = opening_values(g, fam.variant, budget=budget)
         except ResourceLimitError:
             raise

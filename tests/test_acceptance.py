@@ -210,7 +210,7 @@ def test_disjoint_union_grundy_is_the_nim_sum():
 
 def _lemma_samples(max_n):
     """The graphs of the chordal-lemma sweep up to max_n, at seed 0."""
-    return [g for _, g, _ in FAMILIES["chordal-lemma"].instances(
+    return [g for _, g in FAMILIES["chordal-lemma"].instances(
         max_n, random.Random(0))]
 
 

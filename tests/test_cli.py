@@ -751,7 +751,7 @@ def test_sampled_families_draw_pinned_graphs():
     digest = hashlib.sha256()
     count = 0
     for family, max_n in sizes.items():
-        for _, g, _ in FAMILIES[family].instances(max_n, random.Random(0)):
+        for _, g in FAMILIES[family].instances(max_n, random.Random(0)):
             digest.update(emit_graph(g))
             count += 1
     assert count == 95 + 200 + 200 + 200 + 100 + 200
@@ -837,7 +837,7 @@ WRONG_ANSWERS = [
     ("cograph", 6, (solvers, "component_free_values"), _one_more,
      [{"sample", "n", "edges"}]),
     ("star", 5, (solvers, "component_free_values"), _one_more,
-     [{"t"}]),
+     [{"n"}]),
     ("clique", 5, (solvers, "component_free_values"), _one_more,
      [{"n"}]),
     ("chordal-lemma", 6, (solvers, "connected_block_values"), _one_more,
@@ -882,7 +882,7 @@ def test_verify_catches_a_wrong_value_above_the_mex(monkeypatch, family,
         monkeypatch.setattr(solvers, name,
                             above_the_mex(getattr(solvers, name)))
     report = run_family(family, 9)
-    descriptors = [d for d, _, _ in FAMILIES[family].instances(
+    descriptors = [d for d, _ in FAMILIES[family].instances(
         9, random.Random(0))]
     assert len(flagged) == report.instances == len(descriptors)
     assert [m["instance"] for m in report.mismatches] == \
@@ -914,8 +914,8 @@ def test_every_family_claims_the_value_after_each_opening():
     for family, fam in FAMILIES.items():
         assert fam.sized in SIZED_FAMILIES, family
         least = SIZED_FAMILIES[fam.sized][0]
-        for _, g, claim in fam.instances(least + 3, random.Random(0)):
-            values = claim()
+        for _, g in fam.instances(least + 3, random.Random(0)):
+            values = fam.claim(g)
             assert type(values) is list and len(values) == g.n, family
             assert all(type(v) is int for v in values), family
             if family == "chordal-lemma":

@@ -73,6 +73,7 @@ def test_edges_sorted_and_counted():
         assert len(es) == g.edge_count()
         for u, v in es:
             assert g.adj[u] >> v & 1 and g.adj[v] >> u & 1
+        assert repr(g) == "Graph(n=%d, m=%d)" % (g.n, len(es))
 
 
 def test_equality_ignores_edge_order_not_structure():
@@ -213,6 +214,8 @@ def test_generator_argument_validation():
         make_clique(0)
     with pytest.raises(ValueError):
         make_ladder(0)
+    with pytest.raises(ValueError):
+        random_gnp(-1, 0.5, random.Random(0))
 
 
 def test_ladder_shape_up_to_100_rungs():
@@ -322,6 +325,8 @@ def test_parse_graph_distinct_diagnostics():
         parse_graph(b'{"n": 2, "edges": [[0, 1], [1, 0]]}')
     with pytest.raises(GraphFormatError, match="nonnegative integer"):
         parse_graph(b'{"n": true, "edges": []}')
+    with pytest.raises(GraphFormatError, match='"edges" must be a list'):
+        parse_graph(b'{"n": 2, "edges": {}}')
     for edge in (b"[0, 1, 2]", b"[0, true]", b"[0, 1.0]", b'["0", 1]',
                  b"5", b"[[0, 1]]"):
         with pytest.raises(GraphFormatError, match="pair of integers"):
