@@ -314,6 +314,8 @@ def _opening_values(g: Graph, variant: Variant,
     """The value after each opening, by vertex: in both variants every
     vertex is a legal opening, and its child is its hull, the vertex
     alone."""
+    # the traced benchmark's closure.hull span wraps only this hull;
+    # keep the call until the span wraps hull_and_boundary (ROADMAP 5)
     return [_position_value(g, hull(g, 1 << x), variant, table)
             for x in range(g.n)]
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import hashlib
+import heapq
 import random
-from bisect import insort
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -61,7 +61,7 @@ class Graph:
     equality is exact (same vertex count, same adjacency), not isomorphism.
     """
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -80,7 +80,6 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.adj = tuple(rows)
-        self._hash = hash((n, self.adj))
 
     @classmethod
     def _from_rows(cls, rows) -> "Graph":
@@ -92,7 +91,6 @@ class Graph:
         checks."""
         g = cls.__new__(cls)
         g.n, g.adj = len(rows), tuple(rows)
-        g._hash = hash((g.n, g.adj))
         return g
 
     # -- basic queries -------------------------------------------------
@@ -143,7 +141,7 @@ class Graph:
                 and self.n == other.n and self.adj == other.adj)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count())
@@ -336,21 +334,19 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         raise ValueError("tree needs at least one vertex")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]  # ascending
+    leaves = [v for v in range(n) if degree[v] == 1]  # ascending: a heap
     for v in seq:
-        leaf = leaves.pop(0)
+        leaf = heapq.heappop(leaves)  # the lowest leaf, for determinism
         edges.append((min(leaf, v), max(leaf, v)))
         degree[v] -= 1
         if degree[v] == 1:
-            insort(leaves, v)  # the pool stays sorted, for determinism
-    edges.append(tuple(leaves))
+            heapq.heappush(leaves, v)
+    edges.append(tuple(leaves))  # a heap of two is in order
     return Graph(n, edges)
 
 

@@ -1,6 +1,7 @@
 """Graph layer: construction invariants, family generators, JSON
 round-trips with distinct diagnostics, and seeded sampler determinism."""
 
+import hashlib
 import json
 import random
 
@@ -382,6 +383,18 @@ def test_random_tree_valid_and_deterministic():
             seen.add(t)
         if n >= 8:
             assert len(seen) > 1  # the sampler actually varies
+
+
+def test_random_tree_draws_are_pinned():
+    # trees drawn in sequence from one generator, as the benchmark's
+    # engine workloads draw theirs from one pool: the digest pins each
+    # tree and how many numbers each call consumes, n = 1 and 2 included
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 30, 500, 3000):
+        digest.update(emit_graph(random_tree(n, rng)))
+    assert digest.hexdigest() == \
+        "f976129d80b6868894701f619c2ac9e45363f64eb0e00f015d023e36f65e3cfd"
 
 
 def test_random_caterpillar_valid_and_deterministic():
