@@ -27,8 +27,6 @@ All operations here are pure functions; Position values are immutable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import Graph, components
 
@@ -94,28 +92,65 @@ def hull_and_boundary(g: Graph, a: int, closed: int = 0,
 # Positions and moves
 # =====================================================================
 
-@dataclass(frozen=True)
-class Position:
+class Record:
+    """Base of the immutable value classes.  A subclass names its fields
+    in ``__slots__`` and ``__match_args__``, returns them from
+    ``_values``, and sets them with ``object.__setattr__`` once its
+    ``__init__`` has checked them; setting or deleting one later raises
+    AttributeError.  Values of one class with equal fields are equal and
+    hash alike.  Pickle and copy call the class again, so copies pass
+    the checks too."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = zip(self.__slots__, self._values())
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % item for item in items))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Position(Record):
     """Game state: a graph, the labeled set L, and the variant.
 
     Between moves L is always P3-closed, and in the Connected variant a
     nonempty L induces a connected subgraph.  Both invariants are checked
-    at construction time.
+    at construction time.  Positions are immutable values (see Record);
+    the ``dataclasses`` helpers do not apply to them.
     """
 
-    graph: Graph
-    labeled: int
-    variant: Variant
+    __slots__ = __match_args__ = ("graph", "labeled", "variant")
 
-    def __post_init__(self):
-        g, lab = self.graph, self.labeled
-        if lab & ~g.full_mask:
+    def __init__(self, graph: Graph, labeled: int, variant: Variant):
+        if labeled & ~graph.full_mask:
             raise ValueError("labeled set contains ids outside the graph")
-        if hull(g, lab) != lab:
+        if hull(graph, labeled) != labeled:
             raise ValueError("labeled set is not P3-closed")
-        if self.variant is Variant.CONNECTED and lab:
-            if len(components(g, lab)) != 1:
+        if variant is Variant.CONNECTED and labeled:
+            if len(components(graph, labeled)) != 1:
                 raise ValueError("labeled set must induce a connected subgraph")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labeled", labeled)
+        object.__setattr__(self, "variant", variant)
+
+    def _values(self):
+        return self.graph, self.labeled, self.variant
 
 
 def start_position(g: Graph, variant: Variant) -> Position:
@@ -134,7 +169,7 @@ def legal_moves(p: Position) -> int:
 
 
 def legal_moves_raw(g: Graph, labeled: int, variant: Variant,
-                    edge: Optional[int] = None) -> int:
+                    edge: int | None = None) -> int:
     """legal_moves on the raw bitmask, for engine inner loops.
 
     ``edge`` is the boundary N(labeled) - labeled when the caller has

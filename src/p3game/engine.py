@@ -80,13 +80,12 @@ own stack, so Python's recursion limit does not bound the graph size.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import reduce
 from operator import xor
-from typing import Iterable, Optional
 
 from .graphs import Graph, bits, components
-from .closure import (Position, Variant, hull, hull_and_boundary,
+from .closure import (Position, Record, Variant, hull, hull_and_boundary,
                       legal_moves_raw)
 
 #: Default cap on stored components; exceeding it aborts the search
@@ -122,29 +121,33 @@ class Player(enum.Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a start position.
 
     winner is First exactly when grundy is nonzero.  witness is a winning
     first move (the lowest-numbered one) and is present exactly when the
-    first player wins.
+    first player wins.  Verdicts are immutable values (see
+    closure.Record); the ``dataclasses`` helpers do not apply to them.
     """
 
-    winner: Player
-    grundy: int
-    witness: Optional[int]
+    __slots__ = __match_args__ = ("winner", "grundy", "witness")
 
-    def __post_init__(self):
-        if not _is_count(self.grundy):
+    def __init__(self, winner: Player, grundy: int, witness: int | None):
+        if not _is_count(grundy):
             raise ValueError("grundy value must be a nonnegative integer")
-        if (self.winner is Player.FIRST) != (self.grundy != 0):
+        if (winner is Player.FIRST) != (grundy != 0):
             raise ValueError("winner and grundy value disagree")
-        if (self.witness is not None) != (self.winner is Player.FIRST):
+        if (witness is not None) != (winner is Player.FIRST):
             raise ValueError("a witness move is present exactly when the "
                              "first player wins")
-        if self.witness is not None and not _is_count(self.witness):
+        if witness is not None and not _is_count(witness):
             raise ValueError("witness must be a nonnegative integer")
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "grundy", grundy)
+        object.__setattr__(self, "witness", witness)
+
+    def _values(self):
+        return self.winner, self.grundy, self.witness
 
     @classmethod
     def from_openings(cls, values: list[int]) -> "Verdict":
@@ -221,7 +224,7 @@ class TranspositionTable:
 
 
 def _table_for(p: Position,
-               table: Optional[TranspositionTable]) -> TranspositionTable:
+               table: TranspositionTable | None) -> TranspositionTable:
     """``table`` once checked to belong to p's graph, or a new table."""
     if table is None:
         return TranspositionTable(p.graph)
@@ -230,7 +233,7 @@ def _table_for(p: Position,
     return table
 
 
-def grundy(p: Position, table: Optional[TranspositionTable] = None) -> int:
+def grundy(p: Position, table: TranspositionTable | None = None) -> int:
     """Exact Grundy value of a position.  The search budget comes with
     the table: pass ``TranspositionTable(p.graph, budget)`` to cap it;
     without a table the search gets a fresh one with
@@ -321,7 +324,7 @@ def _opening_values(g: Graph, variant: Variant,
 
 
 def opening_values(g: Graph, variant: Variant,
-                   budget: Optional[int] = None) -> list[int]:
+                   budget: int | None = None) -> list[int]:
     """The value after each opening, by vertex, searched in one new
     table of ``budget`` entries (``DEFAULT_BUDGET`` when None)."""
     table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
@@ -329,13 +332,14 @@ def opening_values(g: Graph, variant: Variant,
 
 
 def decide(g: Graph, variant: Variant,
-           budget: Optional[int] = None) -> Verdict:
+           budget: int | None = None) -> Verdict:
     """Solve the start position: winner, Grundy value, and the
     lowest-numbered winning first move, read from ``opening_values``."""
     return Verdict.from_openings(opening_values(g, variant, budget))
 
 
-def best_move(p: Position, table: Optional[TranspositionTable] = None) -> Optional[int]:
+def best_move(p: Position,
+              table: TranspositionTable | None = None) -> int | None:
     """The lowest-numbered move to a Grundy-0 child if one exists, else
     the lowest-numbered legal move, else None (no legal move)."""
     table = _table_for(p, table)

@@ -22,7 +22,7 @@ import json
 import hashlib
 import heapq
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 # =====================================================================
@@ -147,8 +147,8 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count())
 
 
-def components(g: Graph, within: Optional[int] = None,
-               seeds: Optional[int] = None) -> list[int]:
+def components(g: Graph, within: int | None = None,
+               seeds: int | None = None) -> list[int]:
     """Connected components of the subgraph induced by ``within`` (default:
     all of g) as bitmasks, in the order of their lowest seed.
 

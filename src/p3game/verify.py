@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import solvers
 from .closure import Variant
@@ -35,12 +34,23 @@ from .graphs import SIZED_FAMILIES, Graph
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
 
 
-@dataclass
 class VerifyReport:
-    family: str
-    instances: int
-    mismatches: list = field(default_factory=list)
-    elapsed: float = 0.0
+    """One family's sweep: how many instances it checked, the
+    disagreements, and the seconds it took."""
+
+    __slots__ = ("family", "instances", "mismatches", "elapsed")
+
+    def __init__(self, family: str, instances: int,
+                 mismatches: list | None = None, elapsed: float = 0.0):
+        self.family = family
+        self.instances = instances
+        self.mismatches = [] if mismatches is None else mismatches
+        self.elapsed = elapsed
+
+    def __repr__(self):
+        return ("VerifyReport(family=%r, instances=%r, mismatches=%r, "
+                "elapsed=%r)" % (self.family, self.instances,
+                                 self.mismatches, self.elapsed))
 
     @property
     def passed(self) -> bool:
@@ -66,7 +76,8 @@ class VerifyReport:
 # the families
 # ---------------------------------------------------------------------
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "sized variant claim samples classes",
+                        defaults=(0, 0))):
     """One sweep, declared as data.  ``sized`` names its graphs in
     SIZED_FAMILIES, which gives their smallest size and builder;
     ``variant`` is the game the engine plays on them; ``claim(graph)``
@@ -76,11 +87,7 @@ class Family(NamedTuple):
     ``classes`` is a vertex limit: the sweep opens with every
     isomorphism class of trees up to it (and up to max_n)."""
 
-    sized: str
-    variant: Variant
-    claim: Callable
-    samples: int = 0
-    classes: int = 0
+    __slots__ = ()
 
     def instances(self, max_n: int, rng: random.Random):
         """(descriptor, graph) in sweep order."""

@@ -1,12 +1,16 @@
 """Shared test utilities: conversion to/from networkx, enumeration of
 small graphs (one representative per isomorphism class), disjoint
-unions and their opening values, and the graph invariant check run on
-every generator output."""
+unions and their opening values, the graph invariant check run on
+every generator output, and the value-semantics check of the immutable
+records."""
 
+import copy
 import itertools
+import pickle
 from functools import lru_cache
 
 import networkx as nx
+import pytest
 
 from p3game import Graph, Variant, bits, mask_of, mex, nim_sum
 
@@ -89,3 +93,28 @@ def check_graph_invariants(g: Graph) -> None:
         assert not (row >> v) & 1, "self-loop at vertex %d" % v
         for w in bits(row):
             assert (g.adj[w] >> v) & 1, "asymmetric edge (%d, %d)" % (v, w)
+
+
+def check_immutable_value(value, twin, others, names) -> None:
+    """Assert that ``value`` behaves as an immutable value with fields
+    ``names``, in positional order: it equals ``twin`` (a separate
+    object built from the same fields) with the same hash, differs from
+    each of ``others`` and from the tuple of its own fields, refuses to
+    set or delete any field or a new attribute, and comes back equal
+    from pickle, copy and deepcopy."""
+    assert type(value).__match_args__ == names
+    fields = tuple(getattr(value, name) for name in names)
+    assert value is not twin and value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert value != fields and fields != value
+    for other in others:
+        assert value != other and not value == other
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                   copy.deepcopy(value)):
+        assert type(copied) is type(value) and copied == value

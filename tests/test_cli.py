@@ -3,7 +3,6 @@ tables and diagnostics on stderr), the append-only verdict cache, graph
 generation, and interactive play backed by the engine."""
 
 import ast
-import dataclasses
 import errno
 import hashlib
 import io
@@ -626,7 +625,7 @@ def test_warm_get_returns_the_frozen_verdict_of_a_cold_load(tmp_path,
     ResultCache(str(cache_dir))  # remembered from here on
     warm = ResultCache(str(cache_dir)).get(digest, Variant.FREE)
     assert warm == cold == Verdict(Player.FIRST, 7 % 3 + 1, 7 % 5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         warm.grundy = 0
 
 
@@ -689,18 +688,54 @@ def test_tree_enumeration_matches_networkx():
             assert sum(nx.is_isomorphic(t, theirs) for t in ours) == 1
 
 
-def test_tree_sweep_runs_without_networkx():
+def _run_python(*args):
+    """Run this interpreter with ``args`` on the package under test."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_tree_sweep_runs_without_networkx():
     script = ("import sys\n"
               "from p3game.cli import main\n"
               "code = main(['verify', '--family', 'tree', '--max-n', '9'])\n"
               "print(code, 'networkx' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = _run_python("-c", script)
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
+    # every process that answers pays for its imports; -S keeps out the
+    # modules a site-packages .pth file may import on its own
+    script = ("import sys, p3game.cli\n"
+              "print(sorted({'dataclasses', 'typing', 'inspect'}"
+              " & set(sys.modules)))\n")
+    proc = _run_python("-S", "-c", script)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_verify_report_repr_and_defaults():
+    report = verify.VerifyReport("tree", 3)
+    other = verify.VerifyReport("tree", 3)
+    assert (report.family, report.instances, report.mismatches,
+            report.elapsed) == ("tree", 3, [], 0.0)
+    assert report.mismatches is not other.mismatches  # a fresh list each
+    assert report.passed
+    assert repr(report) == ("VerifyReport(family='tree', instances=3, "
+                            "mismatches=[], elapsed=0.0)")
+    report.mismatches.append({"instance": {"n": 4}})
+    report.elapsed = 1.5
+    assert not report.passed
+    assert repr(report) == (
+        "VerifyReport(family='tree', instances=3, "
+        "mismatches=[{'instance': {'n': 4}}], elapsed=1.5)")
+    assert repr(verify.VerifyReport(family="star", instances=1,
+                                    mismatches=[], elapsed=0.25)) == (
+        "VerifyReport(family='star', instances=1, mismatches=[], "
+        "elapsed=0.25)")
 
 
 def test_verify_table_columns_line_up_for_every_family():
@@ -957,7 +992,7 @@ def test_verify_rejects_a_witness_that_is_not_a_legal_opening(
         # the winner and value claims still agree; the witness does not
         verdict = Verdict.from_openings(claim)
         assert Verdict.from_openings(wrong) == \
-            dataclasses.replace(verdict, witness=len(claim))
+            Verdict(verdict.winner, verdict.grundy, len(claim))
 
 
 def test_verify_reports_a_raising_solver_as_a_mismatch(monkeypatch):
@@ -1119,10 +1154,6 @@ def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
 
 def test_process_entry_point_matches_in_process_main(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
     path = write_graph(tmp_path, make_ladder(6))
 
     def calls(cache_dir):
@@ -1134,9 +1165,7 @@ def test_process_entry_point_matches_in_process_main(tmp_path, monkeypatch):
 
     in_process = [_run_capturing_streams(argv) for argv in calls("a")]
     for argv, (code, out, err) in zip(calls("b"), in_process):
-        proc = subprocess.run([sys.executable, "-m", "p3game"] + argv,
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = _run_python("-m", "p3game", *argv)
         assert proc.returncode == code
         assert proc.stdout == out
         if code == 2:

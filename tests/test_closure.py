@@ -11,7 +11,7 @@ from p3game import (IllegalMoveError, Position, Variant, apply_move, bits,
                     make_path, make_star, mask_of, random_gnp, start_position)
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
-from helpers import atlas_graphs, connected_atlas_graphs
+from helpers import atlas_graphs, check_immutable_value, connected_atlas_graphs
 from reference import hull_by_rescan, is_p3_closed
 
 
@@ -196,6 +196,36 @@ def test_position_validates_connectivity_for_connected_variant():
         Position(p4, mask_of([0, 3]), Variant.CONNECTED)
     Position(p4, mask_of([0, 1]), Variant.CONNECTED)
     Position(p4, 0, Variant.CONNECTED)  # empty set is vacuously fine
+
+
+def test_position_checks_in_order_with_these_messages():
+    p4 = make_path(4)
+    for labeled, variant, message in [
+            (1 << 7 | mask_of([0, 2]), Variant.CONNECTED,
+             "labeled set contains ids outside the graph"),
+            (-1, Variant.FREE, "labeled set contains ids outside the graph"),
+            (mask_of([0, 2]), Variant.CONNECTED,
+             "labeled set is not P3-closed"),  # before connectivity
+            (mask_of([0, 3]), Variant.CONNECTED,
+             "labeled set must induce a connected subgraph")]:
+        with pytest.raises(ValueError) as err:
+            Position(p4, labeled, variant)
+        assert str(err.value) == message, (labeled, variant)
+
+
+def test_position_is_an_immutable_value():
+    p = Position(make_path(3), 0b111, Variant.CONNECTED)
+    check_immutable_value(
+        p, Position(graph=make_path(3), labeled=0b111,
+                    variant=Variant.CONNECTED),
+        [Position(make_path(3), 0b111, Variant.FREE),
+         Position(make_path(3), 0b001, Variant.CONNECTED),
+         Position(make_clique(3), 0b111, Variant.CONNECTED)],
+        ("graph", "labeled", "variant"))
+    assert repr(p) == ("Position(graph=Graph(n=3, m=2), labeled=7, "
+                       "variant=<Variant.CONNECTED: 'connected'>)")
+    assert len({p, Position(make_path(3), 0b111, Variant.CONNECTED),
+                start_position(make_path(3), Variant.CONNECTED)}) == 2
 
 
 def test_start_position_and_game_over():

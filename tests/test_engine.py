@@ -2,6 +2,8 @@
 discipline, budgets, determinism, witness correctness, agreement with the
 plain whole-graph search, and the opening values of disjoint unions."""
 
+import copy
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,8 +18,8 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
 from p3game import engine
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
-from helpers import (atlas_graphs, connected_atlas_graphs, disjoint_union,
-                     union_openings)
+from helpers import (atlas_graphs, check_immutable_value,
+                     connected_atlas_graphs, disjoint_union, union_openings)
 from reference import (child_masks, is_p3_closed, reference_decide,
                        reference_grundy)
 
@@ -55,24 +57,62 @@ def test_nim_sum_cases():
 # =====================================================================
 
 def test_verdict_consistency_enforced():
+    # every check, in the order they run, with its message
     Verdict(Player.FIRST, 2, 0)
     Verdict(Player.SECOND, 0, None)
-    with pytest.raises(ValueError):
-        Verdict(Player.FIRST, None, None)  # every verdict carries a value
-    with pytest.raises(ValueError):
-        Verdict(Player.FIRST, None, 3)
-    with pytest.raises(ValueError):
-        Verdict(Player.FIRST, 0, None)
-    with pytest.raises(ValueError):
-        Verdict(Player.SECOND, 1, None)
-    with pytest.raises(ValueError):
-        Verdict(Player.SECOND, 0, 2)
-    # a first-player win names its winning opening, a vertex id
-    for witness in (None, -1, "x", 1.0, True):
-        with pytest.raises(ValueError):
-            Verdict(Player.FIRST, 1, witness)
+    grundy = "grundy value must be a nonnegative integer"
+    disagree = "winner and grundy value disagree"
+    witness = ("a witness move is present exactly when the first player "
+               "wins")
+    count = "witness must be a nonnegative integer"
+    for args, message in [
+            ((Player.FIRST, None, None), grundy),  # every verdict has a value
+            ((Player.FIRST, None, 3), grundy),
+            ((Player.FIRST, True, 0), grundy),
+            ((Player.SECOND, -1, None), grundy),
+            ((Player.FIRST, 1.0, "x"), grundy),  # before the witness
+            ((Player.FIRST, 0, None), disagree),
+            ((Player.SECOND, 1, None), disagree),
+            ((Player.SECOND, 1, "x"), disagree),  # before the witness
+            ((Player.SECOND, 0, 2), witness),
+            # a first-player win names its winning opening, a vertex id
+            ((Player.FIRST, 1, None), witness),
+            ((Player.FIRST, 1, -1), count),
+            ((Player.FIRST, 1, "x"), count),
+            ((Player.FIRST, 1, 1.0), count),
+            ((Player.FIRST, 1, True), count)]:
+        with pytest.raises(ValueError) as err:
+            Verdict(*args)
+        assert str(err.value) == message, args
     assert Verdict(Player.FIRST, 1, 0).to_json_dict() == {
         "winner": "first", "grundy": 1, "witness": 0}
+
+
+def test_verdict_is_an_immutable_value():
+    v = Verdict(Player.FIRST, 2, 0)
+    check_immutable_value(
+        v, Verdict(winner=Player.FIRST, grundy=2, witness=0),
+        [Verdict(Player.FIRST, 2, 1), Verdict(Player.FIRST, 1, 0),
+         Verdict(Player.SECOND, 0, None)],
+        ("winner", "grundy", "witness"))
+    assert repr(v) == \
+        "Verdict(winner=<Player.FIRST: 'first'>, grundy=2, witness=0)"
+    assert repr(Verdict(Player.SECOND, 0, None)) == \
+        "Verdict(winner=<Player.SECOND: 'second'>, grundy=0, witness=None)"
+    assert len({v, Verdict(Player.FIRST, 2, 0),
+                Verdict(Player.SECOND, 0, None)}) == 2
+
+
+def test_verdict_copies_are_built_through_the_checks(monkeypatch):
+    built = []
+    init = Verdict.__init__
+    monkeypatch.setattr(Verdict, "__init__",
+                        lambda self, *args: built.append(args) or
+                        init(self, *args))
+    v = Verdict(Player.FIRST, 2, 0)
+    pickle.loads(pickle.dumps(v))
+    copy.deepcopy(v)
+    assert built == [(Player.FIRST, 2, 0)] * 3
 
 
 def test_verdict_from_openings():
