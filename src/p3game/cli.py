@@ -191,7 +191,7 @@ def cmd_solve(args, stdout, stderr) -> int:
     # explicit None test: an empty cache is falsy through __len__
     verdict = cache.get(digest, variant) if cache is not None else None
     if verdict is None:
-        verdict = decide(g, variant, budget=budget)
+        verdict = decide(g, variant, TranspositionTable(g, budget))
         if cache is not None:
             try:
                 cache.put(digest, variant, verdict)

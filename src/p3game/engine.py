@@ -223,12 +223,12 @@ class TranspositionTable:
         return self.size
 
 
-def _table_for(p: Position,
+def _table_for(g: Graph,
                table: TranspositionTable | None) -> TranspositionTable:
-    """``table`` once checked to belong to p's graph, or a new table."""
+    """``table`` once checked to belong to g, or a new table."""
     if table is None:
-        return TranspositionTable(p.graph)
-    if table.graph is not p.graph and table.graph != p.graph:
+        return TranspositionTable(g)
+    if table.graph is not g and table.graph != g:
         raise ValueError("transposition table belongs to a different graph")
     return table
 
@@ -238,7 +238,7 @@ def grundy(p: Position, table: TranspositionTable | None = None) -> int:
     the table: pass ``TranspositionTable(p.graph, budget)`` to cap it;
     without a table the search gets a fresh one with
     ``DEFAULT_BUDGET``."""
-    table = _table_for(p, table)
+    table = _table_for(p.graph, table)
     return _position_value(p.graph, p.labeled, p.variant, table)
 
 
@@ -262,7 +262,7 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
     them, so when it comes up again every part it names is in the
     memo."""
     if not labeled:
-        return mex(_opening_values(g, variant, table))
+        return mex(opening_values(g, variant, table))
     memo = table.entries[variant]
     full, adj, nbhd = g.full_mask, g.adj, g.neighborhood_of_set
     split = components if variant is Variant.FREE else table.split
@@ -312,37 +312,30 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
     return nim_sum(memo[c] for c in comps)
 
 
-def _opening_values(g: Graph, variant: Variant,
-                    table: TranspositionTable) -> list[int]:
+def opening_values(g: Graph, variant: Variant,
+                   table: TranspositionTable | None = None) -> list[int]:
     """The value after each opening, by vertex: in both variants every
     vertex is a legal opening, and its child is its hull, the vertex
-    alone."""
+    alone.  The budget comes with the table, as in ``grundy``."""
+    table = _table_for(g, table)
     # the traced benchmark's closure.hull span wraps only this hull;
-    # keep the call until the span wraps hull_and_boundary (ROADMAP 5)
+    # keep the call until the span wraps hull_and_boundary (ROADMAP 14)
     return [_position_value(g, hull(g, 1 << x), variant, table)
             for x in range(g.n)]
 
 
-def opening_values(g: Graph, variant: Variant,
-                   budget: int | None = None) -> list[int]:
-    """The value after each opening, by vertex, searched in one new
-    table of ``budget`` entries (``DEFAULT_BUDGET`` when None)."""
-    table = TranspositionTable(g, DEFAULT_BUDGET if budget is None else budget)
-    return _opening_values(g, variant, table)
-
-
 def decide(g: Graph, variant: Variant,
-           budget: int | None = None) -> Verdict:
+           table: TranspositionTable | None = None) -> Verdict:
     """Solve the start position: winner, Grundy value, and the
     lowest-numbered winning first move, read from ``opening_values``."""
-    return Verdict.from_openings(opening_values(g, variant, budget))
+    return Verdict.from_openings(opening_values(g, variant, table))
 
 
 def best_move(p: Position,
               table: TranspositionTable | None = None) -> int | None:
     """The lowest-numbered move to a Grundy-0 child if one exists, else
     the lowest-numbered legal move, else None (no legal move)."""
-    table = _table_for(p, table)
+    table = _table_for(p.graph, table)
     g, labeled, variant = p.graph, p.labeled, p.variant
     moves = list(bits(legal_moves_raw(g, labeled, variant)))
     for x in moves:

@@ -19,7 +19,6 @@ Generator numbering conventions (stable, relied on by tests and fixtures):
 from __future__ import annotations
 
 import json
-import hashlib
 import heapq
 import random
 from collections.abc import Iterable, Iterator, Sequence
@@ -321,6 +320,7 @@ def emit_graph(g: Graph) -> bytes:
 
 def graph_digest(g: Graph) -> str:
     """Stable content hash of a graph (over its canonical serialization)."""
+    import hashlib  # not at the top: of the CLI's commands only solve digests
     return hashlib.sha256(emit_graph(g)).hexdigest()
 
 

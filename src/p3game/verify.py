@@ -28,7 +28,8 @@ from collections import namedtuple
 
 from . import solvers
 from .closure import Variant
-from .engine import ResourceLimitError, opening_values
+from .engine import (DEFAULT_BUDGET, ResourceLimitError, TranspositionTable,
+                     opening_values)
 from .graphs import SIZED_FAMILIES, Graph
 
 FREE, CONNECTED = Variant.FREE, Variant.CONNECTED
@@ -201,15 +202,17 @@ FAMILIES = {
 }
 
 
-def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyReport:
+def run_family(family: str, max_n: int, seed: int = 0,
+               budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Check one family's solver against the engine on its instances up
-    to size max_n, drawing samples from random.Random(seed).
+    to size max_n, drawing samples from random.Random(seed), each
+    searched in a new table of ``budget`` entries.
 
-    An unknown family, a max_n below the family's smallest size in
-    SIZED_FAMILIES or a budget below 1 raises ValueError before any
-    instance is built.  An instance whose solver or engine raises
-    anything but ResourceLimitError is a mismatch whose solver side is
-    the error."""
+    An unknown family or a max_n below the family's smallest size in
+    SIZED_FAMILIES raises ValueError before any instance is built; a
+    budget below 1 raises it at the first instance, before any
+    comparison.  An instance whose solver or engine raises anything but
+    ResourceLimitError is a mismatch whose solver side is the error."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r (choose from %s)"
                          % (family, ", ".join(sorted(FAMILIES))))
@@ -217,16 +220,15 @@ def run_family(family: str, max_n: int, seed: int = 0, budget=None) -> VerifyRep
     least = SIZED_FAMILIES[fam.sized][0]
     if max_n < least:
         raise ValueError("--family %s needs --max-n >= %d" % (family, least))
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be positive")
     start = time.monotonic()
     count = 0
     mismatches = []
     for descriptor, g in fam.instances(max_n, random.Random(seed)):
         count += 1
+        table = TranspositionTable(g, budget)
         try:
             solver_val = fam.claim(g)
-            oracle_val = opening_values(g, fam.variant, budget=budget)
+            oracle_val = opening_values(g, fam.variant, table)
         except ResourceLimitError:
             raise
         except Exception as exc:

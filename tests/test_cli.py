@@ -709,12 +709,18 @@ def test_tree_sweep_runs_without_networkx():
 
 def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
     # every process that answers pays for its imports; -S keeps out the
-    # modules a site-packages .pth file may import on its own
+    # modules a site-packages .pth file may import on its own.  hashlib
+    # waits for the first graph_digest, which must still hash the same
     script = ("import sys, p3game.cli\n"
-              "print(sorted({'dataclasses', 'typing', 'inspect'}"
-              " & set(sys.modules)))\n")
+              "print(sorted({'dataclasses', 'typing', 'inspect', 'hashlib',"
+              " '_hashlib'} & set(sys.modules)))\n"
+              "from p3game import emit_graph, graph_digest, make_cycle\n"
+              "import hashlib\n"
+              "g = make_cycle(5)\n"
+              "print(graph_digest(g)"
+              " == hashlib.sha256(emit_graph(g)).hexdigest())\n")
     proc = _run_python("-S", "-c", script)
-    assert proc.stdout == "[]\n", proc.stderr
+    assert proc.stdout == "[]\nTrue\n", proc.stderr
 
 
 def test_verify_report_repr_and_defaults():

@@ -218,24 +218,51 @@ def test_table_budget_validation():
 def test_nonpositive_budget_is_rejected_not_defaulted(budget):
     position = start_position(make_path(3), Variant.FREE)
     with pytest.raises(ValueError, match="budget must be positive"):
-        decide(make_path(3), Variant.FREE, budget=budget)
+        decide(position.graph, Variant.FREE,
+               TranspositionTable(position.graph, budget))
     with pytest.raises(ValueError, match="budget must be positive"):
         grundy(position, TranspositionTable(position.graph, budget))
 
 
 def test_budget_exhaustion_raises():
+    g = make_path(12)
     with pytest.raises(ResourceLimitError):
-        decide(make_path(12), Variant.FREE, budget=5)
+        decide(g, Variant.FREE, TranspositionTable(g, 5))
     with pytest.raises(ResourceLimitError):
-        opening_values(make_path(12), Variant.FREE, budget=5)
+        opening_values(g, Variant.FREE, TranspositionTable(g, 5))
     # the same instance fits comfortably in the default budget
-    assert decide(make_path(12), Variant.FREE, budget=DEFAULT_BUDGET)
+    assert decide(g, Variant.FREE, TranspositionTable(g, DEFAULT_BUDGET))
 
 
 def test_grundy_rejects_foreign_table():
     t = TranspositionTable(make_path(4))
     with pytest.raises(ValueError, match="different graph"):
         grundy(start_position(make_path(5), Variant.FREE), t)
+
+
+@pytest.mark.parametrize("search", [opening_values, decide])
+def test_start_searches_take_only_their_graphs_table(search):
+    t = TranspositionTable(make_path(4))
+    with pytest.raises(ValueError, match="different graph"):
+        search(make_path(5), Variant.FREE, t)
+    assert len(t) == 0
+    # an equal graph built separately shares the table
+    g = make_path(4)
+    assert g == t.graph and g is not t.graph
+    assert search(g, Variant.FREE, t) == search(g, Variant.FREE)
+    assert len(t) > 0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_decide_then_opening_values_share_one_table(variant):
+    g = make_ladder(4)
+    t = TranspositionTable(g)
+    verdict = decide(g, variant, t)
+    size = len(t)
+    values = opening_values(g, variant, t)
+    assert Verdict.from_openings(values) == verdict
+    assert values == opening_values(g, variant)  # a fresh table agrees
+    assert len(t) == size  # every entry was already there
 
 
 def test_determinism_and_table_reuse():
