@@ -131,8 +131,7 @@ class Position(Record):
 
     Between moves L is always P3-closed, and in the Connected variant a
     nonempty L induces a connected subgraph.  Both invariants are checked
-    at construction time.  Positions are immutable values (see Record);
-    the ``dataclasses`` helpers do not apply to them.
+    at construction time.  Positions are immutable values (see Record).
     """
 
     __slots__ = __match_args__ = ("graph", "labeled", "variant")

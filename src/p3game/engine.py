@@ -59,7 +59,7 @@ rest only the first time it meets it and keeps the parts when there
 are two or more; a rest of one part becomes an entry once solved.
 This is exact, since the parts of a rest are the components of the
 graph it induces whatever seeds found them, and the seeds meet every
-part.  The free game floods every rest as before, with ``components``
+part.  The free game floods every rest, with ``components``
 chosen once per call: its multi-part rests rarely recur, and on the
 free ``random_tree(26, Random(1))`` the same memo held 98,843 rests
 against 13,200 entries and took peak RSS from 20.2 to 45.8 MB.
@@ -127,7 +127,7 @@ class Verdict(Record):
     winner is First exactly when grundy is nonzero.  witness is a winning
     first move (the lowest-numbered one) and is present exactly when the
     first player wins.  Verdicts are immutable values (see
-    closure.Record); the ``dataclasses`` helpers do not apply to them.
+    closure.Record).
     """
 
     __slots__ = __match_args__ = ("winner", "grundy", "witness")

@@ -4,7 +4,8 @@ Vertices are the integers 0..n-1.  Vertex sets are plain Python ints used
 as bitmasks (bit v set <=> vertex v in the set); Python ints are arbitrary
 precision, so the same representation covers graphs of any size.
 
-Graphs are immutable after construction.
+Nothing in the package changes a graph after construction: transposition
+tables, positions and cache digests rely on that.
 
 Generator numbering conventions (stable, relied on by tests and fixtures):
 
@@ -56,8 +57,10 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
-    ``adj[v]`` is the bitmask of neighbors of v.  Instances are immutable;
-    equality is exact (same vertex count, same adjacency), not isomorphism.
+    ``adj[v]`` is the bitmask of neighbors of v.  Nothing in the package
+    sets ``n`` or ``adj`` after construction (tables, positions and cache
+    digests rely on it); equality is exact (same vertex count, same
+    adjacency), not isomorphism.
     """
 
     __slots__ = ("n", "adj")
@@ -84,10 +87,9 @@ class Graph:
     def _from_rows(cls, rows) -> "Graph":
         """The graph with adjacency rows ``rows``, unchecked: the caller
         guarantees they are symmetric, loop-free and in range.  For
-        builders whose rows are right by construction (a complement, a
-        random cograph or chordal block), where the edge-by-edge
-        constructor would spend time quadratic in n on edge tuples and
-        checks."""
+        builders whose rows are right by construction (a random cograph
+        or chordal block), where the edge-by-edge constructor would spend
+        time quadratic in n on edge tuples and checks."""
         g = cls.__new__(cls)
         g.n, g.adj = len(rows), tuple(rows)
         return g
@@ -111,13 +113,6 @@ class Graph:
                 out.append((u, u + low.bit_length()))
                 higher ^= low
         return out
-
-    def complement(self) -> "Graph":
-        """The graph on the same vertices whose edges are this graph's
-        non-edges, built row by row in O(n) big-integer operations."""
-        full = self.full_mask
-        return Graph._from_rows([full & ~row & ~(1 << v)
-                                 for v, row in enumerate(self.adj)])
 
     def neighborhood_of_set(self, mask: int) -> int:
         """Union of neighborhoods of the vertices in ``mask``.

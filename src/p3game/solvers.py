@@ -270,7 +270,8 @@ def component_free_values(g: Graph) -> list[int]:
 
     Every other component must be a join: two sides with every edge
     between them, i.e. a disconnected complement.  One side is its first
-    co-component (component in the complement) and the other side is the
+    co-component (component in the complement), flooded from its lowest
+    vertex through the non-edges inside it, and the other side is the
     rest, which is connected in g when there are three or more.  An
     opening's value depends only on the component sizes of each side
     (``_join_opening_value``), so cographs, stars, cliques, wheels and
@@ -281,7 +282,6 @@ def component_free_values(g: Graph) -> list[int]:
     runs = {comp for comp in comps
             if all(g.adj[x].bit_count() <= 2 for x in bits(comp))}
     heap = _officers(max((comp.bit_count() for comp in runs), default=0))
-    co = None
     values = [0] * g.n
     for comp in comps:
         if comp in runs:
@@ -297,9 +297,13 @@ def component_free_values(g: Graph) -> list[int]:
                 for x in bits(comp):
                     values[x] = heap[k - 1]
             continue
-        if co is None:
-            co = g.complement()
-        side = components(co, comp)[0]
+        side = frontier = comp & -comp
+        while frontier:
+            grow = 0
+            for x in bits(frontier):
+                grow |= comp & ~g.adj[x]
+            frontier = grow & ~side
+            side |= frontier
         if side == comp:
             raise ValueError(
                 "a component is neither a path, a cycle nor a join")

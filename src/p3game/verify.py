@@ -41,11 +41,11 @@ class VerifyReport:
 
     __slots__ = ("family", "instances", "mismatches", "elapsed")
 
-    def __init__(self, family: str, instances: int,
-                 mismatches: list | None = None, elapsed: float = 0.0):
+    def __init__(self, family: str, instances: int, mismatches: list,
+                 elapsed: float):
         self.family = family
         self.instances = instances
-        self.mismatches = [] if mismatches is None else mismatches
+        self.mismatches = mismatches
         self.elapsed = elapsed
 
     def __repr__(self):

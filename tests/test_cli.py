@@ -724,11 +724,9 @@ def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
 
 
 def test_verify_report_repr_and_defaults():
-    report = verify.VerifyReport("tree", 3)
-    other = verify.VerifyReport("tree", 3)
+    report = verify.VerifyReport("tree", 3, [], 0.0)
     assert (report.family, report.instances, report.mismatches,
             report.elapsed) == ("tree", 3, [], 0.0)
-    assert report.mismatches is not other.mismatches  # a fresh list each
     assert report.passed
     assert repr(report) == ("VerifyReport(family='tree', instances=3, "
                             "mismatches=[], elapsed=0.0)")
@@ -746,7 +744,8 @@ def test_verify_report_repr_and_defaults():
 
 def test_verify_table_columns_line_up_for_every_family():
     for family in FAMILIES:
-        header, row = verify.VerifyReport(family, 1).human_table().split("\n")
+        report = verify.VerifyReport(family, 1, [], 0.0)
+        header, row = report.human_table().split("\n")
         # the family column is left-aligned, the others right-aligned
         ends = [[m.end() for m in re.finditer(r"\S+", line)][1:]
                 for line in (header, row)]

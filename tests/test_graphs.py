@@ -93,20 +93,6 @@ def test_neighborhood_of_set():
     assert g.neighborhood_of_set(0) == 0
 
 
-def test_complement_swaps_edges_and_non_edges():
-    rng = random.Random(6)
-    for n in (0, 1, 2, 5, 13, 70):
-        g = random_gnp(n, rng.random(), rng)
-        co = g.complement()
-        check_graph_invariants(co)
-        assert co == Graph(n, [(u, v) for u in range(n)
-                               for v in range(u + 1, n)
-                               if not g.adj[u] >> v & 1])
-        assert co.complement() == g
-        assert hash(co.complement()) == hash(g)
-    assert make_clique(6).complement() == Graph(6, [])
-
-
 def test_components_and_connectivity():
     g = Graph(5, [(0, 1), (1, 2)])  # P_3 plus two isolated vertices
     comps = components(g)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package, test or demo imports a
 name it never uses, no private module-level helper outlives its
 callers, no public function, class or method exists only for the
-tests, and the README names no function that is gone.  The package's
+tests, only the graph constructors set a graph's ``n`` or ``adj``, and
+the README names no function that is gone.  The package's
 ``__init__`` is exempt from the import and public-name checks: its
 imports are its exports, and ``__all__`` lists exactly those."""
 
@@ -210,3 +211,50 @@ def test_readme_names_only_what_exists():
     assert len(names) >= 9
     assert [name for name in sorted(names)
             if not any(hasattr(m, name) for m in modules)] == []
+
+
+def attribute_writes(source: str, attrs: set) -> list[str]:
+    """Where a module assigns to or deletes an attribute named in
+    ``attrs``, or sets one through ``setattr`` or ``__setattr__`` with a
+    literal name: the dotted name of the enclosing class and function,
+    or ``<module>``, once per write."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Attribute):
+            writes = node.attr in attrs and not isinstance(node.ctx, ast.Load)
+        else:
+            writes = (isinstance(node, ast.Call) and len(node.args) >= 2
+                      and {"setattr", "__setattr__"} & set(_names(node.func))
+                      and isinstance(node.args[1], ast.Constant)
+                      and node.args[1].value in attrs)
+        if writes:
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_sees_an_attribute_write():
+    source = ("g.n = 1\n"
+              "class A:\n"
+              "    def f(self, x):\n"
+              "        self.n, x.adj = x.adj, 2\n"
+              "        del x.adj\n"
+              "        x.n += len(x.adj)\n"
+              "def h(x):\n"
+              "    setattr(x, 'n', 0)\n"
+              "    object.__setattr__(x, 'adj', 0)\n"
+              "    setattr(x, 'm', x.n)\n")
+    assert attribute_writes(source, {"n", "adj"}) == \
+        ["<module>", "A.f", "A.f", "A.f", "A.f", "h", "h"]
+
+
+def test_only_the_graph_constructors_set_n_or_adj():
+    found = {"%s:%s" % (p.name, where) for p in sorted(PACKAGE.glob("*.py"))
+             for where in attribute_writes(p.read_text(), {"n", "adj"})}
+    assert found == {"graphs.py:Graph.__init__", "graphs.py:Graph._from_rows"}

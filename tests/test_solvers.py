@@ -8,9 +8,9 @@ from functools import partial
 import networkx as nx
 import pytest
 
-from p3game import (Player, Position, Variant, Verdict,
+from p3game import (Player, Position, Variant, Verdict, best_move,
                     component_free_values, components, connected_block_values,
-                    connected_cycle_grundy, connected_cycle_values,
+                    connected_cycle_grundy, connected_cycle_values, decide,
                     free_path_grundy_table, grundy, hull, induced_subgraph,
                     ladder_connected_values, ladder_connected_winner,
                     make_caterpillar, make_clique, make_cycle, make_ladder,
@@ -626,6 +626,39 @@ def test_solvers_open_a_union_as_its_parts():
             assert solve(disjoint_union(parts)) == \
                 union_openings([solve(p) for p in parts], variant), \
                 [p.edges() for p in parts]
+
+
+def test_no_answer_builds_a_graph(monkeypatch):
+    # a join (K1,3), a path and a cycle side by side, and a tree: every
+    # answer reads the graph it is given and builds no other
+    mixed = disjoint_union([make_star(3), make_path(4), make_cycle(5)])
+    tree = make_caterpillar([2, 0, 1])
+    built = []
+    init, from_rows = Graph.__init__, Graph._from_rows.__func__
+
+    def counted_init(self, n, edges):
+        built.append("__init__")
+        init(self, n, edges)
+
+    def counted_from_rows(cls, rows):
+        built.append("_from_rows")
+        return from_rows(cls, rows)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "_from_rows", classmethod(counted_from_rows))
+    for g in (mixed, tree):
+        for variant in Variant:
+            decide(g, variant)
+            opening_values(g, variant)
+            grundy(start_position(g, variant))
+            best_move(start_position(g, variant))
+    component_free_values(mixed)
+    connected_block_values(tree)
+    tree_connected_grundy(tree)
+    assert built == []
+    make_path(2)  # the count sees both constructors
+    random_cograph(3, random.Random(0))
+    assert built == ["__init__", "_from_rows"]
 
 
 # =====================================================================
