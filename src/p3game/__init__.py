@@ -37,9 +37,9 @@ Quick start::
 """
 
 from .graphs import (Graph, GraphFormatError, bits, components, emit_graph,
-                     graph_digest, induced_subgraph, is_tree,
-                     make_caterpillar, make_clique, make_cycle, make_ladder,
-                     make_path, make_star, mask_of, parse_graph,
+                     graph_digest, induced_subgraph, make_caterpillar,
+                     make_clique, make_cycle, make_ladder, make_path,
+                     make_star, mask_of, parse_graph,
                      random_biconnected_chordal, random_caterpillar,
                      random_chordal, random_cograph, random_gnp, random_tree)
 from .closure import (IllegalMoveError, Position, Variant, apply_move, hull,
@@ -58,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     # graphs
     "Graph", "GraphFormatError",
-    "bits", "mask_of", "components", "induced_subgraph", "is_tree",
+    "bits", "mask_of", "components", "induced_subgraph",
     "make_path", "make_cycle", "make_star", "make_clique", "make_ladder",
     "make_caterpillar",
     "parse_graph", "emit_graph", "graph_digest",

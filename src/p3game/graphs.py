@@ -200,10 +200,6 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     return Graph(len(old_ids), edges), old_ids
 
 
-def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.edge_count() == g.n - 1 and len(components(g)) == 1
-
-
 # =====================================================================
 # Family generators
 # =====================================================================

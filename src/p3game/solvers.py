@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .closure import hull
 from .engine import Verdict, mex, nim_sum
-from .graphs import Graph, bits, components, is_tree
+from .graphs import Graph, bits, components
 
 
 # =====================================================================
@@ -165,17 +165,16 @@ def connected_block_values(g: Graph) -> list[int]:
     "label a vertex two steps away".
 
     Finding the blocks takes one hull per edge, O(m * |B|) for the
-    largest block B: cubic on a clique (K_100 about 0.2 s, K_200 about
-    1.4 s).  The branches are evaluated from an explicit stack, so no
-    graph size meets Python's recursion limit.  An entry (c, i, branches)
-    is expanded once: branches, None until then, becomes the (v, j) that
-    hang at block i's vertices other than c, and the entry goes back
-    under the unsolved ones; the jumps are those with v next to c.
+    largest block B: cubic on a clique.  The branches are evaluated
+    from an explicit stack, so no graph size meets Python's recursion
+    limit.  An entry (c, i, branches) is expanded once: branches, None
+    until then, becomes the (v, j) that hang at block i's vertices
+    other than c, and the entry goes back under the unsolved ones; the
+    jumps are those with v next to c.
     Evaluating a branch at block B costs O(|B|) plus one step per block
     hanging at B's other vertices.  Each of the d blocks at one cut
     vertex sees the other d - 1 there, so the cost is quadratic in the
-    largest block and in the largest number of blocks at one vertex
-    (K_{1,1000} about 0.8 s, K_{1,2000} about 3 s).
+    largest block and in the largest number of blocks at one vertex.
     """
     blocks = sorted({hull(g, (1 << u) | (1 << v)) for u, v in g.edges()})
     if sum(b.bit_count() - 1 for b in blocks) != g.n - len(components(g)):
@@ -209,9 +208,10 @@ def connected_block_values(g: Graph) -> list[int]:
 
 
 def tree_connected_grundy(tree: Graph) -> int:
-    """Grundy value of the connected game on a tree: the mex of
+    """Grundy value of the connected game on a tree, one component with
+    n - 1 edges (so at least one vertex): the mex of
     ``connected_block_values`` (every edge of a tree is a block)."""
-    if not is_tree(tree):
+    if tree.edge_count() != tree.n - 1 or len(components(tree)) != 1:
         raise ValueError("input graph is not a tree")
     return mex(connected_block_values(tree))
 

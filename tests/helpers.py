@@ -1,5 +1,6 @@
 """Shared test utilities: conversion to/from networkx, enumeration of
-small graphs (one representative per isomorphism class), disjoint
+small graphs (one representative per isomorphism class), the
+whole-graph search's opening values on every atlas graph, disjoint
 unions and their opening values, the graph invariant check run on
 every generator output, and the value-semantics check of the immutable
 records."""
@@ -13,6 +14,8 @@ import networkx as nx
 import pytest
 
 from p3game import Graph, Variant, bits, mask_of, mex, nim_sum
+
+from reference import reference_grundy
 
 
 def nx_to_graph(g) -> Graph:
@@ -35,6 +38,30 @@ def atlas_graphs(max_n: int) -> tuple:
     assert max_n <= 7, "the atlas stops at seven vertices"
     return tuple(nx_to_graph(g) for g in nx.graph_atlas_g()
                  if 1 <= g.number_of_nodes() <= max_n)
+
+
+@lru_cache(maxsize=None)
+def atlas_openings() -> tuple:
+    """Every graph of ``atlas_graphs(7)``, in order, with the value after
+    each opening by vertex in each variant, by the plain whole-graph
+    search: pairs (g, {variant: values}), one memo per graph and
+    variant.  Every vertex is an opening and closed on its own, so
+    ``Verdict.from_openings(values)`` is ``reference_decide(g, variant)``.
+
+    The search runs once per session, on the first call, and what it
+    returns is kept for every later test: never make that first call
+    while any part of tests/reference.py is patched (one acceptance
+    test patches ``reference.hull_by_rescan``), and never change a
+    list it returns."""
+    out = []
+    for g in atlas_graphs(7):
+        values = {}
+        for variant in Variant:
+            memo = {}
+            values[variant] = [reference_grundy(g, 1 << x, variant, memo)
+                               for x in range(g.n)]
+        out.append((g, values))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
 from p3game import engine
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
-from helpers import (atlas_graphs, check_immutable_value,
+from helpers import (atlas_graphs, atlas_openings, check_immutable_value,
                      connected_atlas_graphs, disjoint_union, union_openings)
 from reference import (child_masks, is_p3_closed, reference_decide,
                        reference_grundy)
@@ -477,39 +477,25 @@ def test_cycle_search_never_builds_an_arc_missing_one_vertex():
 # agreement with the plain whole-graph search (tests/reference.py)
 # =====================================================================
 
-def test_decide_matches_the_whole_graph_search_on_the_atlas():
+def test_the_engine_matches_the_whole_graph_search_on_the_atlas():
     # every graph of up to seven vertices, disconnected ones included:
-    # winner, value and witness, and grundy at the start
-    for g in atlas_graphs(7):
+    # the value after each opening, child by child and as one list, then
+    # winner, value and witness, grundy at the start, and best_move,
+    # which scans the legal moves for a child worth 0 and must name the
+    # lowest winning opening that decide reads off the list
+    for g, lists in atlas_openings():
         for variant in Variant:
-            verdict = reference_decide(g, variant)
-            assert decide(g, variant) == verdict, (g.n, g.edges(), variant)
+            values, where = lists[variant], (g.n, g.edges(), variant)
+            start, table = start_position(g, variant), TranspositionTable(g)
+            assert [grundy(apply_move(start, x), table)
+                    for x in bits(legal_moves(start))] == values, where
+            assert opening_values(g, variant, table) == values, where
+            verdict = Verdict.from_openings(values)
+            assert decide(g, variant) == verdict, where
             assert grundy(start_position(g, variant)) == verdict.grundy, \
-                (g.n, g.edges(), variant)
-
-
-def test_every_opening_matches_the_whole_graph_search_on_the_atlas():
-    for g in atlas_graphs(7):
-        for variant in Variant:
-            start = start_position(g, variant)
-            table, memo = TranspositionTable(g), {}
-            for x in bits(legal_moves(start)):
-                child = apply_move(start, x)
-                assert grundy(child, table) == \
-                    reference_grundy(g, child.labeled, variant, memo), \
-                    (g.n, g.edges(), variant, x)
-
-
-def test_decide_witness_is_the_best_move_on_the_atlas():
-    # decide reads its witness off the values after each opening, and
-    # best_move scans the legal moves for a child worth 0; both must
-    # name the lowest winning opening
-    for g in atlas_graphs(7):
-        for variant in Variant:
-            v = decide(g, variant)
-            if v.winner is Player.FIRST:
-                assert v.witness == best_move(start_position(g, variant)), \
-                    (g.n, g.edges(), variant)
+                where
+            if verdict.winner is Player.FIRST:
+                assert best_move(start) == verdict.witness, where
 
 
 def test_decide_matches_the_whole_graph_search_on_random_graphs():

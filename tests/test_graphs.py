@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from p3game import (Graph, GraphFormatError, bits, components, emit_graph,
-                    graph_digest, induced_subgraph, is_tree, make_caterpillar,
+                    graph_digest, induced_subgraph, make_caterpillar,
                     make_clique, make_cycle, make_ladder, make_path,
                     make_star, mask_of, parse_graph,
                     random_biconnected_chordal, random_caterpillar,
@@ -157,15 +157,6 @@ def test_induced_subgraph_random_consistency():
         for new_u, old_u in enumerate(old_ids):
             assert (sub.adj[new_u].bit_count()
                     == (g.adj[old_u] & mask).bit_count())
-
-
-def test_is_tree():
-    assert is_tree(Graph(1, []))
-    assert is_tree(make_path(7))
-    assert is_tree(make_star(5))
-    assert not is_tree(make_cycle(4))
-    assert not is_tree(Graph(2, []))  # disconnected
-    assert not is_tree(Graph(4, [(0, 1), (2, 3)]))
 
 
 # =====================================================================
@@ -364,7 +355,7 @@ def test_random_tree_valid_and_deterministic():
         seen = set()
         for seed in range(10):
             t = random_tree(n, random.Random(seed))
-            assert is_tree(t)
+            assert nx.is_tree(graph_to_nx(t))
             assert t == random_tree(n, random.Random(seed))
             seen.add(t)
         if n >= 8:
@@ -387,12 +378,12 @@ def test_random_caterpillar_valid_and_deterministic():
     for seed in range(30):
         n = 1 + seed % 14
         g = random_caterpillar(n, random.Random(seed))
-        assert g.n == n and is_tree(g)
+        assert g.n == n and nx.is_tree(graph_to_nx(g))
         # removing the leaves leaves a path (or nothing)
         spine = g.full_mask & ~mask_of(v for v in range(n)
                                        if g.adj[v].bit_count() <= 1)
         body, _ = induced_subgraph(g, spine)
-        assert body.n == 0 or (is_tree(body) and max(
+        assert body.n == 0 or (nx.is_tree(graph_to_nx(body)) and max(
             row.bit_count() for row in body.adj) <= 2)
         assert g == random_caterpillar(n, random.Random(seed))
 

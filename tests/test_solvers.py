@@ -21,11 +21,10 @@ from p3game import (Player, Position, Variant, Verdict, best_move,
 from p3game import solvers
 from p3game.graphs import Graph
 
-from helpers import (atlas_graphs, disjoint_union, graph_to_nx,
-                     has_induced_p4, union_openings)
+from helpers import (atlas_graphs, atlas_openings, disjoint_union,
+                     graph_to_nx, has_induced_p4, union_openings)
 from reference import (connected_cycle_arc_values, fenced_run_table,
-                       free_cycles_by_reduction, reference_decide,
-                       reference_grundy)
+                       free_cycles_by_reduction, reference_grundy)
 
 
 # =====================================================================
@@ -246,10 +245,15 @@ def test_tree_solver_solves_5000_vertex_trees():
 
 def test_tree_solver_basics():
     assert tree_connected_grundy(Graph(1, [])) == 1
-    with pytest.raises(ValueError, match="not a tree"):
-        tree_connected_grundy(make_cycle(4))
-    with pytest.raises(ValueError, match="not a tree"):
-        tree_connected_grundy(Graph(2, []))
+    assert tree_connected_grundy(make_path(7)) == connected_path_value(7)
+    star = make_star(5)
+    assert tree_connected_grundy(star) == \
+        grundy(start_position(star, Variant.CONNECTED))
+    # a cycle, no vertex, and two disconnected forests
+    for g in (make_cycle(4), Graph(0, []), Graph(2, []),
+              Graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(ValueError, match="not a tree"):
+            tree_connected_grundy(g)
 
 
 def test_tree_solver_first_move_decomposition():
@@ -283,31 +287,23 @@ def _hulls_are_blocks(g):
 
 
 def test_block_solver_on_every_atlas_graph():
-    accepted = chordal = 0
-    for g in atlas_graphs(7):
+    # the whole list, not only the verdict it leads to: a value wrong
+    # above the mex leaves the verdict right
+    accepted = chordal = chordal_accepted = 0
+    for g, lists in atlas_openings():
+        is_chordal = nx.is_chordal(graph_to_nx(g))
+        chordal += is_chordal
         if not _hulls_are_blocks(g):
             with pytest.raises(ValueError, match="not its whole block"):
                 connected_block_values(g)
             continue
-        assert Verdict.from_openings(connected_block_values(g)) == \
-            reference_decide(g, Variant.CONNECTED), g.edges()
+        assert connected_block_values(g) == lists[Variant.CONNECTED], \
+            g.edges()
         accepted += 1
-        chordal += nx.is_chordal(graph_to_nx(g))
+        chordal_accepted += is_chordal
     # every chordal graph is among the accepted ones
-    assert chordal == sum(nx.is_chordal(graph_to_nx(g))
-                          for g in atlas_graphs(7)) == 531
+    assert chordal_accepted == chordal == 531
     assert accepted == 712
-
-
-def test_block_solver_values_every_opening_on_the_atlas():
-    # the whole list, not only the verdict it leads to: a value wrong
-    # above the mex leaves the verdict right
-    for g in atlas_graphs(7):
-        if _hulls_are_blocks(g):
-            memo = {}
-            assert connected_block_values(g) == \
-                [reference_grundy(g, 1 << x, Variant.CONNECTED, memo)
-                 for x in range(g.n)], g.edges()
 
 
 def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
@@ -493,50 +489,23 @@ def _solvable(g):
     return True
 
 
-def test_cograph_solver_on_every_atlas_graph():
-    cographs = 0
-    for g in atlas_graphs(7):
-        if has_induced_p4(g):
-            if not _solvable(g):
-                with pytest.raises(ValueError, match="neither a path"):
-                    component_free_values(g)
-            continue
-        assert Verdict.from_openings(component_free_values(g)) == \
-            reference_decide(g, Variant.FREE), g.edges()
-        cographs += 1
-    assert cographs == 287
-
-
-def test_cograph_solver_values_every_opening_on_the_atlas():
+def test_component_solver_on_every_atlas_graph():
     # the whole list, not only the verdict it leads to: a value wrong
-    # above the mex leaves the verdict right
-    for g in atlas_graphs(7):
-        if not has_induced_p4(g):
-            memo = {}
-            assert component_free_values(g) == \
-                [reference_grundy(g, 1 << x, Variant.FREE, memo)
-                 for x in range(g.n)], g.edges()
-
-
-def test_component_solver_values_every_opening_on_the_atlas():
-    # the graphs with an induced P_4 that the solver still takes, each
-    # of its P_4-holding components a path, a cycle or a join; the
-    # cographs are checked above, and together they make every graph it
-    # accepts
-    accepted = 0
-    for g in atlas_graphs(7):
-        if not has_induced_p4(g):
-            continue
+    # above the mex leaves the verdict right.  Every cograph is taken,
+    # and so are the graphs with an induced P_4 each of whose
+    # P_4-holding components is a path, a cycle or a join
+    cographs = with_p4 = 0
+    for g, lists in atlas_openings():
         if not _solvable(g):
             with pytest.raises(ValueError, match="neither a path"):
                 component_free_values(g)
             continue
-        memo = {}
-        assert component_free_values(g) == \
-            [reference_grundy(g, 1 << x, Variant.FREE, memo)
-             for x in range(g.n)], g.edges()
-        accepted += 1
-    assert accepted == 436 - 287
+        assert component_free_values(g) == lists[Variant.FREE], g.edges()
+        if has_induced_p4(g):
+            with_p4 += 1
+        else:
+            cographs += 1
+    assert (cographs, with_p4) == (287, 149)
 
 
 def test_component_solver_values_every_opening_on_random_joins():
