@@ -477,12 +477,20 @@ def test_cycle_search_never_builds_an_arc_missing_one_vertex():
 # agreement with the plain whole-graph search (tests/reference.py)
 # =====================================================================
 
-def test_the_engine_matches_the_whole_graph_search_on_the_atlas():
+def test_decide_matches_the_whole_graph_search_on_the_atlas():
     # every graph of up to seven vertices, disconnected ones included:
-    # the value after each opening, child by child and as one list, then
-    # winner, value and witness, grundy at the start, and best_move,
-    # which scans the legal moves for a child worth 0 and must name the
-    # lowest winning opening that decide reads off the list
+    # winner, value and witness, and grundy at the start
+    for g, lists in atlas_openings():
+        for variant in Variant:
+            verdict = Verdict.from_openings(lists[variant])
+            assert decide(g, variant) == verdict, (g.n, g.edges(), variant)
+            assert grundy(start_position(g, variant)) == verdict.grundy, \
+                (g.n, g.edges(), variant)
+
+
+def test_every_opening_matches_the_whole_graph_search_on_the_atlas():
+    # the value after each opening, child by child and as one list, on
+    # one table
     for g, lists in atlas_openings():
         for variant in Variant:
             values, where = lists[variant], (g.n, g.edges(), variant)
@@ -490,12 +498,18 @@ def test_the_engine_matches_the_whole_graph_search_on_the_atlas():
             assert [grundy(apply_move(start, x), table)
                     for x in bits(legal_moves(start))] == values, where
             assert opening_values(g, variant, table) == values, where
-            verdict = Verdict.from_openings(values)
-            assert decide(g, variant) == verdict, where
-            assert grundy(start_position(g, variant)) == verdict.grundy, \
-                where
+
+
+def test_decide_witness_is_the_best_move_on_the_atlas():
+    # decide reads its witness off the values after each opening, and
+    # best_move scans the legal moves for a child worth 0; both must
+    # name the lowest winning opening
+    for g, lists in atlas_openings():
+        for variant in Variant:
+            verdict = Verdict.from_openings(lists[variant])
             if verdict.winner is Player.FIRST:
-                assert best_move(start) == verdict.witness, where
+                assert best_move(start_position(g, variant)) == \
+                    verdict.witness, (g.n, g.edges(), variant)
 
 
 def test_decide_matches_the_whole_graph_search_on_random_graphs():

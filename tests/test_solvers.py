@@ -287,8 +287,6 @@ def _hulls_are_blocks(g):
 
 
 def test_block_solver_on_every_atlas_graph():
-    # the whole list, not only the verdict it leads to: a value wrong
-    # above the mex leaves the verdict right
     accepted = chordal = chordal_accepted = 0
     for g, lists in atlas_openings():
         is_chordal = nx.is_chordal(graph_to_nx(g))
@@ -297,13 +295,22 @@ def test_block_solver_on_every_atlas_graph():
             with pytest.raises(ValueError, match="not its whole block"):
                 connected_block_values(g)
             continue
-        assert connected_block_values(g) == lists[Variant.CONNECTED], \
-            g.edges()
+        assert Verdict.from_openings(connected_block_values(g)) == \
+            Verdict.from_openings(lists[Variant.CONNECTED]), g.edges()
         accepted += 1
         chordal_accepted += is_chordal
     # every chordal graph is among the accepted ones
     assert chordal_accepted == chordal == 531
     assert accepted == 712
+
+
+def test_block_solver_values_every_opening_on_the_atlas():
+    # the whole list, not only the verdict it leads to: a value wrong
+    # above the mex leaves the verdict right
+    for g, lists in atlas_openings():
+        if _hulls_are_blocks(g):
+            assert connected_block_values(g) == lists[Variant.CONNECTED], \
+                g.edges()
 
 
 def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
@@ -489,23 +496,45 @@ def _solvable(g):
     return True
 
 
-def test_component_solver_on_every_atlas_graph():
-    # the whole list, not only the verdict it leads to: a value wrong
-    # above the mex leaves the verdict right.  Every cograph is taken,
-    # and so are the graphs with an induced P_4 each of whose
-    # P_4-holding components is a path, a cycle or a join
-    cographs = with_p4 = 0
+def test_cograph_solver_on_every_atlas_graph():
+    cographs = 0
     for g, lists in atlas_openings():
+        if has_induced_p4(g):
+            if not _solvable(g):
+                with pytest.raises(ValueError, match="neither a path"):
+                    component_free_values(g)
+            continue
+        assert Verdict.from_openings(component_free_values(g)) == \
+            Verdict.from_openings(lists[Variant.FREE]), g.edges()
+        cographs += 1
+    assert cographs == 287
+
+
+def test_cograph_solver_values_every_opening_on_the_atlas():
+    # the whole list, not only the verdict it leads to: a value wrong
+    # above the mex leaves the verdict right
+    for g, lists in atlas_openings():
+        if not has_induced_p4(g):
+            assert component_free_values(g) == lists[Variant.FREE], \
+                g.edges()
+
+
+def test_component_solver_values_every_opening_on_the_atlas():
+    # the graphs with an induced P_4 that the solver still takes, each
+    # of its P_4-holding components a path, a cycle or a join; the
+    # cographs are checked above, and together they make every graph it
+    # accepts
+    accepted = 0
+    for g, lists in atlas_openings():
+        if not has_induced_p4(g):
+            continue
         if not _solvable(g):
             with pytest.raises(ValueError, match="neither a path"):
                 component_free_values(g)
             continue
         assert component_free_values(g) == lists[Variant.FREE], g.edges()
-        if has_induced_p4(g):
-            with_p4 += 1
-        else:
-            cographs += 1
-    assert (cographs, with_p4) == (287, 149)
+        accepted += 1
+    assert accepted == 436 - 287
 
 
 def test_component_solver_values_every_opening_on_random_joins():
