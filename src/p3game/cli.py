@@ -5,8 +5,7 @@ Conventions: machine-readable JSON goes to standard output (sorted keys,
 so identical invocations are byte-identical); human-readable tables and
 diagnostics go to standard error.  Exit codes: 0 success/pass,
 1 verification mismatch, 2 usage or parse error, 3 resource limit.
-The node budget comes from --budget, else the P3_BUDGET environment
-variable, else the engine default.
+The node budget comes from --budget alone, else the engine default.
 """
 
 from __future__ import annotations
@@ -146,22 +145,6 @@ class ResultCache:
         return len(self._entries)
 
 
-def _resolve_budget(args) -> int:
-    value, source = args.budget, "--budget"
-    if value is None:
-        value, source = os.environ.get("P3_BUDGET"), "P3_BUDGET"
-        if value is None:
-            return DEFAULT_BUDGET
-    try:
-        budget = int(value)
-        if budget < 1:
-            raise ValueError
-    except ValueError:
-        raise GraphFormatError(
-            "%s must be a positive integer, got %r" % (source, value))
-    return budget
-
-
 def _read_graph_file(path: str):
     try:
         with open(path, "rb") as fh:
@@ -180,18 +163,19 @@ def cmd_solve(args, stdout, stderr) -> int:
     if g.n < 1:
         raise GraphFormatError("cannot decide the game on an empty graph")
     variant = Variant(args.variant)
-    budget = _resolve_budget(args)
     try:
         cache = ResultCache(args.cache) if args.cache else None
     except OSError as exc:
         raise GraphFormatError(
             "cannot open cache directory %s: %s" % (args.cache, exc))
-    digest = graph_digest(g)
 
-    # explicit None test: an empty cache is falsy through __len__
-    verdict = cache.get(digest, variant) if cache is not None else None
+    # explicit None tests: an empty cache is falsy through __len__
+    verdict = None
+    if cache is not None:
+        digest = graph_digest(g)
+        verdict = cache.get(digest, variant)
     if verdict is None:
-        verdict = decide(g, variant, TranspositionTable(g, budget))
+        verdict = decide(g, variant, TranspositionTable(g, args.budget))
         if cache is not None:
             try:
                 cache.put(digest, variant, verdict)
@@ -217,10 +201,9 @@ def cmd_solve(args, stdout, stderr) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_verify(args, stdout, stderr) -> int:
-    budget = _resolve_budget(args)
     try:
         report = run_family(args.family, args.max_n, seed=args.seed,
-                            budget=budget)
+                            budget=args.budget)
     except ValueError as exc:
         print("error: %s" % exc, file=stderr)
         return 2
@@ -242,8 +225,7 @@ def _print_board(pos: Position, stdout) -> None:
 def cmd_play(args, stdout, stderr, stdin) -> int:
     g = _read_graph_file(args.graph)
     variant = Variant(args.variant)
-    budget = _resolve_budget(args)
-    table = TranspositionTable(g, budget)
+    table = TranspositionTable(g, args.budget)
     pos = start_position(g, variant)
     human_to_move = args.human == "first"
     mover_name = {True: "you", False: "engine"}
@@ -310,6 +292,18 @@ def cmd_gen(args, stdout, stderr) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """--budget's converter: an integer ``int()`` reads, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p3game",
@@ -324,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", default="grundy",
                          choices=["winner", "grundy"],
                          help="emit winner+witness only, or the full value")
-    p_solve.add_argument("--budget", type=int, default=None,
-                         help="node budget (table entries)")
-    p_solve.add_argument("--cache", default=None,
-                         help="directory for the append-only verdict cache")
 
     p_verify = sub.add_parser("verify",
                               help="sweep a family solver against the engine")
@@ -337,14 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", action="store_true",
                           help="also emit the report as JSON on stdout")
-    p_verify.add_argument("--budget", type=int, default=None)
 
     p_play = sub.add_parser("play", help="interactive game against the engine")
     p_play.add_argument("--graph", required=True)
     p_play.add_argument("--variant", required=True,
                         choices=[v.value for v in Variant])
     p_play.add_argument("--human", required=True, choices=["first", "second"])
-    p_play.add_argument("--budget", type=int, default=None)
+    for p_search in (p_solve, p_verify, p_play):
+        p_search.add_argument("--budget", type=_positive_int,
+                              default=DEFAULT_BUDGET,
+                              help="node budget (table entries)")
+    # after --budget, so solve's usage line lists --budget before --cache
+    p_solve.add_argument("--cache", default=None,
+                         help="directory for the append-only verdict cache")
 
     p_gen = sub.add_parser("gen", help="generate a family graph file")
     p_gen.add_argument("--family", required=True,
@@ -361,11 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """build_parser(), built on the first main call and reused by every
-    later call in the process.  Building it costs about 1 ms, ten times
-    a cached solve of a small graph (about 0.1 ms, a third of it in
-    parsing argv; see README).  It captures nothing from the
-    environment: help width is read when help is printed, and P3_BUDGET
-    when a command runs."""
+    later call in the process.  It captures nothing from the
+    environment: help width is read when help is printed."""
     return build_parser()
 
 

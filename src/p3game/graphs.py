@@ -311,7 +311,7 @@ def emit_graph(g: Graph) -> bytes:
 
 def graph_digest(g: Graph) -> str:
     """Stable content hash of a graph (over its canonical serialization)."""
-    import hashlib  # not at the top: of the CLI's commands only solve digests
+    import hashlib  # not at the top: the CLI digests only in solve --cache
     return hashlib.sha256(emit_graph(g)).hexdigest()
 
 

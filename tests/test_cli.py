@@ -181,48 +181,42 @@ def test_solve_rejects_unknown_variant(tmp_path):
 
 def test_budget_flag_triggers_resource_exit(tmp_path):
     path = write_graph(tmp_path, make_path(12))
-    code, out, err = run_cli(["solve", "--graph", path, "--variant", "free",
-                              "--budget", "3"])
-    assert code == 3
-    assert out == ""
-    assert err.startswith("resource limit:")
+    for argv in (["solve", "--graph", path, "--variant", "free",
+                  "--budget", "3"],
+                 ["verify", "--family", "path-free", "--max-n", "12",
+                  "--budget", "5"],
+                 # the engine moves first, so it searches before any input
+                 ["play", "--graph", path, "--variant", "free",
+                  "--human", "second", "--budget", "1"]):
+        code, out, err = run_cli(argv)
+        assert code == 3, argv
+        assert err.startswith("resource limit:"), argv
+        if argv[0] != "play":  # play greets on stdout before it searches
+            assert out == "", argv
 
 
-def test_budget_env_var_is_honored(tmp_path, monkeypatch):
+def test_budget_env_var_is_not_read(tmp_path, monkeypatch):
+    # the answer depends only on argv and the files it names
     path = write_graph(tmp_path, make_path(12))
     monkeypatch.setenv("P3_BUDGET", "3")
-    code, _, err = run_cli(["solve", "--graph", path, "--variant", "free"])
-    assert code == 3
-    assert err.startswith("resource limit:")
-
-
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
-def test_budget_env_var_must_be_a_positive_integer(tmp_path, monkeypatch,
-                                                   value):
-    path = write_graph(tmp_path, make_path(4))
-    monkeypatch.setenv("P3_BUDGET", value)
-    code, _, err = run_cli(["solve", "--graph", path, "--variant", "free"])
-    assert code == 2
-    assert "P3_BUDGET must be a positive integer" in err
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_budget_flag_must_be_a_positive_integer(tmp_path, value):
-    path = write_graph(tmp_path, make_path(4))
-    code, out, err = run_cli(["solve", "--graph", path, "--variant", "free",
-                              "--budget", value])
-    assert code == 2
-    assert out == ""
-    assert err == "error: --budget must be a positive integer, got %s\n" % value
-
-
-def test_budget_flag_wins_over_env_var(tmp_path, monkeypatch):
-    path = write_graph(tmp_path, make_path(4))
-    monkeypatch.setenv("P3_BUDGET", "abc")  # never consulted
-    code, out, _ = run_cli(["solve", "--graph", path, "--variant", "free",
-                            "--budget", "100000"])
+    code, out, _ = run_cli(["solve", "--graph", path, "--variant", "free"])
     assert code == 0
     assert json.loads(out)["winner"] in ("first", "second")
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+def test_budget_flag_must_be_a_positive_integer(tmp_path, value):
+    path = write_graph(tmp_path, make_path(4))
+    for argv in (["solve", "--graph", path, "--variant", "free"],
+                 ["verify", "--family", "ladder", "--max-n", "4"],
+                 ["play", "--graph", path, "--variant", "free",
+                  "--human", "first"]):
+        code, out, err = run_cli(argv + ["--budget", value])
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("usage: p3game %s" % argv[0]), argv
+        assert err.endswith("argument --budget: must be a positive "
+                            "integer, got %r\n" % value), argv
 
 
 # =====================================================================
@@ -707,20 +701,26 @@ def test_tree_sweep_runs_without_networkx():
     assert proc.stdout == "0 False\n", proc.stderr
 
 
-def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
+def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect(tmp_path):
     # every process that answers pays for its imports; -S keeps out the
     # modules a site-packages .pth file may import on its own.  hashlib
-    # waits for the first graph_digest, which must still hash the same
+    # waits for the first graph_digest, which solve makes only with a
+    # cache, and which must still hash the same
     script = ("import sys, p3game.cli\n"
               "print(sorted({'dataclasses', 'typing', 'inspect', 'hashlib',"
               " '_hashlib'} & set(sys.modules)))\n"
+              "p3game.cli.main(['solve', '--graph', sys.argv[1],"
+              " '--variant', 'free'])\n"
+              "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
               "from p3game import emit_graph, graph_digest, make_cycle\n"
               "import hashlib\n"
               "g = make_cycle(5)\n"
               "print(graph_digest(g)"
               " == hashlib.sha256(emit_graph(g)).hexdigest())\n")
-    proc = _run_python("-S", "-c", script)
-    assert proc.stdout == "[]\nTrue\n", proc.stderr
+    path = write_graph(tmp_path, make_path(3))
+    proc = _run_python("-S", "-c", script, path)
+    assert proc.stdout == ('[]\n{"grundy": 1, "winner": "first", '
+                           '"witness": 1}\n[]\nTrue\n'), proc.stderr
 
 
 def test_verify_report_repr_and_defaults():
@@ -1096,40 +1096,33 @@ def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
     cycle = write_graph(tmp_path, make_cycle(5))
     path12 = write_graph(tmp_path, make_path(12), name="p12.json")
     calls = [
-        (["solve", "--graph", cycle, "--variant", "connected"], None),
-        (["solve", "--graph", cycle, "--variant", "both"], None),
-        (["verify", "--family", "ladder", "--max-n", "4", "--json"], None),
-        (["verify", "--family", "ladder", "--max-n", "4"], None),
-        (["solve", "--graph", cycle, "--variant", "connected",
-          "--mode", "winner"], None),
-        # the budget is read from the environment per call, not cached
-        (["solve", "--graph", path12, "--variant", "free"], "3"),
-        (["solve", "--graph", path12, "--variant", "free"], None),
-        (["verify", "--help"], None),
+        ["solve", "--graph", cycle, "--variant", "connected"],
+        ["solve", "--graph", cycle, "--variant", "both"],
+        ["verify", "--family", "ladder", "--max-n", "4", "--json"],
+        ["verify", "--family", "ladder", "--max-n", "4"],
+        ["solve", "--graph", cycle, "--variant", "connected",
+         "--mode", "winner"],
+        # a budget in one call does not carry over to the next
+        ["solve", "--graph", path12, "--variant", "free", "--budget", "3"],
+        ["solve", "--graph", path12, "--variant", "free"],
+        ["verify", "--help"],
         # the top-level parser alone: no command, or none it knows
-        ([], None),
-        (["-h"], None),
-        (["bogus"], None),
+        [],
+        ["-h"],
+        ["bogus"],
         # a command's own parser, help and errors included
-        (["solve", "--help"], None),
-        (["gen", "--help"], None),
-        (["play", "--help"], None),
-        (["solve", "--graph", cycle, "--var", "free"], None),
-        (["solve", "--variant", "free"], None),
-        (["verify", "--family", "moebius"], None),
+        ["solve", "--help"],
+        ["gen", "--help"],
+        ["play", "--help"],
+        ["solve", "--graph", cycle, "--var", "free"],
+        ["solve", "--variant", "free"],
+        ["verify", "--family", "moebius"],
         # left over by the command's parser, reported by the top level
-        (["solve", "--graph", cycle, "--variant", "free", "extra"], None),
+        ["solve", "--graph", cycle, "--variant", "free", "extra"],
     ]
 
     def run_all():
-        results = []
-        for argv, budget in calls:
-            if budget is None:
-                monkeypatch.delenv("P3_BUDGET", raising=False)
-            else:
-                monkeypatch.setenv("P3_BUDGET", budget)
-            results.append(_run_capturing_streams(argv))
-        return results
+        return [_run_capturing_streams(argv) for argv in calls]
 
     cli._shared_parser.cache_clear()
     shared = run_all()
