@@ -141,9 +141,6 @@ class ResultCache:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line)
 
-    def __len__(self):
-        return len(self._entries)
-
 
 def _read_graph_file(path: str):
     try:
@@ -160,8 +157,6 @@ def _read_graph_file(path: str):
 
 def cmd_solve(args, stdout, stderr) -> int:
     g = _read_graph_file(args.graph)
-    if g.n < 1:
-        raise GraphFormatError("cannot decide the game on an empty graph")
     variant = Variant(args.variant)
     try:
         cache = ResultCache(args.cache) if args.cache else None
@@ -169,7 +164,6 @@ def cmd_solve(args, stdout, stderr) -> int:
         raise GraphFormatError(
             "cannot open cache directory %s: %s" % (args.cache, exc))
 
-    # explicit None tests: an empty cache is falsy through __len__
     verdict = None
     if cache is not None:
         digest = graph_digest(g)
@@ -182,9 +176,9 @@ def cmd_solve(args, stdout, stderr) -> int:
             except OSError as exc:
                 raise GraphFormatError(
                     "cannot write cache file %s: %s" % (cache.path, exc))
-    elif (verdict.witness or 0) >= g.n:
+    elif verdict.witness is not None and verdict.witness >= g.n:
         # the openings are exactly the vertices, in both variants; a
-        # second-player win has no witness and passes as 0
+        # second-player win has no witness and passes on any graph
         raise CacheCorruptionError(
             "%s holds witness %d for graph %s, which has %d vertices"
             % (cache.path, verdict.witness, digest, g.n))
@@ -312,15 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one graph instance")
-    p_solve.add_argument("--graph", required=True, help="graph JSON file")
-    p_solve.add_argument("--variant", required=True,
-                         choices=[v.value for v in Variant])
+    p_verify = sub.add_parser("verify",
+                              help="sweep a family solver against the engine")
+    p_play = sub.add_parser("play", help="interactive game against the engine")
+    for p_graph in (p_solve, p_play):
+        p_graph.add_argument("--graph", required=True, help="graph JSON file")
+        p_graph.add_argument("--variant", required=True,
+                             choices=[v.value for v in Variant])
     p_solve.add_argument("--mode", default="grundy",
                          choices=["winner", "grundy"],
                          help="emit winner+witness only, or the full value")
 
-    p_verify = sub.add_parser("verify",
-                              help="sweep a family solver against the engine")
     p_verify.add_argument("--family", required=True,
                           choices=sorted(FAMILIES))
     p_verify.add_argument("--max-n", required=True, type=int, dest="max_n")
@@ -328,10 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true",
                           help="also emit the report as JSON on stdout")
 
-    p_play = sub.add_parser("play", help="interactive game against the engine")
-    p_play.add_argument("--graph", required=True)
-    p_play.add_argument("--variant", required=True,
-                        choices=[v.value for v in Variant])
     p_play.add_argument("--human", required=True, choices=["first", "second"])
     for p_search in (p_solve, p_verify, p_play):
         p_search.add_argument("--budget", type=_positive_int,

@@ -60,16 +60,16 @@ are two or more; a rest of one part becomes an entry once solved.
 This is exact, since the parts of a rest are the components of the
 graph it induces whatever seeds found them, and the seeds meet every
 part.  The free game floods every rest, with ``components``
-chosen once per call: its multi-part rests rarely recur, and on the
-free ``random_tree(26, Random(1))`` the same memo held 98,843 rests
-against 13,200 entries and took peak RSS from 20.2 to 45.8 MB.
+chosen once per call: its multi-part rests rarely recur, so a memo of
+them would hold mostly rests that never come up again.
 
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L.  The start is worth the mex of the values after
 its openings, in both variants: every vertex is a legal opening and is
 its own hull.  So the start itself is not memoized, and in the
 connected game on a disconnected graph the opening picks the component
-play stays in, with no special case.
+play stays in, with no special case.  The empty graph has no opening,
+and its start is worth the mex of nothing, 0.
 
 Entries are keyed by (component bitmask, variant) per graph; there is no
 isomorphism-based canonicalization.  Correctness first: symmetry
@@ -153,9 +153,8 @@ class Verdict(Record):
     def from_openings(cls, values: list[int]) -> "Verdict":
         """Verdict of a game from ``values``, the value after each opening
         by vertex: their mex, with the lowest opening worth 0 as the
-        witness."""
-        if not values:
-            raise ValueError("cannot decide the game on an empty graph")
+        witness.  An empty list, the empty graph's, is worth 0: the
+        first player cannot move, so the second wins."""
         value = mex(values)
         if value == 0:
             return cls(Player.SECOND, 0, None)

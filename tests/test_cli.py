@@ -17,7 +17,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from p3game import (Player, TranspositionTable, Variant, Verdict,
+from p3game import (Graph, Player, TranspositionTable, Variant, Verdict,
                     apply_move, best_move, decide, emit_graph, graph_digest,
                     grundy, legal_moves, make_cycle, make_ladder, make_path,
                     mex, parse_graph, random_biconnected_chordal,
@@ -96,14 +96,45 @@ def test_solve_deeply_nested_graph_json_is_a_usage_error(tmp_path):
     assert err == "error: malformed JSON in graph: nested too deeply\n"
 
 
-def test_solve_empty_graph_is_a_usage_error(tmp_path):
+EMPTY_VERDICT = '{"grundy": 0, "winner": "second", "witness": null}\n'
+
+
+def _write_empty_graph(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')
-    code, out, err = run_cli(["solve", "--graph", str(path),
-                              "--variant", "free"])
-    assert code == 2
-    assert out == ""
-    assert err == "error: cannot decide the game on an empty graph\n"
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", ["free", "connected"])
+def test_solve_empty_graph_is_a_second_player_win(tmp_path, variant):
+    # the first player cannot move, and loses
+    argv = ["solve", "--graph", _write_empty_graph(tmp_path),
+            "--variant", variant]
+    assert run_cli(argv) == (0, EMPTY_VERDICT, "")
+    assert run_cli(argv + ["--mode", "winner"]) == \
+        (0, '{"winner": "second", "witness": null}\n', "")
+    # a miss stores one line, and the hit answers the same bytes
+    cache_dir = tmp_path / "cache"
+    argv += ["--cache", str(cache_dir)]
+    assert run_cli(argv) == (0, EMPTY_VERDICT, "")
+    data = (cache_dir / "results.jsonl").read_bytes()
+    assert data.count(b"\n") == 1
+    assert run_cli(argv) == (0, EMPTY_VERDICT, "")
+    assert (cache_dir / "results.jsonl").read_bytes() == data
+
+
+def test_cached_first_player_win_on_the_empty_graph_is_refused(tmp_path):
+    digest = graph_digest(Graph(0, []))
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "results.jsonl").write_text(json.dumps(
+        {"graph": digest, "variant": "free",
+         "verdict": {"winner": "first", "grundy": 1, "witness": 0}}) + "\n")
+    code, out, err = run_cli(["solve", "--graph", _write_empty_graph(tmp_path),
+                              "--variant", "free", "--cache", str(cache_dir)])
+    assert code == 2 and out == ""
+    assert err == "error: %s holds witness 0 for graph %s, which has 0 " \
+        "vertices\n" % (cache_dir / "results.jsonl", digest)
 
 
 @pytest.mark.parametrize("n", [2 ** 61, 2 ** 64], ids=["no-memory", "no-index"])
@@ -443,13 +474,13 @@ def test_cache_with_crlf_line_ends_is_read(tmp_path):
     assert code == 0 and json.loads(out) == verdict
     # a hit appends nothing
     assert (cache_dir / "results.jsonl").read_bytes() == data
-    assert len(ResultCache(str(cache_dir))) == 2
+    assert len(ResultCache(str(cache_dir))._entries) == 2
 
 
 def test_cache_skips_blank_lines_and_starts_empty_without_a_file(tmp_path):
     cache_dir = tmp_path / "cache"
     cache = ResultCache(str(cache_dir))
-    assert len(cache) == 0
+    assert len(cache._entries) == 0
     assert cache.get("ab", Variant.FREE) is None
     assert not (cache_dir / "results.jsonl").exists()
     verdict = Verdict(Player.SECOND, 0, None)
@@ -460,7 +491,7 @@ def test_cache_skips_blank_lines_and_starts_empty_without_a_file(tmp_path):
                                      "verdict": record}), "", ""]
     (cache_dir / "results.jsonl").write_text("\n".join(lines))
     cache = ResultCache(str(cache_dir))
-    assert len(cache) == 2
+    assert len(cache._entries) == 2
     assert cache.get("ab", Variant.CONNECTED) == verdict
 
 
@@ -472,7 +503,7 @@ def test_cache_refuses_to_overwrite_an_entry(tmp_path):
               Verdict(Player.FIRST, 2, 1))  # same value: fine
     with pytest.raises(CacheCorruptionError):
         cache.put("deadbeef", Variant.FREE, Verdict(Player.SECOND, 0, None))
-    assert len(cache) == 1
+    assert len(cache._entries) == 1
 
 
 def test_cache_soundness_on_a_random_sample(tmp_path):
@@ -598,12 +629,12 @@ def test_reload_decodes_only_the_lines_appended_since(tmp_path, monkeypatch):
     decode = cli._decode_record
     monkeypatch.setattr(cli, "_decode_record",
                         lambda line: decoded.append(line) or decode(line))
-    assert len(ResultCache(str(cache_dir))) == 100
+    assert len(ResultCache(str(cache_dir))._entries) == 100
     decoded.clear()
     cache = ResultCache(str(cache_dir))
-    assert len(cache) == 100 and decoded == []
+    assert len(cache._entries) == 100 and decoded == []
     cache.put("ab", Variant.FREE, Verdict(Player.SECOND, 0, None))
-    assert len(ResultCache(str(cache_dir))) == 101
+    assert len(ResultCache(str(cache_dir))._entries) == 101
     assert len(decoded) == 1
 
 
@@ -1150,6 +1181,19 @@ def test_shared_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
     assert shared[17][2].endswith("unrecognized arguments: extra\n")
 
 
+def test_solve_and_play_declare_graph_and_variant_alike(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def option_lines(command):
+        _, out, _ = run_cli([command, "--help"])
+        return [line for line in out.splitlines()
+                if line.lstrip().startswith(("--graph", "--variant"))]
+
+    assert option_lines("solve") == option_lines("play") == [
+        "  --graph GRAPH         graph JSON file",
+        "  --variant {free,connected}"]
+
+
 def test_process_entry_point_matches_in_process_main(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     path = write_graph(tmp_path, make_ladder(6))
@@ -1280,6 +1324,17 @@ def test_play_engine_second_wins_a_losing_cycle(tmp_path):
                             "connected", "--human", "first"], replies)
     assert code == 0
     assert "no legal moves for you; engine wins." in out
+
+
+@pytest.mark.parametrize("human, ending", [
+    ("first", "no legal moves for you; engine wins."),
+    ("second", "no legal moves for engine; you win.")])
+def test_play_on_the_empty_graph_ends_at_once(tmp_path, human, ending):
+    code, out, _ = run_cli(["play", "--graph", _write_empty_graph(tmp_path),
+                            "--variant", "free", "--human", human])
+    assert code == 0
+    assert out == "free game on 0 vertices; enter a vertex id, or q to " \
+        "quit.\nlabeled: {}\n%s\n" % ending
 
 
 def test_play_short_free_game_script(tmp_path):

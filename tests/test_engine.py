@@ -11,8 +11,9 @@ import pytest
 
 from p3game import (DEFAULT_BUDGET, Graph, Player, Position,
                     ResourceLimitError, TranspositionTable, Variant, Verdict,
-                    apply_move, best_move, bits, components, decide, grundy,
-                    hull, legal_moves, make_clique, make_cycle, make_ladder,
+                    apply_move, best_move, bits, component_free_values,
+                    components, connected_block_values, decide, grundy, hull,
+                    legal_moves, make_clique, make_cycle, make_ladder,
                     make_path, make_star, mex, nim_sum, opening_values,
                     random_gnp, random_tree, start_position)
 from p3game import engine
@@ -117,9 +118,8 @@ def test_verdict_copies_are_built_through_the_checks(monkeypatch):
 
 def test_verdict_from_openings():
     # the mex of the values after each opening, with the lowest opening
-    # worth 0 as the witness
-    with pytest.raises(ValueError, match="empty graph"):
-        Verdict.from_openings([])
+    # worth 0 as the witness; no opening at all is a second-player win
+    assert Verdict.from_openings([]) == Verdict(Player.SECOND, 0, None)
     assert Verdict.from_openings([1, 1]) == Verdict(Player.SECOND, 0, None)
     assert Verdict.from_openings([2, 0, 1, 0]) == Verdict(Player.FIRST, 3, 1)
     assert Verdict.from_openings([0]) == Verdict(Player.FIRST, 1, 0)
@@ -128,6 +128,22 @@ def test_verdict_from_openings():
 # =====================================================================
 # known small verdicts
 # =====================================================================
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_empty_graph_is_a_second_player_win_everywhere(variant):
+    # normal play: the first player has no move and loses, at every
+    # entry point, the structural solvers included
+    g = Graph(0, [])
+    verdict = Verdict(Player.SECOND, 0, None)
+    assert opening_values(g, variant) == []
+    assert decide(g, variant) == verdict
+    assert Verdict.from_openings(opening_values(g, variant)) == verdict
+    start = start_position(g, variant)
+    assert grundy(start) == 0
+    assert best_move(start) is None
+    assert connected_block_values(g) == []
+    assert component_free_values(g) == []
+
 
 def test_single_vertex_is_one_winning_move():
     g = Graph(1, [])

@@ -318,10 +318,10 @@ def test_block_solver_rejects_graphs_whose_edges_do_not_close_blocks():
     for g in (make_cycle(4), make_ladder(3), house):
         with pytest.raises(ValueError, match="not its whole block"):
             connected_block_values(g)
-    # the empty graph has no opening, and so no verdict
+    # the empty graph has no opening: the first player cannot move
     assert connected_block_values(Graph(0, [])) == []
-    with pytest.raises(ValueError, match="empty graph"):
-        Verdict.from_openings(connected_block_values(Graph(0, [])))
+    assert Verdict.from_openings(connected_block_values(Graph(0, []))) == \
+        Verdict(Player.SECOND, 0, None)
 
 
 @pytest.mark.parametrize("g, calls", [
@@ -381,10 +381,10 @@ def test_cograph_clique_rule_agreement():
         assert v == Verdict(Player.SECOND, 0, None)
     assert Verdict.from_openings(component_free_values(Graph(1, []))) == \
         Verdict(Player.FIRST, 1, 0)
-    # the empty graph has no opening, and so no verdict
+    # the empty graph has no opening: the first player cannot move
     assert component_free_values(Graph(0, [])) == []
-    with pytest.raises(ValueError, match="empty graph"):
-        Verdict.from_openings(component_free_values(Graph(0, [])))
+    assert Verdict.from_openings(component_free_values(Graph(0, []))) == \
+        Verdict(Player.SECOND, 0, None)
 
 
 def test_cograph_union_of_two_edges():
