@@ -51,17 +51,18 @@ to y; so H lies inside hull(x).  The skipped children are ones the
 expansion would have found again; keying the children by the rest
 C - H drops the repeats that the rule does not name.
 
-In the connected game the table also keeps splits.  Its positions are
-few, so the search meets the same child by many move orders, and a
-rest C - H of two or more parts is no entry of its own: unremembered,
-it is flooded again each time.  ``TranspositionTable.split`` floods a
-rest only the first time it meets it and keeps the parts when there
-are two or more; a rest of one part becomes an entry once solved.
-This is exact, since the parts of a rest are the components of the
-graph it induces whatever seeds found them, and the seeds meet every
-part.  The free game floods every rest, with ``components``
-chosen once per call: its multi-part rests rarely recur, so a memo of
-them would hold mostly rests that never come up again.
+In the connected game the table also keeps split rests.  Its
+positions are few, so the search meets the same child by many move
+orders, and a rest R = C - H of two or more parts is no component of
+its own: unremembered, it would be flooded again each time.  So once C
+is solved, each such rest is stored as one more entry, worth the
+nim-sum of its parts' values, and the ``rest in memo`` test that finds
+a solved component finds it too.  This is exact: R is the unlabeled
+set of the position G - R, closed and connected, whose value is that
+nim-sum, and R's key is no component's.  A rest that comes up again
+before its first C is solved is flooded again.  The free game stores
+no rests: its multi-part rests rarely recur, so they would fill the
+table, and its budget, with rests that never come up again.
 
 A position with L nonempty is worth the nim-sum of val(C) over the
 components of G - L.  The start is worth the mex of the values after
@@ -71,7 +72,7 @@ connected game on a disconnected graph the opening picks the component
 play stays in, with no special case.  The empty graph has no opening,
 and its start is worth the mex of nothing, 0.
 
-Entries are keyed by (component bitmask, variant) per graph; there is no
+Entries are keyed by (bitmask, variant) per graph; there is no
 isomorphism-based canonicalization.  Correctness first: symmetry
 reduction is an optimization with high bug risk.  The search keeps its
 own stack, so Python's recursion limit does not bound the graph size.
@@ -88,7 +89,7 @@ from .graphs import Graph, bits, components
 from .closure import (Position, Record, Variant, hull, hull_and_boundary,
                       legal_moves_raw)
 
-#: Default cap on stored components; exceeding it aborts the search
+#: Default cap on table entries; exceeding it aborts the search
 #: instead of ever returning an approximate answer.
 DEFAULT_BUDGET = 50_000_000
 
@@ -167,22 +168,19 @@ class Verdict(Record):
 
 
 class TranspositionTable:
-    """Memo of final Grundy values for one graph, and of the parts of
-    the rests that split.
+    """Memo of final Grundy values for one graph.
 
-    ``entries[variant]`` maps a component mask C to val(C) (see the
-    module docstring).  Every stored C is connected and G - C is
-    P3-closed.  An entry, once written, never changes; a conflicting
-    write raises.  The budget counts entries of both variants, not
-    splits.  The search reads ``entries`` directly and writes through
-    ``store``.
-
-    ``splits`` maps a rest that falls into two or more parts to the
-    list of its parts, the components of the graph it induces; the
-    connected search fills it through ``split``.
+    ``entries[variant]`` maps a mask to its value.  An entry is a
+    component C, stored with val(C) (see the module docstring): C is
+    connected and G - C is P3-closed.  In the connected game an entry
+    may also be a rest of two or more components, stored with the
+    nim-sum of their values.  An entry, once written, never changes; a
+    conflicting write raises.  The budget counts every entry of both
+    variants, and the table keeps nothing else.  The search reads
+    ``entries`` directly and writes through ``store``.
     """
 
-    __slots__ = ("graph", "budget", "entries", "size", "splits")
+    __slots__ = ("graph", "budget", "entries", "size")
 
     def __init__(self, graph: Graph, budget: int = DEFAULT_BUDGET):
         if budget < 1:
@@ -191,7 +189,6 @@ class TranspositionTable:
         self.budget = budget
         self.entries: dict[Variant, dict[int, int]] = {v: {} for v in Variant}
         self.size = 0  # entries of both variants, kept by store
-        self.splits: dict[int, list[int]] = {}
 
     def store(self, component: int, variant: Variant, value: int) -> None:
         entries = self.entries[variant]
@@ -207,16 +204,6 @@ class TranspositionTable:
                 "node budget of %d table entries exceeded" % self.budget)
         entries[component] = value
         self.size += 1
-
-    def split(self, g: Graph, rest: int, seeds: int) -> list[int]:
-        """``components(g, rest, seeds)``, flooded only the first time
-        a rest comes up; a rest of two or more parts is kept."""
-        parts = self.splits.get(rest)
-        if parts is None:
-            parts = components(g, rest, seeds)
-            if len(parts) > 1:
-                self.splits[rest] = parts
-        return parts
 
     def __len__(self):
         return self.size
@@ -251,8 +238,7 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
     edge N(L) - L; each part d of a child inherits ``ones & d`` from
     the hull that cut it (module docstring).
     A boundary seeds the legal moves and every child's hull, and each
-    hull's ``ones`` seeds the split of its child, which the connected
-    game looks up in the table's split memo first.  After the hull H of
+    hull's ``ones`` seeds the split of its child.  After the hull H of
     a boundary move, the moves in H within one step of that move's run
     (module docstring) are dropped unexpanded, since each has hull H.
     children is None until the entry is expanded, then a dict from
@@ -264,7 +250,7 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
         return mex(opening_values(g, variant, table))
     memo = table.entries[variant]
     full, adj, nbhd = g.full_mask, g.adj, g.neighborhood_of_set
-    split = components if variant is Variant.FREE else table.split
+    keep_rests = variant is Variant.CONNECTED
     edge = nbhd(labeled) & ~labeled
     comps = components(g, full & ~labeled)
     stack = [(c, edge & c, None) for c in reversed(comps) if c not in memo]
@@ -291,10 +277,10 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
                 rest = c & ~h
                 if rest in children:
                     continue
-                if rest in memo:  # only components are stored
+                if rest in memo:  # a component or a split rest
                     children[rest] = (rest,)
                     continue
-                parts = split(g, rest, ones & rest & ~edge)
+                parts = components(g, rest, ones & rest & ~edge)
                 children[rest] = parts
                 new += [(d, ones & d, None) for d in parts if d not in memo]
             if new:
@@ -302,11 +288,13 @@ def _position_value(g: Graph, labeled: int, variant: Variant,
                 stack += new
                 continue
         values = []
-        for parts in children.values():
+        for rest, parts in children.items():
             v = 0
             for d in parts:
                 v ^= memo[d]
             values.append(v)
+            if keep_rests and len(parts) > 1:
+                table.store(rest, variant, v)
         table.store(c, variant, mex(values))
     return nim_sum(memo[c] for c in comps)
 

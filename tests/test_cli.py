@@ -226,6 +226,19 @@ def test_budget_flag_triggers_resource_exit(tmp_path):
             assert out == "", argv
 
 
+def test_budget_bounds_the_split_rests_of_a_connected_star(tmp_path):
+    # connected K1,30 keeps 60 components and 465 split rests, and the
+    # budget counts both, so 100 entries do not suffice
+    path = str(tmp_path / "star.json")
+    assert run_cli(["gen", "--family", "star", "--n", "30", "-o", path]) \
+        == (0, "", "")
+    code, out, err = run_cli(["solve", "--graph", path, "--variant",
+                              "connected", "--budget", "100"])
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: node budget of 100 table entries "
+                   "exceeded\n")
+
+
 def test_budget_env_var_is_not_read(tmp_path, monkeypatch):
     # the answer depends only on argv and the files it names
     path = write_graph(tmp_path, make_path(12))

@@ -250,6 +250,24 @@ def test_budget_exhaustion_raises():
     assert decide(g, Variant.FREE, TranspositionTable(g, DEFAULT_BUDGET))
 
 
+def test_the_budget_counts_everything_a_star_search_keeps():
+    # on K1,t an opening at a leaf and a reply at another absorb the
+    # centre and leave t - 2 isolated leaves, so about t^2/2 distinct
+    # rests split; the connected search keeps each as one entry, its
+    # nim-sum, and keeps nothing beside its entries.  Connected K1,t
+    # stores 2t + t(t+1)/2 entries, and a budget one short aborts
+    t = 120
+    g = make_star(t)
+    table = TranspositionTable(g)
+    opening_values(g, Variant.CONNECTED, table)
+    assert len(table) == len(table.entries[Variant.CONNECTED]) == 7500
+    assert 2 * t + t * (t + 1) // 2 == 7500
+    assert TranspositionTable.__slots__ == ("graph", "budget", "entries",
+                                            "size")
+    with pytest.raises(ResourceLimitError):
+        opening_values(g, Variant.CONNECTED, TranspositionTable(g, 7499))
+
+
 def test_grundy_rejects_foreign_table():
     t = TranspositionTable(make_path(4))
     with pytest.raises(ValueError, match="different graph"):
@@ -308,7 +326,9 @@ def test_shared_table_across_threads():
 def test_stored_values_reexpand_to_their_mex():
     # every stored component C is connected with G - C closed, its value
     # is the mex over its children of the nim-sum of their stored parts,
-    # and the whole-graph search agrees on the position G - C
+    # and the whole-graph search agrees on the position G - C; every
+    # other entry is a connected game's rest of two or more components,
+    # worth the nim-sum of their stored values
     rng = random.Random(21)
     cases = [(make_cycle(8), Variant.CONNECTED),
              (make_path(9), Variant.FREE),
@@ -319,25 +339,44 @@ def test_stored_values_reexpand_to_their_mex():
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
         stored = table.entries[variant]
-        for comp in rng.sample(sorted(stored), min(60, len(stored))):
+        comps = sorted(c for c in stored if components(g, c) == [c])
+        for comp in rng.sample(comps, min(60, len(comps))):
             outside = g.full_mask & ~comp
-            assert components(g, comp) == [comp]
             assert is_p3_closed(g, outside)
             expect = mex(nim_sum(stored[part]
                                  for part in components(g, comp & ~child))
                          for child in child_masks(g, outside, variant))
             assert stored[comp] == expect
             assert stored[comp] == reference_grundy(g, outside, variant)
+        assert_split_rests_hold_their_sums(g, variant, table)
+
+
+def assert_split_rests_hold_their_sums(g, variant, table):
+    """Every entry that is not a component is a connected game's rest
+    of two or more components, each stored, with G - rest closed, and
+    holds the nim-sum of their values; returns how many such entries
+    the table holds."""
+    stored = table.entries[variant]
+    rests = 0
+    for rest, value in stored.items():
+        parts = components(g, rest)
+        if len(parts) > 1:
+            assert variant is Variant.CONNECTED
+            assert is_p3_closed(g, g.full_mask & ~rest)
+            assert value == nim_sum(stored[d] for d in parts)
+            rests += 1
+    return rests
 
 
 def test_each_child_is_seeded_from_its_hull_boundary():
     # the expansion splits a child from the seeds ones & rest & ~edge,
     # where ones is what its hull hands back and edge is C's boundary,
     # and each part d of the child inherits ones & d as its own
-    # boundary; on every stored component of small graphs, in both
-    # variants and for every legal move, the seeds are exactly the
-    # vertices of the rest next to the hull's part in C, they meet
-    # every part of the rest, and ones & d is N(G - d) & d
+    # boundary; on every stored component of small graphs (the entries
+    # the search expands), in both variants and for every legal move,
+    # the seeds are exactly the vertices of the rest next to the hull's
+    # part in C, they meet every part of the rest, and ones & d is
+    # N(G - d) & d
     rng = random.Random(22)
     graphs = list(atlas_graphs(6))
     graphs += [random_gnp(rng.randint(8, 12), 0.25, rng) for _ in range(10)]
@@ -346,6 +385,8 @@ def test_each_child_is_seeded_from_its_hull_boundary():
             table = TranspositionTable(g)
             grundy(start_position(g, variant), table)
             for c in table.entries[variant]:
+                if components(g, c) != [c]:
+                    continue  # a split rest, never expanded
                 outside = g.full_mask & ~c
                 edge = g.neighborhood_of_set(outside) & c
                 for x in bits(legal_moves_raw(g, outside, variant, edge)):
@@ -390,13 +431,15 @@ def test_a_boundary_move_hull_is_every_hull_next_to_its_run():
 
 
 def test_the_search_stores_the_same_components(monkeypatch):
-    # pins which positions the search visits, how many hulls it takes
-    # and how many splits it floods, not only its answers: an
-    # optimisation that expands a different set of components, takes
-    # more hulls per expansion or floods a rest it has split before
-    # fails here.  Each expansion asks once for its legal moves, and a
-    # search from these starts asks nowhere else, so one such call per
-    # stored entry means no component is expanded twice
+    # pins which positions the search visits, how many entries it keeps,
+    # how many hulls it takes and how many rests it floods, not only its
+    # answers: an optimisation that expands a different set of
+    # components, takes more hulls per expansion or floods a rest whose
+    # sum it has stored fails here.  Each expansion asks once for its
+    # legal moves, and a search from these starts asks nowhere else, so
+    # one such call per stored component means no component is
+    # expanded twice; the connected game's entries beyond its
+    # components are its split rests
     calls, expansions, splits = [], [], []
     take_hull, take_moves = engine.hull_and_boundary, engine.legal_moves_raw
     take_split = engine.components
@@ -416,37 +459,39 @@ def test_the_search_stores_the_same_components(monkeypatch):
     monkeypatch.setattr(engine, "hull_and_boundary", counted)
     monkeypatch.setattr(engine, "legal_moves_raw", counted_moves)
     monkeypatch.setattr(engine, "components", counted_split)
-    cases = [(make_path(18), Variant.FREE, 154, 1091, 682),
-             (random_tree(17, random.Random(0)), Variant.FREE, 642, 5966,
-              3612),
+    cases = [(make_path(18), Variant.FREE, 154, 154, 1091, 682),
+             (random_tree(17, random.Random(0)), Variant.FREE, 642, 642,
+              5966, 3612),
              (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2292,
-              21970, 8855),
-             (make_ladder(24), Variant.CONNECTED, 646, 3954, 888),
-             (make_cycle(30), Variant.CONNECTED, 840, 3240, 926),
-             (make_ladder(30), Variant.CONNECTED, 988, 6204, 1377),
-             (make_path(600), Variant.CONNECTED, 1198, 2394, 1202),
-             (make_clique(150), Variant.FREE, 150, 150, 300)]
-    for g, variant, stored, hulls, floods in cases:
+              2292, 21970, 8855),
+             (make_ladder(24), Variant.CONNECTED, 646, 899, 3954, 1009),
+             (make_cycle(30), Variant.CONNECTED, 840, 840, 3240, 926),
+             (make_ladder(30), Variant.CONNECTED, 988, 1394, 6204, 1573),
+             (make_path(600), Variant.CONNECTED, 1198, 1198, 2394, 1202),
+             (make_clique(150), Variant.FREE, 150, 150, 150, 300)]
+    for g, variant, stored, entries, hulls, floods in cases:
         calls.clear()
         expansions.clear()
         splits.clear()
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
-        assert len(table) == len(table.entries[variant]) == stored
+        assert len(table) == len(table.entries[variant]) == entries
         assert len(expansions) == stored
         assert len(calls) == hulls
         assert len(splits) == floods
+        assert entries - stored == sum(
+            len(take_split(g, c)) > 1 for c in table.entries[variant])
 
 
 def test_an_aborted_search_stores_only_final_values():
     # a budget abort may leave entries behind in the table, and each
     # must be the value the complete search stores; one entry more
     # than any abort allowed lets the search finish.  The connected
-    # search also keeps the parts of each rest that splits, after an
-    # abort as after the complete search: two or more parts each, and
-    # exactly the components a plain flood of the rest finds
+    # search also stores the nim-sum of each rest that splits, after
+    # an abort as after the complete search, and only once all its
+    # parts are stored
     cases = [(make_path(14), Variant.FREE, 92),
-             (make_ladder(8), Variant.CONNECTED, 86),
+             (make_ladder(8), Variant.CONNECTED, 107),
              (random_gnp(14, 0.2, random.Random(3)), Variant.FREE, 241),
              (make_cycle(16), Variant.CONNECTED, 224)]
     kept = 0
@@ -466,12 +511,8 @@ def test_an_aborted_search_stores_only_final_values():
             assert all(final[c] == v for c, v in held.items())
             tables.append(table)
         assert grundy(start, TranspositionTable(g, count)) == value
-        if variant is Variant.CONNECTED:
-            for table in tables:
-                for rest, parts in table.splits.items():
-                    assert len(parts) >= 2
-                    assert set(parts) == set(components(g, rest))
-                kept += len(table.splits)
+        for table in tables:
+            kept += assert_split_rests_hold_their_sums(g, variant, table)
     assert kept  # the ladder's rests split; a cycle's arcs never do
 
 
