@@ -30,7 +30,10 @@ from collections.abc import Iterable, Iterator, Sequence
 # =====================================================================
 
 def bits(mask: int) -> Iterator[int]:
-    """Iterate over the vertex ids present in a bitmask, ascending."""
+    """Iterate over the vertex ids present in a bitmask, ascending.  A
+    negative mask (such as ``~m``) is an infinite set: ValueError."""
+    if mask < 0:
+        raise ValueError("negative vertex mask %d" % mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -57,10 +60,12 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
-    ``adj[v]`` is the bitmask of neighbors of v.  Nothing in the package
-    sets ``n`` or ``adj`` after construction (tables, positions and cache
-    digests rely on it); equality is exact (same vertex count, same
-    adjacency), not isomorphism.
+    ``Graph(n, edges)`` builds every graph in the package, and checks
+    each edge for range, self-loops and duplicates.  ``adj[v]`` is the
+    bitmask of neighbors of v.  Nothing in the package sets ``n`` or
+    ``adj`` after construction (tables, positions and cache digests rely
+    on it); equality is exact (same vertex count, same adjacency), not
+    isomorphism.
     """
 
     __slots__ = ("n", "adj")
@@ -82,17 +87,6 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.adj = tuple(rows)
-
-    @classmethod
-    def _from_rows(cls, rows) -> "Graph":
-        """The graph with adjacency rows ``rows``, unchecked: the caller
-        guarantees they are symmetric, loop-free and in range.  For
-        builders whose rows are right by construction (a random cograph
-        or chordal block), where the edge-by-edge constructor would spend
-        time quadratic in n on edge tuples and checks."""
-        g = cls.__new__(cls)
-        g.n, g.adj = len(rows), tuple(rows)
-        return g
 
     # -- basic queries -------------------------------------------------
 
@@ -358,39 +352,27 @@ def random_cograph(n: int, rng: random.Random) -> Graph:
     k contiguous groups, k uniform in 2..size, and each group of two or
     more is cut again, under an operation that alternates with depth
     from a random first one: a union adds no edge, a join adds every
-    edge across its groups.
-
-    A vertex's row is the union, over its join ancestors, of the
-    ancestor's vertices outside the group it lies in.  Groups are
-    slices of the shuffled order, so a group's vertex set is the xor of
-    two prefix masks.  An explicit stack visits the groups, and so
-    makes the draws, in the order a left-to-right recursion would, and
-    the depth is not bounded by Python's recursion limit."""
+    edge across its groups.  An explicit stack visits the groups, and
+    so makes the draws, in the order a left-to-right recursion would,
+    and the depth is not bounded by Python's recursion limit."""
     if n < 1:
         raise ValueError("cograph needs at least one vertex")
     order = list(range(n))
     rng.shuffle(order)
-    prefix = [0]
-    for v in order:
-        prefix.append(prefix[-1] | 1 << v)
-    rows = [0] * n
-    # (start, end, join, row from the join ancestors) of each group
-    stack = [(0, n, rng.choice((False, True)), 0)]
+    edges = []
+    stack = [(order, rng.choice((False, True)))]
     while stack:
-        start, end, join, above = stack.pop()
-        size = end - start
+        pool, join = stack.pop()
+        size = len(pool)
         if size == 1:
-            rows[order[start]] = above
             continue
         cuts = sorted(rng.sample(range(1, size), rng.randint(2, size) - 1))
-        bounds = [start] + [start + c for c in cuts] + [end]
-        whole = prefix[end] ^ prefix[start]
-        groups = []
-        for a, b in zip(bounds, bounds[1:]):
-            inner = above | whole ^ prefix[b] ^ prefix[a] if join else above
-            groups.append((a, b, not join, inner))
-        stack += reversed(groups)
-    return Graph._from_rows(rows)
+        groups = [pool[a:b] for a, b in zip([0, *cuts], [*cuts, size])]
+        if join:
+            edges += [(u, v) for i, left in enumerate(groups)
+                      for right in groups[i + 1:] for u in left for v in right]
+        stack += [(group, not join) for group in reversed(groups)]
+    return Graph(n, edges)
 
 
 def random_biconnected_chordal(n: int, rng: random.Random) -> Graph:
@@ -400,6 +382,7 @@ def random_biconnected_chordal(n: int, rng: random.Random) -> Graph:
     if n < 3:
         raise ValueError("need at least three vertices")
     rows = [0b110, 0b101, 0b011] + [0] * (n - 3)
+    edges = [(0, 1), (0, 2), (1, 2)]
     for v in range(3, n):
         u = rng.randrange(v)
         w = rng.choice(list(bits(rows[u])))
@@ -413,7 +396,8 @@ def random_biconnected_chordal(n: int, rng: random.Random) -> Graph:
         rows[v] = base
         for b in bits(base):
             rows[b] |= 1 << v
-    return Graph._from_rows(rows)
+            edges.append((b, v))
+    return Graph(n, edges)
 
 
 def random_chordal(n: int, rng: random.Random) -> Graph:

@@ -17,15 +17,18 @@ Every solver answers with the value after each opening, by vertex, the
 list the engine's ``opening_values`` gives; ``Verdict.from_openings``
 reads a verdict off it.
 
-Value conventions used throughout:
+Value conventions, and where each is used:
 
-* ``f``-style values are Grundy values of partially labeled boards
-  (an arc playground on a cycle, a run of unlabeled vertices with
-  bordered ends).
+* Independent parts add by nim-sum (``nim_sum``): the components of a
+  graph in ``component_free_values``, and the branches at a labeled
+  vertex in ``connected_block_values``.
 * ``O(k)`` is the Grundy value of a heap of k in the octal game
-  Officers (0.6), which the free game plays on paths and cycles.
-* A set of h interchangeable pendant moves contributes h mod 2 to a
-  nim-sum: each pendant is a single-move subgame of value 1.
+  Officers (0.6), which the free game plays on paths and cycles:
+  ``_officers`` lists it for ``free_path_grundy_table`` and
+  ``component_free_values``.
+* When a side of a join holds two labels across from a single vertex,
+  each of its h untouched components is one forced move, and together
+  they are worth h mod 2 (``_join_opening_value``).
 """
 
 from __future__ import annotations

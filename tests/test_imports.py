@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package, test or demo imports a
 name it never uses, no private module-level helper outlives its
 callers, no public function, class or method exists only for the
-tests, only the graph constructors set a graph's ``n`` or ``adj``, and
+tests, only the graph constructor sets a graph's ``n`` or ``adj``, and
 the README names no function that is gone.  The package's
 ``__init__`` is exempt from the import and public-name checks: its
 imports are its exports, and ``__all__`` lists exactly those."""
@@ -254,7 +254,7 @@ def test_the_check_sees_an_attribute_write():
         ["<module>", "A.f", "A.f", "A.f", "A.f", "h", "h"]
 
 
-def test_only_the_graph_constructors_set_n_or_adj():
+def test_only_the_graph_constructor_sets_n_or_adj():
     found = {"%s:%s" % (p.name, where) for p in sorted(PACKAGE.glob("*.py"))
              for where in attribute_writes(p.read_text(), {"n", "adj"})}
-    assert found == {"graphs.py:Graph.__init__", "graphs.py:Graph._from_rows"}
+    assert found == {"graphs.py:Graph.__init__"}

@@ -632,18 +632,13 @@ def test_no_answer_builds_a_graph(monkeypatch):
     mixed = disjoint_union([make_star(3), make_path(4), make_cycle(5)])
     tree = make_caterpillar([2, 0, 1])
     built = []
-    init, from_rows = Graph.__init__, Graph._from_rows.__func__
+    init = Graph.__init__
 
     def counted_init(self, n, edges):
         built.append("__init__")
         init(self, n, edges)
 
-    def counted_from_rows(cls, rows):
-        built.append("_from_rows")
-        return from_rows(cls, rows)
-
     monkeypatch.setattr(Graph, "__init__", counted_init)
-    monkeypatch.setattr(Graph, "_from_rows", classmethod(counted_from_rows))
     for g in (mixed, tree):
         for variant in Variant:
             decide(g, variant)
@@ -654,9 +649,9 @@ def test_no_answer_builds_a_graph(monkeypatch):
     connected_block_values(tree)
     tree_connected_grundy(tree)
     assert built == []
-    make_path(2)  # the count sees both constructors
-    random_cograph(3, random.Random(0))
-    assert built == ["__init__", "_from_rows"]
+    make_path(2)  # the count sees a builder's graph
+    random_cograph(3, random.Random(0))  # and a random generator's
+    assert built == ["__init__", "__init__"]
 
 
 # =====================================================================
