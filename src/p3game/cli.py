@@ -32,10 +32,6 @@ class CacheCorruptionError(RuntimeError):
     computed or stored verdict."""
 
 
-# a stripped line holds exactly one record: raw_decode stops after the
-# first JSON value, so trailing data is caught by comparing offsets
-_decode_record = json.JSONDecoder().raw_decode
-
 # (bytes, entries, line count) of the longest newline-terminated head of
 # the cache file the last load validated.  Entries and errors depend on
 # a file's bytes alone, so a file that starts with these bytes needs
@@ -99,9 +95,7 @@ class ResultCache:
             if not line:
                 continue
             try:
-                obj, end = _decode_record(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
+                obj = json.loads(line)
                 key = (obj["graph"], obj["variant"])
                 fields = obj["verdict"]
                 prior = self._entries.get(key)  # key must hash
@@ -155,7 +149,7 @@ def _read_graph_file(path: str):
 # solve
 # ---------------------------------------------------------------------
 
-def cmd_solve(args, stdout, stderr) -> int:
+def cmd_solve(args, stdout) -> int:
     g = _read_graph_file(args.graph)
     variant = Variant(args.variant)
     try:
@@ -216,7 +210,7 @@ def _print_board(pos: Position, stdout) -> None:
     print("labeled: %s" % (labeled if labeled else "{}"), file=stdout)
 
 
-def cmd_play(args, stdout, stderr, stdin) -> int:
+def cmd_play(args, stdout, stdin) -> int:
     g = _read_graph_file(args.graph)
     variant = Variant(args.variant)
     table = TranspositionTable(g, args.budget)
@@ -260,16 +254,12 @@ def cmd_play(args, stdout, stderr, stdin) -> int:
 # gen
 # ---------------------------------------------------------------------
 
-def _gen_graph(args):
+def cmd_gen(args, stdout) -> int:
     least, build = SIZED_FAMILIES[args.family]
     if args.n is None or args.n < least:
         raise GraphFormatError(
             "--family %s needs --n >= %d" % (args.family, least))
-    return build(args.n, random.Random(args.seed))
-
-
-def cmd_gen(args, stdout, stderr) -> int:
-    data = emit_graph(_gen_graph(args))
+    data = emit_graph(build(args.n, random.Random(args.seed)))
     if args.output == "-":
         stdout.write(data.decode())
     else:
@@ -342,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True,
                        help="output path, or - for stdout")
+    parser.commands = sub.choices  # name -> that command's parser
     return parser
 
 
@@ -358,9 +349,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list):
     command, that command's parser takes argv[1:], as the top-level
     parser would hand them on, and the top-level parser reports what it
     leaves over.  Any other argv goes to the top-level parser."""
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    command = commands.get(argv[0]) if argv else None
+    command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
     args, extras = command.parse_known_args(
@@ -385,12 +374,12 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return exc.code
     try:
         if args.command == "solve":
-            return cmd_solve(args, stdout, stderr)
+            return cmd_solve(args, stdout)
         if args.command == "verify":
             return cmd_verify(args, stdout, stderr)
         if args.command == "play":
-            return cmd_play(args, stdout, stderr, stdin)
-        return cmd_gen(args, stdout, stderr)
+            return cmd_play(args, stdout, stdin)
+        return cmd_gen(args, stdout)
     except (GraphFormatError, CacheCorruptionError) as exc:
         print("error: %s" % exc, file=stderr)
         return 2

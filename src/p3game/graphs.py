@@ -259,17 +259,35 @@ def make_ladder(n: int) -> Graph:
 # JSON graph serialization
 # =====================================================================
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object's pairs as a dict.  json.loads keeps the last value
+    of a repeated key, which would read the file as another graph."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise GraphFormatError(
+                "graph JSON repeats the key %s" % json.dumps(key))
+        obj[key] = value
+    return obj
+
+
+_GRAPH_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+
+
 def parse_graph(data) -> Graph:
     """Parse the graph interchange format {"n": int, "edges": [[u, v], ...]}.
 
     Accepts bytes or str.  Raises GraphFormatError with a distinct message
-    for malformed JSON, an out-of-range vertex id, a self-loop, or a
-    duplicate edge.
+    for malformed JSON, a repeated key, an out-of-range vertex id, a
+    self-loop, or a duplicate edge.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
-        obj = json.loads(data)
+        if data.startswith("\ufeff"):  # json.loads names it; decode would not
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        obj = _GRAPH_DECODER.decode(data)
     except json.JSONDecodeError as exc:
         raise GraphFormatError("malformed JSON in graph: %s" % exc) from exc
     except RecursionError:

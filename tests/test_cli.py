@@ -96,6 +96,21 @@ def test_solve_deeply_nested_graph_json_is_a_usage_error(tmp_path):
     assert err == "error: malformed JSON in graph: nested too deeply\n"
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"n":3,"edges":[[0,1],[1,2]],"edges":[]}', "edges"),
+    ('{"n":3,"edges":[[0,1]],"n":2}', "n"),
+], ids=["edges-twice", "n-twice"])
+def test_solve_graph_with_a_repeated_key_is_a_usage_error(tmp_path, text,
+                                                         key):
+    # json.loads would keep the last value and solve another graph
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(["solve", "--graph", str(path),
+                              "--variant", "free"])
+    assert code == 2 and out == ""
+    assert err == 'error: graph JSON repeats the key "%s"\n' % key
+
+
 EMPTY_VERDICT = '{"grundy": 0, "winner": "second", "witness": null}\n'
 
 
@@ -359,6 +374,16 @@ def test_non_json_cache_line_is_a_parse_error(tmp_path):
     code, out, err = _solve_with_cache_lines(tmp_path, ["", "not json at all"])
     assert code == 2 and out == ""
     assert "line 3 is not a cache record" in err
+    # a byte order mark is named as such, also inside the file
+    record = json.dumps({"graph": "ab", "variant": "free",
+                         "verdict": {"winner": "second", "grundy": 0,
+                                     "witness": None}})
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    code, out, err = _solve_with_cache_lines(bom, ["\ufeff" + record])
+    assert code == 2 and out == ""
+    assert "line 2 is not a cache record: JSONDecodeError: Unexpected " \
+        "UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n" in err
 
 
 @pytest.mark.parametrize("record", [
@@ -457,7 +482,10 @@ def test_two_records_on_one_line_are_a_parse_error(tmp_path):
     code, out, err = _solve_with_cache_lines(
         tmp_path, [record, record + " " + record.replace("ab", "cd")])
     assert code == 2 and out == ""
-    assert "line 3 is not a cache record" in err
+    # the column is that of the second record, past the space
+    assert err.endswith("line 3 is not a cache record: JSONDecodeError: "
+                        "Extra data: line 1 column %d (char %d)\n"
+                        % (len(record) + 2, len(record) + 1))
 
 
 def test_line_separator_inside_a_record_does_not_shift_line_numbers(tmp_path):
@@ -639,9 +667,9 @@ def test_reload_decodes_only_the_lines_appended_since(tmp_path, monkeypatch):
     cache_dir.mkdir()
     (cache_dir / "results.jsonl").write_text("".join(_cache_lines(100)))
     decoded = []
-    decode = cli._decode_record
-    monkeypatch.setattr(cli, "_decode_record",
-                        lambda line: decoded.append(line) or decode(line))
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads",
+                        lambda line: decoded.append(line) or loads(line))
     assert len(ResultCache(str(cache_dir))._entries) == 100
     decoded.clear()
     cache = ResultCache(str(cache_dir))

@@ -323,6 +323,14 @@ def test_parse_graph_distinct_diagnostics():
                  b"5", b"[[0, 1]]"):
         with pytest.raises(GraphFormatError, match="pair of integers"):
             parse_graph(b'{"n": 2, "edges": [%s]}' % edge)
+    # json.loads keeps a repeated key's last value: three isolated
+    # vertices, and P2
+    with pytest.raises(GraphFormatError, match='repeats the key "edges"'):
+        parse_graph(b'{"n":3,"edges":[[0,1],[1,2]],"edges":[]}')
+    with pytest.raises(GraphFormatError, match='repeats the key "n"'):
+        parse_graph(b'{"n":3,"edges":[[0,1]],"n":2}')
+    with pytest.raises(GraphFormatError, match="Unexpected UTF-8 BOM"):
+        parse_graph(b'\xef\xbb\xbf{"n": 0, "edges": []}')
 
 
 def _json_dumps_form(g):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package, test or demo imports a
 name it never uses, no private module-level helper outlives its
 callers, no public function, class or method exists only for the
-tests, only the graph constructor sets a graph's ``n`` or ``adj``, and
+tests, no module of the package reads a private name of a library,
+only the graph constructor sets a graph's ``n`` or ``adj``, and
 the README names no function that is gone.  The package's
 ``__init__`` is exempt from the import and public-name checks: its
 imports are its exports, and ``__all__`` lists exactly those."""
@@ -51,6 +52,46 @@ def test_no_test_or_demo_imports_an_unused_name():
     assert len(scripts) >= 12
     found = {"%s/%s" % (p.parent.name, p.name): unused_imports(p.read_text())
              for p in scripts}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_library_names(source: str) -> list[str]:
+    """module.name of each ``_private`` (not ``__dunder__``) name a
+    module takes from a module it imports absolutely: an attribute read
+    on the imported name, or a name in a ``from`` import."""
+    tree = ast.parse(source)
+    modules = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found += ["%s.%s" % (node.module, a.name) for a in node.names
+                      if a.name.startswith("_")
+                      and not a.name.startswith("__")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append("%s.%s" % (ast.unparse(node.value), node.attr))
+    return found
+
+
+def test_the_check_sees_a_private_library_name():
+    source = ("from __future__ import annotations\nimport argparse\n"
+              "import os.path as osp\nfrom json import _default_decoder\n"
+              "from .graphs import _private_helper\n"
+              "isinstance(a, argparse._SubParsersAction)\n"
+              "osp.sep._x\nparser._actions\nargparse.__name__\n"
+              "self._entries\n")
+    assert sorted(private_library_names(source)) == \
+        ["argparse._SubParsersAction", "json._default_decoder", "osp.sep._x"]
+
+
+def test_no_module_reads_a_private_library_name():
+    found = {p.name: private_library_names(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
