@@ -68,9 +68,9 @@ def hull_and_boundary(g: Graph, a: int, closed: int = 0,
     absorbs are.  The hull is the hull of a either way, and the final
     ``ones`` is the given one together with N(hull - closed); with
     ``closed`` = 0 that is N(hull).  A call costs
-    O(|a - closed| + absorbed) big-integer operations and allocates
-    nothing per vertex; this sits in the innermost loop of the search
-    engine.
+    O(|a - closed| + absorbed) big-integer operations and builds no
+    list or set per vertex; this sits in the innermost loop of the
+    search engine.
     """
     adj = g.adj
     twos = 0

@@ -183,8 +183,8 @@ class TranspositionTable:
     __slots__ = ("graph", "budget", "entries", "size")
 
     def __init__(self, graph: Graph, budget: int = DEFAULT_BUDGET):
-        if budget < 1:
-            raise ValueError("budget must be positive")
+        if not _is_count(budget) or budget < 1:
+            raise ValueError("budget must be a positive integer")
         self.graph = graph
         self.budget = budget
         self.entries: dict[Variant, dict[int, int]] = {v: {} for v in Variant}

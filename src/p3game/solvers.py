@@ -26,9 +26,9 @@ Value conventions, and where each is used:
   Officers (0.6), which the free game plays on paths and cycles:
   ``_officers`` lists it for ``free_path_grundy_table`` and
   ``component_free_values``.
-* When a side of a join holds two labels across from a single vertex,
-  each of its h untouched components is one forced move, and together
-  they are worth h mod 2 (``_join_opening_value``).
+* In a join, h components that each fall to one label are h forced
+  moves, worth h mod 2, and two labels on a side across from two or
+  more vertices close the join, worth 0 (``_join_opening_value``).
 """
 
 from __future__ import annotations
@@ -228,35 +228,25 @@ def _join_opening_value(s: int, own: list[int], far: list[int]) -> int:
     x's component inside its own side has s vertices, and ``own`` and
     ``far`` list the component sizes of x's side and of the other side.
 
-    A side holding two labels absorbs the whole other side, which
-    absorbs everything back unless it is a single vertex; then each
-    untouched component of the near side is one forced move.  The one
-    second move that absorbs nothing labels an isolated vertex across
-    from an isolated x, and is evaluated one move deeper.  None of this
-    reads the inside of a side beyond its component sizes.
+    Two labels on one side absorb the whole other side, which absorbs
+    this side back when it has two or more vertices.  So:
+
+    * x alone on its side: a label across absorbs its component there
+      and nothing else; each component across is one forced move, and
+      the value is their count mod 2.
+    * y alone across: labeling y or x's component leaves the other
+      components of x's side, labeling one of those leaves one fewer,
+      each then one forced move: 1 if x's side is connected, else 2.
+    * Both sides of two or more vertices: a second move that gives a
+      vertex two labeled neighbours closes the join, worth 0.  The one
+      that absorbs nothing, an isolated vertex across from an isolated
+      x, is worth 1, since every third move closes the join.
     """
-    a, b = sum(own), sum(far)
-
-    def closed(untouched, other_side):
-        """Value once a side holds two labels and has ``untouched``
-        components left, across from ``other_side`` vertices."""
-        return 0 if other_side >= 2 else untouched & 1
-
-    options = set()
-    if s >= 2:  # a neighbour of x, or any vertex across
-        options.add(closed(len(own) - 1, b))
-    if len(own) >= 2:  # a vertex of another component of x's side
-        options.add(closed(len(own) - 2, b))
-    if s == 1 and max(far) >= 2:  # a vertex across with a neighbour there
-        options.add(closed(len(far) - 1, a))
-    if s == 1 and min(far) == 1:  # an isolated vertex across
-        third = set()
-        if a >= 2:
-            third.add(closed(len(own) - 2, b))
-        if b >= 2:
-            third.add(closed(len(far) - 2, a))
-        options.add(mex(third))
-    return mex(options)
+    if sum(own) == 1:
+        return len(far) & 1
+    if sum(far) == 1:
+        return 2 if len(own) >= 2 else 1
+    return 2 if s == 1 and min(far) == 1 else 1
 
 
 def component_free_values(g: Graph) -> list[int]:

@@ -98,9 +98,11 @@ def union_openings(lists, variant: Variant) -> list:
     return [v ^ total ^ mex(values) for values in lists for v in values]
 
 
+@lru_cache(maxsize=None)
 def has_induced_p4(g: Graph) -> bool:
     """Whether some four vertices of g induce a path: among four
-    vertices, degrees 1, 1, 2, 2 inside the four mean exactly P_4."""
+    vertices, degrees 1, 1, 2, 2 inside the four mean exactly P_4.
+    Kept per graph (a Graph hashes by value) for the session."""
     for quad in itertools.combinations(range(g.n), 4):
         inside = mask_of(quad)
         if sorted((g.adj[v] & inside).bit_count() for v in quad) == \

@@ -3,9 +3,11 @@ definition: the oracles the engine's decomposition and the
 word-parallel hull are checked against.  Also the chordal lemma that
 puts a chordal block under the block solver's condition, the four-flag
 table of fenced runs, the second route to the free game on paths and
-cycles, which the solver's Officers values are checked against, and the
+cycles, which the solver's Officers values are checked against, the
 downward arc recurrence that the connected cycle solver's closed form
-is checked against.
+is checked against, and the join opening valued by a search over the
+second and third moves, which the solver's three cases are checked
+against.
 
 The search memoizes whole labeled sets, one dict per (graph, variant),
 and knows nothing about components.  It builds child positions with
@@ -150,3 +152,40 @@ def connected_cycle_arc_values(n: int) -> dict[int, int]:
         else:
             f[k] = mex((f[k + 1], f[k + 2]))
     return f
+
+
+def join_opening_value_by_moves(s: int, own: list[int],
+                                far: list[int]) -> int:
+    """Value after opening at a vertex x of a join of two sides, with
+    the arguments of ``p3game.solvers._join_opening_value``, by the
+    kinds of second move: a neighbour of x, another component of x's
+    side, a vertex across with a neighbour there, or an isolated vertex
+    across from an isolated x, which absorbs nothing and is evaluated
+    one move deeper.
+
+    A side holding two labels absorbs the whole other side, which
+    absorbs everything back unless it is a single vertex; then each
+    untouched component of the near side is one forced move.
+    """
+    a, b = sum(own), sum(far)
+
+    def closed(untouched, other_side):
+        """Value once a side holds two labels and has ``untouched``
+        components left, across from ``other_side`` vertices."""
+        return 0 if other_side >= 2 else untouched & 1
+
+    options = set()
+    if s >= 2:  # a neighbour of x, or any vertex across
+        options.add(closed(len(own) - 1, b))
+    if len(own) >= 2:  # a vertex of another component of x's side
+        options.add(closed(len(own) - 2, b))
+    if s == 1 and max(far) >= 2:  # a vertex across with a neighbour there
+        options.add(closed(len(far) - 1, a))
+    if s == 1 and min(far) == 1:  # an isolated vertex across
+        third = set()
+        if a >= 2:
+            third.add(closed(len(own) - 2, b))
+        if b >= 2:
+            third.add(closed(len(far) - 2, a))
+        options.add(mex(third))
+    return mex(options)

@@ -1107,7 +1107,7 @@ def test_verify_budget_caps_every_engine_search(family):
 @pytest.mark.parametrize("budget", [0, -3])
 def test_verify_rejects_a_nonpositive_budget_before_the_sweep(budget):
     # the budget is the caller's error, not a mismatch of every instance
-    with pytest.raises(ValueError, match="budget must be positive"):
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
         run_family("path-free", 4, budget=budget)
 
 

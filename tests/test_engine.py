@@ -230,13 +230,13 @@ def test_table_budget_validation():
         TranspositionTable(g, budget=0)
 
 
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, True, 2.5, "5"])
 def test_nonpositive_budget_is_rejected_not_defaulted(budget):
     position = start_position(make_path(3), Variant.FREE)
-    with pytest.raises(ValueError, match="budget must be positive"):
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
         decide(position.graph, Variant.FREE,
                TranspositionTable(position.graph, budget))
-    with pytest.raises(ValueError, match="budget must be positive"):
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
         grundy(position, TranspositionTable(position.graph, budget))
 
 

@@ -3,7 +3,8 @@ recurrences, dual derivation routes against each other, and every solver
 against the exhaustive engine on small instances."""
 
 import random
-from functools import partial
+from functools import cache, partial
+from itertools import combinations_with_replacement
 
 import networkx as nx
 import pytest
@@ -24,7 +25,8 @@ from p3game.graphs import Graph
 from helpers import (atlas_graphs, atlas_openings, disjoint_union,
                      graph_to_nx, has_induced_p4, union_openings)
 from reference import (connected_cycle_arc_values, fenced_run_table,
-                       free_cycles_by_reduction, reference_grundy)
+                       free_cycles_by_reduction, join_opening_value_by_moves,
+                       reference_grundy)
 
 
 # =====================================================================
@@ -209,6 +211,16 @@ def test_star_parity_rule():
             assert v == Verdict(Player.SECOND, 0, None)
 
 
+def test_star_opening_values():
+    # the centre is its side alone across from t one-vertex components,
+    # and a leaf is one of t components across from the centre
+    for t in range(2, 51):
+        values = [t % 2] + [2] * t
+        assert component_free_values(make_star(t)) == values
+        if t <= 12:
+            assert opening_values(make_star(t), Variant.FREE) == values
+
+
 def test_clique_rule():
     assert component_free_values(make_clique(1)) == [0]
     for n in range(2, 51):
@@ -279,8 +291,10 @@ def test_tree_solver_matches_engine_on_small_trees():
 # blocks: trees, caterpillars, chordal graphs (connected variant)
 # =====================================================================
 
+@cache
 def _hulls_are_blocks(g):
-    """Whether every edge's hull is its networkx biconnected component."""
+    """Whether every edge's hull is its networkx biconnected component.
+    Kept per graph (a Graph hashes by value) for the session."""
     blocks = [mask_of(b) for b in nx.biconnected_components(graph_to_nx(g))]
     return all(hull(g, (1 << u) | (1 << v)) in blocks
                for u, v in g.edges())
@@ -484,9 +498,11 @@ def test_cograph_solver_rejects_non_cographs():
             component_free_values(g)
 
 
+@cache
 def _solvable(g):
     """Whether every component of g has all degrees at most 2 (a path
-    or a cycle) or a disconnected complement (a join), read by networkx."""
+    or a cycle) or a disconnected complement (a join), read by networkx.
+    Kept per graph (a Graph hashes by value) for the session."""
     whole = graph_to_nx(g)
     for comp in nx.connected_components(whole):
         part = whole.subgraph(comp)
@@ -553,6 +569,51 @@ def test_component_solver_values_every_opening_on_random_joins():
         assert component_free_values(g) == \
             [reference_grundy(g, 1 << x, Variant.FREE, memo)
              for x in range(g.n)], g.edges()
+
+
+def test_join_rule_matches_the_move_search():
+    # every feature the three cases read (sides of one vertex or more,
+    # component counts one to four, x's component alone or not, an
+    # isolated vertex across or not) occurs in this range
+    sides = [list(sizes) for k in range(1, 5)
+             for sizes in combinations_with_replacement(range(1, 5), k)]
+    checked = 0
+    for own in sides:
+        for far in sides:
+            for s in set(own):
+                assert solvers._join_opening_value(s, own, far) == \
+                    join_opening_value_by_moves(s, own, far), (s, own, far)
+                checked += 1
+    assert checked == 9660
+
+
+def test_every_opening_of_a_join_of_two_large_sides_is_worth_1_or_2():
+    # by the search, on the connected atlas graphs that split into two
+    # sides of two or more vertices with every edge between them, and
+    # on the random joins drawn above; the co-components (components of
+    # the complement) group into two such sides unless there are fewer
+    # than two, or two with a single vertex in one
+    joins = 0
+    for g, lists in atlas_openings():
+        sizes = [len(c) for c in nx.connected_components(
+            nx.complement(graph_to_nx(g)))]
+        if len(sizes) >= 2 and g.n >= 4 \
+                and not (len(sizes) == 2 and min(sizes) == 1):
+            assert set(lists[Variant.FREE]) <= {1, 2}, g.edges()
+            joins += 1
+    assert joins == 112
+    rng = random.Random(37)
+    for _ in range(100):
+        a = rng.randint(1, 13)
+        b = rng.randint(1, 14 - a)
+        g = _join(random_gnp(a, rng.random(), rng),
+                  random_gnp(b, rng.random(), rng))
+        if a >= 2 and b >= 2:
+            memo = {}
+            assert {reference_grundy(g, 1 << x, Variant.FREE, memo)
+                    for x in range(g.n)} <= {1, 2}, g.edges()
+            joins += 1
+    assert joins == 112 + 73
 
 
 def test_free_and_connected_solvers_agree_on_diameter_two():
