@@ -86,6 +86,12 @@ def disjoint_union(parts) -> Graph:
     return Graph(offset, edges)
 
 
+def threshold_graph(n: int) -> Graph:
+    """Threshold graph whose odd vertices are joined to every earlier
+    vertex: its unions and joins nest n - 1 levels deep."""
+    return Graph(n, [(u, v) for v in range(1, n) if v % 2 for u in range(v)])
+
+
 def union_openings(lists, variant: Variant) -> list:
     """The value after each opening of ``disjoint_union`` of some parts,
     by vertex, from ``lists``, each part's own.  In the connected game

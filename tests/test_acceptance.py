@@ -14,11 +14,10 @@ from p3game import (Player, Variant, Verdict, component_free_values,
                     make_ladder, make_path, make_star, mex, nim_sum,
                     opening_values, random_chordal, random_cograph,
                     random_gnp, random_tree, start_position)
-from p3game.graphs import Graph
 from p3game.verify import FAMILIES, run_family
 
 import reference
-from helpers import disjoint_union
+from helpers import disjoint_union, threshold_graph
 from reference import is_p3_closed, lemma_breaks
 
 
@@ -134,12 +133,6 @@ def test_cograph_sweep():
     assert time.monotonic() - t0 < 300  # deadline: five minutes
 
 
-def _threshold(n):
-    """Threshold graph whose odd vertices are joined to every earlier
-    vertex: its unions and joins nest n - 1 levels deep."""
-    return Graph(n, [(u, v) for v in range(1, n) if v % 2 for u in range(v)])
-
-
 class _PeelingRandom:
     """Stands in for random.Random in random_cograph: keeps the vertex
     order, starts with a join, and cuts every group into all but its
@@ -162,16 +155,19 @@ def test_random_cograph_deeper_than_the_recursion_limit():
     # the generator walks the nested groups from its own stack
     n = 1100
     assert n > sys.getrecursionlimit() and n % 2 == 0
-    assert random_cograph(n, _PeelingRandom()) == _threshold(n)
+    assert random_cograph(n, _PeelingRandom()) == threshold_graph(n)
 
 
 def test_cograph_solver_on_threshold_graphs():
-    g = _threshold(200)
-    assert component_free_values(g) == opening_values(g, Variant.FREE)
+    # the engine takes boundary moves first, so each size costs it
+    # about 3n hulls, not n^2 / 4
+    for n in (200, 400, 600):
+        g = threshold_graph(n)
+        assert component_free_values(g) == opening_values(g, Variant.FREE)
     # far past the default recursion limit: the join rule splits the
     # graph once, however deep its unions and joins nest
     t0 = time.monotonic()
-    v = Verdict.from_openings(component_free_values(_threshold(1500)))
+    v = Verdict.from_openings(component_free_values(threshold_graph(1500)))
     assert time.monotonic() - t0 < 30  # deadline: thirty seconds
     # by hand: after the universal last vertex, the isolated vertex 1498
     # and the rest (which closes on any move) are one move each, worth

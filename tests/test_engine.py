@@ -20,7 +20,8 @@ from p3game import engine
 from p3game.closure import hull_and_boundary, legal_moves_raw
 
 from helpers import (atlas_graphs, atlas_openings, check_immutable_value,
-                     connected_atlas_graphs, disjoint_union, union_openings)
+                     connected_atlas_graphs, disjoint_union, threshold_graph,
+                     union_openings)
 from reference import (child_masks, is_p3_closed, reference_decide,
                        reference_grundy)
 
@@ -339,6 +340,7 @@ def test_stored_values_reexpand_to_their_mex():
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
         stored = table.entries[variant]
+        assert 0 not in stored  # a hull that takes all of C leaves no part
         comps = sorted(c for c in stored if components(g, c) == [c])
         for comp in rng.sample(comps, min(60, len(comps))):
             outside = g.full_mask & ~comp
@@ -375,7 +377,8 @@ def test_each_child_is_seeded_from_its_hull_boundary():
     # boundary; on every stored component of small graphs (the entries
     # the search expands), in both variants and for every legal move,
     # the seeds are exactly the vertices of the rest next to the hull's
-    # part in C, they meet every part of the rest, and ones & d is
+    # part in C, they meet every part of the rest, a rest with at most
+    # one seed is one part (none when empty), and ones & d is
     # N(G - d) & d
     rng = random.Random(22)
     graphs = list(atlas_graphs(6))
@@ -395,6 +398,8 @@ def test_each_child_is_seeded_from_its_hull_boundary():
                     rest = c & ~h
                     seeds = ones & rest & ~edge
                     assert seeds == g.neighborhood_of_set(c & ~rest) & rest
+                    if not seeds & (seeds - 1):
+                        assert components(g, rest) == ([rest] if rest else [])
                     for d in components(g, rest):
                         assert d & seeds
                         assert ones & d == (g.neighborhood_of_set(
@@ -435,40 +440,42 @@ def test_the_search_stores_the_same_components(monkeypatch):
     # how many hulls it takes and how many rests it floods, not only its
     # answers: an optimisation that expands a different set of
     # components, takes more hulls per expansion or floods a rest whose
-    # sum it has stored fails here.  Each expansion asks once for its
-    # legal moves, and a search from these starts asks nowhere else, so
-    # one such call per stored component means no component is
+    # sum it has stored fails here.  Each expansion takes one mex, and
+    # a search from the start takes one more, over its openings, so one
+    # mex per stored component, and one over, means no component is
     # expanded twice; the connected game's entries beyond its
-    # components are its split rests
+    # components are its split rests.  On the threshold graph the
+    # boundary moves, taken first, skip all but about 3n hulls
     calls, expansions, splits = [], [], []
-    take_hull, take_moves = engine.hull_and_boundary, engine.legal_moves_raw
+    take_hull, take_mex = engine.hull_and_boundary, engine.mex
     take_split = engine.components
 
     def counted(*args):
         calls.append(None)
         return take_hull(*args)
 
-    def counted_moves(*args):
+    def counted_mex(*args):
         expansions.append(None)
-        return take_moves(*args)
+        return take_mex(*args)
 
     def counted_split(*args):
         splits.append(None)
         return take_split(*args)
 
     monkeypatch.setattr(engine, "hull_and_boundary", counted)
-    monkeypatch.setattr(engine, "legal_moves_raw", counted_moves)
+    monkeypatch.setattr(engine, "mex", counted_mex)
     monkeypatch.setattr(engine, "components", counted_split)
-    cases = [(make_path(18), Variant.FREE, 154, 154, 1091, 682),
+    cases = [(make_path(18), Variant.FREE, 154, 154, 1091, 705),
              (random_tree(17, random.Random(0)), Variant.FREE, 642, 642,
-              5966, 3612),
+              5966, 3594),
              (random_gnp(20, 0.15, random.Random(5)), Variant.FREE, 2292,
-              2292, 21970, 8855),
+              2292, 20904, 8845),
              (make_ladder(24), Variant.CONNECTED, 646, 899, 3954, 1009),
-             (make_cycle(30), Variant.CONNECTED, 840, 840, 3240, 926),
+             (make_cycle(30), Variant.CONNECTED, 840, 840, 3240, 900),
              (make_ladder(30), Variant.CONNECTED, 988, 1394, 6204, 1573),
              (make_path(600), Variant.CONNECTED, 1198, 1198, 2394, 1202),
-             (make_clique(150), Variant.FREE, 150, 150, 150, 300)]
+             (make_clique(150), Variant.FREE, 150, 150, 150, 300),
+             (threshold_graph(200), Variant.FREE, 201, 201, 597, 403)]
     for g, variant, stored, entries, hulls, floods in cases:
         calls.clear()
         expansions.clear()
@@ -476,7 +483,7 @@ def test_the_search_stores_the_same_components(monkeypatch):
         table = TranspositionTable(g)
         grundy(start_position(g, variant), table)
         assert len(table) == len(table.entries[variant]) == entries
-        assert len(expansions) == stored
+        assert len(expansions) == stored + 1
         assert len(calls) == hulls
         assert len(splits) == floods
         assert entries - stored == sum(
